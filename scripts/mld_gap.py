@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from qecbench.decoders import exhaustive_mld, exhaustive_mwd
+from qecbench.f2 import F2Matrix, span_blocks
 from qecbench.homology import surface_code
 from qecbench.noise import depolarizing_problem
 from qecbench.quantum import css_code, four_two_two_checks
@@ -25,11 +26,8 @@ from qecbench.quantum import css_code, four_two_two_checks
 def exact_rates(problem):
     h_dense = problem.h.to_dense()
     l_dense = problem.l.to_dense()
-    c = problem.h.cols
-    errors = (
-        np.arange(1 << c, dtype=np.uint32)[:, None] >> np.arange(c, dtype=np.uint32)
-    ) & 1
-    errors = errors.astype(np.uint8)
+    # the span of the identity rows is every error pattern, in counting order
+    errors = np.concatenate(list(span_blocks(F2Matrix.identity(problem.h.cols))))
     p = problem.prior.p
     probs = np.prod(np.where(errors == 1, p, 1.0 - p), axis=1)
     syndromes = errors @ h_dense.T % 2

@@ -8,7 +8,7 @@ for the chosen decoder.
 import argparse
 from pathlib import Path
 
-from qecbench.bench import BenchmarkConfig, run_benchmark, write_csv
+from qecbench.bench import BenchmarkConfig, csv_text, run_benchmark
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
         )
         result = run_benchmark(cfg, threads=args.threads)
         out = args.out_dir / f"surface_{side}.csv"
-        write_csv(result, out)
+        out.write_text(csv_text(result))
         for rec in result.records:
             print(f"side={side} p={rec.rate:g} ler={rec.logical_error_rate:.4g}"
                   f" [{rec.ci_low:.3g}, {rec.ci_high:.3g}]"

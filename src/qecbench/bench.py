@@ -70,6 +70,8 @@ def _parse_code(tokens):
     if not tokens:
         raise ValueError("empty code spec")
     head, rest = tokens[0], tokens[1:]
+    if head in ("repetition", "surface", "problem") and not rest:
+        raise ValueError(f"code spec {head!r} needs an argument")
     if head == "repetition":
         return repetition(int(rest[0])), rest[1:]
     if head == "hamming":
@@ -90,18 +92,23 @@ def _parse_code(tokens):
     raise ValueError(f"unknown code spec {head!r}")
 
 
-def _parse_decoder(spec: str):
+def parse_decoder(spec: str) -> tuple[str, int]:
+    """Split a decoder spec into (kind, reprocessing order).
+
+    Grammar: ``bp | bp+osd [W] | mwd | mld``, with ``bposd`` an alias
+    of ``bp+osd``; the order is 0 unless bp+osd names one.
+    """
+    if not isinstance(spec, str) or not spec.split():
+        raise ValueError(f"decoder spec must be a non-empty string, not {spec!r}")
     tokens = spec.split()
-    kind = tokens[0]
+    kind = "bp+osd" if tokens[0] == "bposd" else tokens[0]
     if kind not in _DECODER_KINDS:
         raise ValueError(f"unknown decoder {kind!r}")
-    order = 0
-    if kind == "bp+osd":
-        order = int(tokens[1]) if len(tokens) > 1 else 0
-        if order < 0:
-            raise ValueError("reprocessing order must be >= 0")
-    elif len(tokens) > 1:
-        raise ValueError(f"decoder {kind!r} takes no arguments")
+    if len(tokens) > (2 if kind == "bp+osd" else 1):
+        raise ValueError(f"too many arguments in decoder spec {spec!r}")
+    order = int(tokens[1]) if len(tokens) > 1 else 0
+    if order < 0:
+        raise ValueError("reprocessing order must be >= 0")
     return kind, order
 
 
@@ -135,7 +142,7 @@ class BenchmarkConfig:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
-        _parse_decoder(self.decoder)
+        parse_decoder(self.decoder)
 
 
 @dataclass(frozen=True)
@@ -175,20 +182,52 @@ def _trial_rng(seed: int, rate_index: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
-            bp_cfg: BpConfig):
+def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
+           bp_cfg: BpConfig):
+    """Correct syndrome s: returns (correction, converged, iterations).
+
+    kind is a parse_decoder kind other than mld, which picks a logical
+    class rather than a correction and is handled by its callers.
+    """
     if kind == "bp":
         res = bp_decode(problem, s, bp_cfg)
-        return res.correction, res.iterations_used
-    if kind == "bp+osd":
+    elif kind == "bp+osd":
         res = bp_osd(problem, s, bp_cfg, order)
-        return res.correction, res.iterations_used
-    return exhaustive_mwd(problem, s), 0
+    elif kind == "mwd":
+        return exhaustive_mwd(problem, s), True, 0
+    else:
+        raise ValueError(f"decoder {kind!r} returns a class, not a correction")
+    return res.correction, res.converged, res.iterations_used
+
+
+def _noise(code, noise: str, rate: float):
+    """Returns (problems, rng -> one fault vector per problem)."""
+    if noise == "bsc":
+        if not isinstance(code, LinearCode):
+            raise ValueError("bsc noise expects a classical code")
+        problem = classical_problem(code, rate)
+    elif noise == "generic":  # independent flips on the fault columns of a problem file
+        if not isinstance(code, DecodingProblem):
+            raise ValueError("generic noise expects a saved decoding problem")
+        problem = decoding_problem(code.h, code.l, uniform_prior(code.h.cols, rate))
+    elif not isinstance(code, CssCode):
+        raise ValueError("depolarizing noise expects a CSS code")
+    elif noise == "xzy":
+        return ((depolarizing_problem(code, rate, "xzy"),), lambda rng: (
+            depolarizing_fault_vector(sample_depolarizing(code.n, rate, rng)),))
+    else:
+        def split(rng):
+            err = sample_depolarizing(code.n, rate, rng)
+            return err.z, err.x  # the Z-fault problem comes first
+
+        return depolarizing_problem(code, rate, "split-xz"), split
+    return (problem,), lambda rng: (sample_bsc(problem.prior, rng),)
 
 
 def _make_trial(code, cfg: BenchmarkConfig, rate: float):
     """Returns (rng -> (failed, iterations)) for one rate point."""
-    kind, order = _parse_decoder(cfg.decoder)
+    kind, order = parse_decoder(cfg.decoder)
+    problems, sample = _noise(code, cfg.noise, rate)
 
     def run(problem, e):
         s = problem.h.matvec(e)
@@ -198,50 +237,18 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
             winner = exhaustive_mld(problem, s)
             return bool(np.array_equal(winner, problem.l.matvec(e))), 0
         if s.any():
-            c, iters = _decode(problem, s, kind, order, cfg.bp)
+            c, _, iters = decode(problem, s, kind, order, cfg.bp)
         else:
             c, iters = np.zeros(problem.h.cols, dtype=np.uint8), 0
         return success(c, e, problem).success, iters
 
-    if cfg.noise == "bsc":
-        if not isinstance(code, LinearCode):
-            raise ValueError("bsc noise expects a classical code")
-        problem = classical_problem(code, rate)
-
-        def trial(rng):
-            ok, iters = run(problem, sample_bsc(problem.prior, rng))
-            return (not ok), iters
-
-    elif cfg.noise == "xzy":
-        if not isinstance(code, CssCode):
-            raise ValueError("depolarizing noise expects a CSS code")
-        problem = depolarizing_problem(code, rate, "xzy")
-
-        def trial(rng):
-            err = sample_depolarizing(code.n, rate, rng)
-            ok, iters = run(problem, depolarizing_fault_vector(err))
-            return (not ok), iters
-
-    elif cfg.noise == "split-xz":
-        if not isinstance(code, CssCode):
-            raise ValueError("depolarizing noise expects a CSS code")
-        z_faults, x_faults = depolarizing_problem(code, rate, "split-xz")
-
-        def trial(rng):
-            err = sample_depolarizing(code.n, rate, rng)
-            ok_z, it_z = run(z_faults, err.z)
-            ok_x, it_x = run(x_faults, err.x)
-            return not (ok_z and ok_x), it_z + it_x
-
-    else:  # generic: independent flips on the fault columns of a problem file
-        if not isinstance(code, DecodingProblem):
-            raise ValueError("generic noise expects a saved decoding problem")
-        problem = decoding_problem(
-            code.h, code.l, uniform_prior(code.h.cols, rate))
-
-        def trial(rng):
-            ok, iters = run(problem, sample_bsc(problem.prior, rng))
-            return (not ok), iters
+    def trial(rng):
+        # no short cut after a failure: iterations count every problem
+        failed, iterations = False, 0
+        for problem, e in zip(problems, sample(rng)):
+            ok, iters = run(problem, e)
+            failed, iterations = failed or not ok, iterations + iters
+        return failed, iterations
 
     return trial
 
@@ -305,13 +312,6 @@ def result_rows(result: BenchmarkResult) -> list[list[str]]:
             f"{r.wall_time:.3f}",
         ])
     return rows
-
-
-def write_csv(result: BenchmarkResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(result_rows(result))
 
 
 def csv_text(result: BenchmarkResult) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityExceeded
-from .f2 import F2Matrix, read_alist, vstack, write_alist
+from .f2 import F2Matrix, read_alist, span_blocks, vstack, write_alist
 
 DISTANCE_GUARD = 24  # 2^k codewords get enumerated; refuse beyond this
 
@@ -97,16 +97,11 @@ def distance(code: LinearCode, guard: int = DISTANCE_GUARD) -> float:
         return math.inf
     if code.k > guard:
         raise CapacityExceeded(f"2^{code.k} codewords exceeds guard 2^{guard}")
-    g = code.g.to_dense().astype(np.uint32)
-    k = code.k
     best = code.n + 1
-    block = 1 << 14
-    shifts = np.arange(k, dtype=np.uint32)
-    for lo in range(1, 1 << k, block):
-        hi = min(lo + block, 1 << k)
-        msgs = (np.arange(lo, hi, dtype=np.uint32)[:, None] >> shifts) & 1
-        words = msgs @ g & 1
-        best = min(best, int(words.sum(axis=1).min()))
+    for words in span_blocks(code.g):
+        # only the zero message gives the zero word: G has independent rows
+        weights = words.sum(axis=1)
+        best = min(best, int(weights[weights > 0].min()))
     return best
 
 

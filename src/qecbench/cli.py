@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import build_code, csv_text, read_config, run_benchmark, write_csv, write_json
+from .bench import (build_code, csv_text, decode, parse_decoder, read_config,
+                    run_benchmark, write_json)
 from .classical import LinearCode
-from .decoders import BpConfig, bp_decode, bp_osd, exhaustive_mld, exhaustive_mwd
+from .decoders import BpConfig, exhaustive_mld
 from .errors import CapacityExceeded, NoSolution, QecError, Unsatisfiable
 from .f2 import to_alist, vstack, write_alist
 from .graphstate import detectors, foliate, save_foliation
@@ -114,51 +115,50 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 # -- decode ----------------------------------------------------------------
 
-_DECODE_NAMES = ("bp", "bposd", "mwd", "mld")
 
-
-def _decode_cfg(raw: dict) -> tuple[BpConfig, int]:
-    """Translate the request's cfg block; unknown keys are an error."""
+def _decode_cfg(raw: dict, order: int) -> tuple[BpConfig, int]:
+    """Translate the request's cfg block; unknown keys are an error and
+    ``order`` overrides the decoder spec's order."""
+    if not isinstance(raw, dict):
+        raise ValueError("decode request 'cfg' must be a JSON object")
     known = {"iterations", "variant", "order"}
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown decoder cfg keys: {sorted(extra)}")
     kwargs = {}
-    if "iterations" in raw:
-        kwargs["max_iterations"] = int(raw["iterations"])
+    try:
+        if "iterations" in raw:
+            kwargs["max_iterations"] = int(raw["iterations"])
+        order = int(raw.get("order", order))
+    except TypeError as err:
+        raise ValueError(f"bad decoder cfg value: {err}") from err
     if "variant" in raw:
         kwargs["variant"] = str(raw["variant"])
-    return BpConfig(**kwargs), int(raw.get("order", 0))
+    return BpConfig(**kwargs), order
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     request_path = Path(args.request)
     request = json.loads(request_path.read_text())
+    if not isinstance(request, dict):
+        raise ValueError("decode request must be a JSON object")
     for key in ("problem", "syndrome", "decoder"):
         if key not in request:
             raise ValueError(f"decode request is missing '{key}'")
-    name = request["decoder"]
-    if name not in _DECODE_NAMES:
-        raise ValueError(f"unknown decoder '{name}'; expected one of {_DECODE_NAMES}")
+        if not isinstance(request[key], str):
+            raise ValueError(f"decode request '{key}' must be a string")
+    kind, order = parse_decoder(request["decoder"])
     problem_path = Path(request["problem"])
     if not problem_path.is_absolute():
         problem_path = request_path.parent / problem_path
     problem = load_problem(problem_path)
     s = _bits_from_string(request["syndrome"], problem.h.rows, "syndrome")
-    cfg, order = _decode_cfg(request.get("cfg", {}))
+    cfg, order = _decode_cfg(request.get("cfg", {}), order)
 
-    if name == "bp":
-        res = bp_decode(problem, s, cfg)
-        response = {"correction": _bits_to_string(res.correction),
-                    "converged": res.converged, "iterations": res.iterations_used}
-    elif name == "bposd":
-        res = bp_osd(problem, s, cfg, w=order)
-        response = {"correction": _bits_to_string(res.correction),
-                    "converged": res.converged, "iterations": res.iterations_used}
-    elif name == "mwd":
-        c = exhaustive_mwd(problem, s)
-        response = {"correction": _bits_to_string(c), "converged": True,
-                    "iterations": 0}
+    if kind != "mld":
+        c, converged, iterations = decode(problem, s, kind, order, cfg)
+        response = {"correction": _bits_to_string(c), "converged": converged,
+                    "iterations": iterations}
     else:
         cls = exhaustive_mld(problem, s)
         stacked = vstack([problem.h, problem.l])
@@ -182,10 +182,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     result = run_benchmark(cfg, threads=args.threads)
     if args.format == "csv":
-        if args.out is None:
-            sys.stdout.write(csv_text(result))
-        else:
-            write_csv(result, args.out)
+        _emit(csv_text(result), args.out)
     else:
         if args.out is None:
             raise ValueError("json results need --out")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, NoSolution, Unsatisfiable
-from .f2 import F2Matrix
+from .f2 import F2Matrix, span_blocks
 from .noise import DecodingProblem
 
 MWD_COLUMN_GUARD = 24
@@ -34,14 +34,11 @@ class BpConfig:
     max_iterations: int = 32
     min_sum_scale: float = 0.8125
     llr_clamp: float = 30.0
-    schedule: str = "flooding"
     early_stop: bool = True  # stop once the hard decision matches s
 
     def __post_init__(self):
         if self.variant not in ("sum-product", "min-sum"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.schedule != "flooding":
-            raise ValueError("only the flooding schedule is implemented")
         if self.max_iterations < 1:
             raise ValueError("need max_iterations >= 1")
         if self.llr_clamp <= 0:
@@ -84,11 +81,8 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     # prefix*suffix along each row
     degrees = np.bincount(checks, minlength=h.rows)
     dmax = int(degrees.max())
-    edge_slot = np.zeros(n_edges, dtype=np.int64)
-    offset = np.zeros(h.rows, dtype=np.int64)
-    for k, c in enumerate(checks):
-        edge_slot[k] = offset[c]
-        offset[c] += 1
+    # np.nonzero is row-major, so a check's edges are contiguous
+    edge_slot = np.arange(n_edges) - (np.cumsum(degrees) - degrees)[checks]
     mask = np.zeros((h.rows, dmax), dtype=bool)
     mask[checks, edge_slot] = True
     check_sign = (1.0 - 2.0 * s).astype(np.float64)
@@ -181,7 +175,7 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
         raise Unsatisfiable("syndrome lies outside the image of H")
     in_pivot = np.zeros(h.cols, dtype=bool)
     in_pivot[pivots] = True
-    free = np.array([c for c in order if not in_pivot[c]], dtype=np.int64)
+    free = order[~in_pivot[order]]
     coupling = elim.reduced.to_dense()[:rank][:, free] if rank else np.zeros(
         (0, free.size), dtype=np.uint8
     )
@@ -261,17 +255,6 @@ def _solution_coset(h: F2Matrix, s: np.ndarray):
     return e0, h.kernel_basis()
 
 
-def _coset_blocks(e0: np.ndarray, kernel: F2Matrix, block: int = 1 << 14):
-    """Iterate the full coset e0 + span(kernel) in dense blocks."""
-    kappa = kernel.rows
-    basis = kernel.to_dense().astype(np.uint8)
-    shifts = np.arange(kappa, dtype=np.uint64)
-    for lo in range(0, 1 << kappa, block):
-        hi = min(lo + block, 1 << kappa)
-        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
-        yield (picks.astype(np.uint8) @ basis + e0) & 1
-
-
 def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     """Most probable single error with syndrome s (min soft weight)."""
     h = problem.h
@@ -283,7 +266,7 @@ def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     llr = problem.prior.llr
     weights = np.where(np.isinf(llr), 1e18, llr)
     best_key, best = None, None
-    for errors in _coset_blocks(e0, kernel):
+    for errors in span_blocks(kernel, e0):
         costs = errors @ weights
         idx = int(np.argmin(costs))
         near = np.nonzero(costs == costs[idx])[0]
@@ -311,7 +294,7 @@ def exhaustive_mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     l_dense = l.to_dense().astype(np.uint8)
     class_bits = np.left_shift(1, np.arange(l.rows, dtype=np.int64))
     totals = np.zeros(1 << l.rows)
-    for errors in _coset_blocks(e0, kernel):
+    for errors in span_blocks(kernel, e0):
         probs = np.exp(base + errors @ delta)
         classes = ((errors @ l_dense.T) & 1) @ class_bits
         totals += np.bincount(classes, weights=probs, minlength=totals.size)

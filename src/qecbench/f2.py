@@ -344,6 +344,21 @@ def vstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     return F2Matrix.from_dense(np.vstack([b.to_dense() for b in blocks]))
 
 
+def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
+                block: int = 1 << 14):
+    """Iterate offset + span(basis rows) in dense uint8 blocks; row i
+    of the concatenation adds the basis rows picked by the bits of i."""
+    kappa = basis.rows
+    dense = basis.to_dense()
+    if offset is None:
+        offset = np.zeros(basis.cols, dtype=np.uint8)
+    shifts = np.arange(kappa, dtype=np.uint64)
+    for lo in range(0, 1 << kappa, block):
+        hi = min(lo + block, 1 << kappa)
+        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
+        yield (picks.astype(np.uint8) @ dense + offset) & 1
+
+
 def block_diag(blocks: Sequence[F2Matrix]) -> F2Matrix:
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
@@ -390,11 +405,15 @@ def from_alist(text: str) -> F2Matrix:
     row_degs = [int(x) for x in lines[3].split()]
     if len(col_degs) != cols or len(row_degs) != rows:
         raise ValueError("alist degree lists do not match header")
+    if len(lines) < 4 + cols + rows:
+        raise ValueError("truncated alist")
     dense = np.zeros((rows, cols), dtype=np.uint8)
     for j in range(cols):
         entries = [int(x) for x in lines[4 + j].split() if int(x) != 0]
         if len(entries) != col_degs[j]:
             raise ValueError(f"column {j} degree mismatch")
+        if len(set(entries)) < len(entries) or any(not 1 <= i <= rows for i in entries):
+            raise ValueError(f"column {j} repeats a row or names one outside 1..{rows}")
         for i in entries:
             dense[i - 1, j] = 1
     # row blocks are redundant with the column blocks; cross-check them

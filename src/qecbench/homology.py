@@ -126,9 +126,9 @@ def hypergraph_product(a: LinearCode, b: LinearCode) -> CssCode:
 def hgp_parameters(a: LinearCode, b: LinearCode) -> tuple[int, int, float]:
     """Predicted (n, k, d) of the hypergraph product, without building it.
 
-    Transpose-code quantities carry the usual convention d = inf when
-    the corresponding k is zero; the product distance is the minimum of
-    the four constituent distances, inf when the product k is zero.
+    The distance is the least constituent distance over the sectors
+    ker A (x) ker B^T and ker A^T (x) ker B that hold a logical; inf
+    when the product k is zero.
     """
     from .classical import transpose_code
 
@@ -137,7 +137,8 @@ def hgp_parameters(a: LinearCode, b: LinearCode) -> tuple[int, int, float]:
     k = a.k * bt.k + at.k * b.k
     if k == 0:
         return n, 0, math.inf
-    d = min(classical_distance(c) for c in (a, b, at, bt))
+    d = min(classical_distance(c)
+            for x, y in ((a, bt), (at, b)) if x.k * y.k for c in (x, y))
     return n, k, d
 
 

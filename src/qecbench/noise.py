@@ -60,10 +60,6 @@ class DecodingProblem:
     prior: Prior
     undetectable: np.ndarray  # flags the all-zero columns of H
 
-    @property
-    def n_faults(self) -> int:
-        return self.h.cols
-
     def __repr__(self) -> str:
         return (
             f"DecodingProblem(checks={self.h.rows}, faults={self.h.cols}, "
@@ -217,6 +213,10 @@ def save_problem(problem: DecodingProblem, json_path) -> None:
 def load_problem(json_path) -> DecodingProblem:
     json_path = Path(json_path)
     doc = json.loads(json_path.read_text())
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(key), str) for key in ("H", "L", "prior"))):
+        raise ValueError(f"{json_path}: a problem descriptor needs file names"
+                         " under 'H', 'L' and 'prior'")
     h = read_alist(json_path.parent / doc["H"])
     l = read_alist(json_path.parent / doc["L"])
     p = np.loadtxt(json_path.parent / doc["prior"], ndmin=1)

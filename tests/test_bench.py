@@ -11,10 +11,11 @@ from qecbench.bench import (
     BenchmarkConfig,
     build_code,
     csv_text,
+    decode,
+    parse_decoder,
     read_config,
     run_benchmark,
     wilson_interval,
-    write_csv,
     write_json,
 )
 from qecbench.classical import LinearCode, hamming74
@@ -212,7 +213,7 @@ def test_csv_and_json_outputs(tmp_path):
     assert len(lines) == 2
 
     csv_path = tmp_path / "out.csv"
-    write_csv(res, csv_path)
+    csv_path.write_text(csv_text(res))
     assert csv_path.read_text() == text
 
     # identical seeds agree byte-for-byte on everything but wall time
@@ -255,3 +256,45 @@ def test_read_config(tmp_path):
     missing.write_text("code = hamming\n")
     with pytest.raises(ValueError):
         read_config(missing)
+
+
+PINNED = [
+    ("hamming", "bsc", "bp", 0.05, 28, 134),
+    ("hamming", "bsc", "mld", 0.05, 11, 0),
+    ("repetition 7", "bsc", "mwd", 0.1, 1, 0),
+    ("surface 2", "xzy", "mld", 0.05, 21, 0),
+    ("surface 3", "xzy", "bp+osd 1", 0.05, 8, 653),
+    ("surface 3", "split-xz", "bp", 0.05, 20, 669),
+    ("surface 3", "split-xz", "bp+osd 2", 0.05, 17, 669),
+    ("surface 2", "split-xz", "mwd", 0.05, 40, 0),
+    ("problem", "generic", "bp+osd 0", 0.05, 73, 4576),
+]
+
+
+@pytest.mark.parametrize("code,noise,decoder,rate,failures,iterations", PINNED)
+def test_pinned_counts_per_noise_and_decoder(tmp_path, code, noise, decoder,
+                                             rate, failures, iterations):
+    """Every trial path keeps its seeded failure and iteration counts."""
+    if code == "problem":
+        path = tmp_path / "p.json"
+        save_problem(depolarizing_problem(
+            css_code(*four_two_two_checks()), 0.1, "xzy"), path)
+        code = f"problem {path}"
+    cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder,
+                          rates=(rate,), trials=300, seed=5)
+    rec = run_benchmark(cfg).records[0]
+    assert (rec.failures, rec.mean_iterations) == (failures, iterations / 300)
+
+
+def test_parse_decoder_spellings_and_errors():
+    assert parse_decoder("bp") == ("bp", 0)
+    assert parse_decoder("bp+osd") == parse_decoder("bposd") == ("bp+osd", 0)
+    assert parse_decoder("bposd 2") == parse_decoder(" bp+osd  2") == ("bp+osd", 2)
+    assert parse_decoder("mld") == ("mld", 0)
+    for bad in ("", "  ", "osd", "mwd 1", "bp+osd -1", "bp+osd two",
+                "bp+osd 1 2", 3, None):
+        with pytest.raises(ValueError):
+            parse_decoder(bad)
+    problem = classical_problem(hamming74(), 0.1)
+    with pytest.raises(ValueError):
+        decode(problem, np.array([1, 0, 0], dtype=np.uint8), "mld", 0, BpConfig())

@@ -56,6 +56,13 @@ def test_build_code_rejects_problem_spec(tmp_path, capsys):
     assert "not a code" in err
 
 
+@pytest.mark.parametrize("spec", ["repetition", "surface", "problem", "hgp hamming"])
+def test_build_code_missing_argument_exits_one(capsys, spec):
+    code, _, err = run(capsys, "build-code", *spec.split())
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -193,6 +200,59 @@ def test_decode_request_validation(tmp_path, capsys):
                         cfg={"wat": 3})
     code, _, err = run(capsys, "decode", str(req))
     assert code == 1 and "unknown decoder cfg" in err
+
+
+def test_decode_bposd_is_an_alias_of_bp_osd(tmp_path, capsys):
+    problem = classical_problem(build_code("repetition 5"), 0.1)
+    responses = []
+    for decoder, cfg in (("bposd", {"order": 1}), ("bp+osd 1", {}),
+                         ("bp+osd", {"order": 1})):
+        req = write_request(tmp_path, problem, syndrome="1010", decoder=decoder,
+                            cfg=cfg)
+        code, out, _ = run(capsys, "decode", str(req))
+        assert code == 0
+        responses.append(json.loads(out))
+    assert responses[0] == responses[1] == responses[2]
+
+
+@pytest.mark.parametrize("fields", [
+    {"syndrome": 101, "decoder": "bp"},
+    {"syndrome": "0000", "decoder": 7},
+    {"syndrome": "0000", "decoder": "bp", "cfg": ["order"]},
+    {"syndrome": "0000", "decoder": "bp", "cfg": {"iterations": [1]}},
+])
+def test_decode_non_string_fields_exit_one(tmp_path, capsys, fields):
+    problem = classical_problem(build_code("repetition 5"), 0.1)
+    req = write_request(tmp_path, problem, **fields)
+    code, _, err = run(capsys, "decode", str(req))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["H", "L", "prior"])
+def test_decode_descriptor_missing_a_file_exits_one(tmp_path, capsys, key):
+    problem = classical_problem(build_code("repetition 5"), 0.1)
+    req = write_request(tmp_path, problem, syndrome="0000", decoder="bp")
+    descriptor = tmp_path / "problem.json"
+    doc = json.loads(descriptor.read_text())
+    del doc[key]
+    descriptor.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decode", str(req))
+    assert code == 1
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("entry", ["9", "-1"])
+def test_decode_alist_row_index_out_of_range_exits_one(tmp_path, capsys, entry):
+    problem = classical_problem(build_code("repetition 5"), 0.1)
+    req = write_request(tmp_path, problem, syndrome="0000", decoder="bp")
+    alist = tmp_path / "problem.h.alist"
+    lines = alist.read_text().splitlines()
+    lines[4] = " ".join([entry] + lines[4].split()[1:])  # column 0's first row
+    alist.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "decode", str(req))
+    assert code == 1
+    assert err.startswith("error:")
 
 
 BENCH_CFG = """\

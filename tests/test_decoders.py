@@ -204,8 +204,6 @@ def test_config_validation():
         BpConfig(llr_clamp=0.0)
     with pytest.raises(ValueError):
         BpConfig(min_sum_scale=1.5)
-    with pytest.raises(ValueError):
-        BpConfig(schedule="serial")
 
 
 # -- ordered statistics ------------------------------------------------------

@@ -10,6 +10,7 @@ from qecbench.f2 import (
     from_alist,
     hstack,
     kron,
+    span_blocks,
     to_alist,
     vstack,
 )
@@ -164,3 +165,27 @@ def test_alist_known_form():
     assert lines[3] == "2 2"
     assert lines[4] == "1 0"   # column 0: row 1, padded
     assert lines[7] == "1 2"   # row 0: columns 1,2
+
+
+def test_alist_rejects_bad_row_indices_and_truncation():
+    lines = to_alist(F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])).splitlines()
+    for entry in ("3 0", "-1 0"):  # column 0 names a row outside 1..2
+        with pytest.raises(ValueError):
+            from_alist("\n".join(lines[:4] + [entry] + lines[5:]) + "\n")
+    with pytest.raises(ValueError):  # column 0 lists row 1 twice as its degree 2
+        from_alist("2 2\n2 1\n2 1\n1 1\n1 1\n2 0\n1\n2\n")
+    with pytest.raises(ValueError):
+        from_alist("\n".join(lines[:-1]) + "\n")
+
+
+@given(f2_matrices(max_rows=6, max_cols=8), st.integers(0, 255))
+def test_span_blocks_counts_through_offset_plus_span(m, seed):
+    offset = np.random.default_rng(seed).integers(0, 2, m.cols).astype(np.uint8)
+    rows = np.concatenate(list(span_blocks(m, offset, block=5)))
+    assert rows.shape == (1 << m.rows, m.cols)
+    dense = m.to_dense().astype(np.int64)
+    for i, row in enumerate(rows):
+        picks = (i >> np.arange(m.rows)) & 1
+        assert np.array_equal(row, (picks @ dense + offset) % 2)
+    plain = np.concatenate(list(span_blocks(m)))
+    assert np.array_equal(plain, rows ^ offset)
