@@ -121,20 +121,19 @@ def _decode_cfg(raw: dict, order: int) -> tuple[BpConfig, int]:
     ``order`` overrides the decoder spec's order."""
     if not isinstance(raw, dict):
         raise ValueError("decode request 'cfg' must be a JSON object")
-    known = {"iterations", "variant", "order"}
-    extra = set(raw) - known
+    types = {"iterations": int, "variant": str, "order": int}
+    extra = set(raw) - set(types)
     if extra:
         raise ValueError(f"unknown decoder cfg keys: {sorted(extra)}")
-    kwargs = {}
-    try:
-        if "iterations" in raw:
-            kwargs["max_iterations"] = int(raw["iterations"])
-        order = int(raw.get("order", order))
-    except TypeError as err:
-        raise ValueError(f"bad decoder cfg value: {err}") from err
+    for key, value in raw.items():
+        # exact types: int() would truncate 2.9, and true is an int subclass
+        if type(value) is not types[key]:
+            raise ValueError(f"decoder cfg '{key}' must be {types[key].__name__},"
+                             f" got {value!r}")
+    kwargs = {"max_iterations": raw["iterations"]} if "iterations" in raw else {}
     if "variant" in raw:
-        kwargs["variant"] = str(raw["variant"])
-    return BpConfig(**kwargs), order
+        kwargs["variant"] = raw["variant"]
+    return BpConfig(**kwargs), raw.get("order", order)
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, NoSolution, Unsatisfiable
-from .f2 import F2Matrix, span_blocks
+from .f2 import F2Matrix, hstack, span_blocks
 from .noise import DecodingProblem
 
 MWD_COLUMN_GUARD = 24
@@ -167,19 +167,18 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
     if s.shape != (h.rows,):
         raise ValueError("syndrome length does not match row count")
     order = np.argsort(soft, kind="stable")  # most likely in error first
-    elim = h.eliminate(order)
+    # s rides along as column h.cols of [H | s], so that column ends as T s
+    elim = hstack([h, F2Matrix.from_dense(s[:, None])]).eliminate(order)
     pivots = np.array(elim.pivot_columns, dtype=np.int64)
     rank = pivots.size
-    ts = elim.row_transform.matvec(s)
+    reduced = elim.reduced.to_dense()
+    ts = reduced[:, h.cols]
     if ts[rank:].any():
         raise Unsatisfiable("syndrome lies outside the image of H")
     in_pivot = np.zeros(h.cols, dtype=bool)
     in_pivot[pivots] = True
     free = order[~in_pivot[order]]
-    coupling = elim.reduced.to_dense()[:rank][:, free] if rank else np.zeros(
-        (0, free.size), dtype=np.uint8
-    )
-    return pivots, free, ts[:rank], coupling
+    return pivots, free, ts[:rank], reduced[:rank][:, free]
 
 
 def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:

@@ -158,19 +158,23 @@ class F2Matrix:
     def eliminate(self, column_order: Sequence[int] | None = None) -> "EliminationResult":
         """Row reduce, trying pivots greedily in ``column_order``.
 
-        Returns the pivot columns (in the order they were chosen), an
-        invertible row transform T, and the reduced matrix R = T @ M in
-        reduced row-echelon form relative to the supplied order.  Ties
-        are broken by taking the first eligible nonzero row.
+        ``column_order`` lists distinct columns (default: all, left to
+        right); only listed columns take pivots.  Unlisted columns are
+        reduced with the rest, so appending s or I as extra columns and
+        leaving them out of the order yields T @ s or T itself.  Returns
+        the pivot columns (in the order they were chosen) and the reduced
+        matrix R = T @ M, reduced row-echelon relative to the order, for
+        an invertible T.  Ties are broken by taking the first eligible
+        nonzero row.
         """
         if column_order is None:
             order = range(self.cols)
         else:
-            order = list(column_order)
-            if sorted(order) != list(range(self.cols)):
-                raise ValueError("column_order must be a permutation of range(cols)")
+            order = np.asarray(column_order).tolist()
+            listed = set(order)
+            if len(listed) != len(order) or not listed.issubset(range(self.cols)):
+                raise ValueError("column_order must list distinct columns in range(cols)")
         m = self._words.copy()
-        t = F2Matrix.identity(self.rows)._words
         pivots: list[int] = []
         r = 0
         for col in order:
@@ -184,63 +188,42 @@ class F2Matrix:
             p = r + int(hits[0])
             if p != r:
                 m[[r, p]] = m[[p, r]]
-                t[[r, p]] = t[[p, r]]
             elim = (m[:, w] & mask).astype(bool)
             elim[r] = False
             if elim.any():
                 m[elim] ^= m[r]
-                t[elim] ^= t[r]
             pivots.append(col)
             r += 1
         return EliminationResult(
             pivot_columns=tuple(pivots),
-            row_transform=F2Matrix(self.rows, self.rows, t),
             reduced=F2Matrix(self.rows, self.cols, m),
         )
 
     def rank(self) -> int:
-        m = self._words.copy()
-        r = 0
-        for col in range(self.cols):
-            if r == m.shape[0]:
-                break
-            w, b = divmod(col, _WORD)
-            mask = np.uint64(1 << b)
-            hits = np.nonzero(m[r:, w] & mask)[0]
-            if hits.size == 0:
-                continue
-            p = r + int(hits[0])
-            if p != r:
-                m[[r, p]] = m[[p, r]]
-            elim = (m[r + 1 :, w] & mask).astype(bool)
-            if elim.any():
-                m[r + 1 :][elim] ^= m[r]
-            r += 1
-        return r
+        return len(self.eliminate().pivot_columns)
 
     def right_inverse(self) -> "F2Matrix":
         """Return R with self @ R = I; raises if rows are dependent."""
-        res = self.eliminate()
+        res = hstack([self, F2Matrix.identity(self.rows)]).eliminate(range(self.cols))
         if len(res.pivot_columns) < self.rows:
             raise NoRightInverse(f"rank {len(res.pivot_columns)} < {self.rows} rows")
-        out = F2Matrix(self.cols, self.rows)
-        for i, p in enumerate(res.pivot_columns):
-            out._words[p] = res.row_transform._words[i]
-        return out
+        out = np.zeros((self.cols, self.rows), dtype=np.uint8)
+        out[list(res.pivot_columns)] = res.reduced.to_dense()[:, self.cols :]
+        return F2Matrix.from_dense(out)
 
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
         res = self.eliminate()
         pivots = list(res.pivot_columns)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = np.zeros((len(free), self.cols), dtype=np.uint8)
-        reduced = res.reduced
-        for k, f in enumerate(free):
-            basis[k, f] = 1
-            for i, p in enumerate(pivots):
-                basis[k, p] = reduced[i, f]
-        return F2Matrix.from_dense(basis) if free else F2Matrix(0, self.cols)
+        is_free = np.ones(self.cols, dtype=bool)
+        is_free[pivots] = False
+        free = np.nonzero(is_free)[0]
+        if free.size == 0:
+            return F2Matrix(0, self.cols)
+        basis = np.zeros((free.size, self.cols), dtype=np.uint8)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = res.reduced.to_dense()[: len(pivots), free].T
+        return F2Matrix.from_dense(basis)
 
     def solve_columns(self, cols: Sequence[int], s: np.ndarray) -> np.ndarray:
         """Solve M x = s with x supported on ``cols``; dense result.
@@ -253,74 +236,31 @@ class F2Matrix:
         s = np.asarray(s, dtype=np.uint8) & 1
         if s.shape != (self.rows,):
             raise ValueError("syndrome length does not match row count")
-        sub = F2Matrix.from_dense(self.to_dense()[:, cols]) if cols else F2Matrix(self.rows, 0)
-        res = sub.eliminate()
-        rhs = res.row_transform.matvec(s)
+        augmented = np.hstack([self.to_dense()[:, cols], s[:, None]])
+        res = F2Matrix.from_dense(augmented).eliminate(range(len(cols)))
+        rhs = res.reduced.to_dense()[:, len(cols)]
         r = len(res.pivot_columns)
         if np.any(rhs[r:]):
             raise NoSolution("syndrome not in the image of the selected columns")
         x = np.zeros(self.cols, dtype=np.uint8)
-        for i, p in enumerate(res.pivot_columns):
-            # free columns of the restricted system are pinned to zero
-            x[cols[p]] = rhs[i]
+        # free columns of the restricted system are pinned to zero
+        x[[cols[p] for p in res.pivot_columns]] = rhs[:r]
         return x
 
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """Outcome of F2Matrix.eliminate: T @ M = R with T invertible."""
+    """Outcome of F2Matrix.eliminate: R = T @ M for an invertible T."""
 
     pivot_columns: tuple[int, ...]
-    row_transform: F2Matrix
     reduced: F2Matrix
 
 
-class RowSpace:
-    """Incrementally built row space supporting membership queries.
-
-    Keeps one reduced pivot row per leading column, so adding and
-    reducing stay word-XOR operations.
-    """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self._pivots: dict[int, np.ndarray] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _reduce_words(self, w: np.ndarray) -> np.ndarray:
-        w = w.copy()
-        for col, row in self._pivots.items():
-            wi, b = divmod(col, _WORD)
-            if w[wi] & np.uint64(1 << b):
-                w ^= row
-        return w
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Residue of vec modulo the current span (dense)."""
-        w = self._reduce_words(_pack_vec(vec, self.cols))
-        return _unpack(w[None, :], self.cols)[0]
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not self._reduce_words(_pack_vec(vec, self.cols)).any()
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Add vec to the span; False when it was already a member."""
-        w = self._reduce_words(_pack_vec(vec, self.cols))
-        if not w.any():
-            return False
-        wi = int(np.nonzero(w)[0][0])
-        iv = int(w[wi])
-        lead = wi * _WORD + (iv & -iv).bit_length() - 1
-        # keep existing pivot rows reduced against the new one
-        mask = np.uint64(1 << (lead % _WORD))
-        for col, row in self._pivots.items():
-            if row[lead // _WORD] & mask:
-                self._pivots[col] = row ^ w
-        self._pivots[lead] = w
-        return True
+def independent_rows(base: F2Matrix, candidates: F2Matrix) -> list[int]:
+    """Indices of the candidate rows that extend span(base) in turn:
+    row i is kept when it lies outside span(base, candidates[:i])."""
+    res = vstack([base, candidates]).T.eliminate()
+    return [p - base.rows for p in res.pivot_columns if p >= base.rows]
 
 
 # -- assembly ------------------------------------------------------------

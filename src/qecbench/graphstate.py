@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoSolution, NotAbelian, StateError
-from .f2 import F2Matrix, RowSpace
+from .f2 import F2Matrix, independent_rows
 from .pauli import PauliOperator, _phase_contrib, swap_halves
 from .quantum import CssCode, _destabilizers
 
@@ -470,15 +470,12 @@ def detectors(state: FoliatedState) -> list[frozenset]:
     that carries encoded information, the rest are checks.
     """
     kernel = state.adjacency.kernel_basis()
-    span = RowSpace(state.n_vertices)
-    for support in state.logical_supports:
-        span.add(_indicator(support, state.n_vertices))
-    out = []
-    for i in range(kernel.rows):
-        vec = kernel.row_dense(i)
-        if span.add(vec):
-            out.append(frozenset(int(v) for v in np.nonzero(vec)[0]))
-    return out
+    n = state.n_vertices
+    logicals = F2Matrix.from_dense(
+        np.reshape([_indicator(s, n) for s in state.logical_supports], (-1, n)))
+    dense = kernel.to_dense()
+    return [frozenset(int(v) for v in np.nonzero(dense[i])[0])
+            for i in independent_rows(logicals, kernel)]
 
 
 # -- serialization ------------------------------------------------------------

@@ -32,7 +32,7 @@ class Prior:
         arr = np.asarray(self.p, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("prior must be a flat probability vector")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 0.5):
+        if not np.all((arr >= 0.0) & (arr <= 0.5)):  # also refuses NaN
             raise ValueError("fault probabilities must lie in [0, 0.5]")
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityExceeded, DistanceUnknown, NotAbelian, NotCss
-from .f2 import F2Matrix, RowSpace, block_diag, read_alist, vstack, write_alist
+from .f2 import F2Matrix, block_diag, independent_rows, read_alist, vstack, write_alist
 from .pauli import PauliOperator, swap_halves, symplectic_product
 
 DISTANCE_QUBIT_GUARD = 20
@@ -101,17 +101,9 @@ def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
     if k == 0:
         return F2Matrix(0, 2 * n)
     centralizer = swap_halves(h).kernel_basis()
-    span = RowSpace(2 * n)
-    for i in range(h.rows):
-        span.add(h.row_dense(i))
-    reps = []
-    for i in range(centralizer.rows):
-        v = centralizer.row_dense(i)
-        if span.add(v):
-            reps.append(v)
-    assert len(reps) == 2 * k
+    rem = list(centralizer.to_dense()[independent_rows(h, centralizer)])
+    assert len(rem) == 2 * k
     xs, zs = [], []
-    rem = list(reps)
     while rem:
         u = rem.pop(0)
         j = next(
@@ -233,16 +225,9 @@ def _coset_reps(h_commute: F2Matrix, h_mod: F2Matrix, k: int) -> F2Matrix:
     if k == 0:
         return F2Matrix(0, h_commute.cols)
     kernel = h_commute.kernel_basis()
-    span = RowSpace(h_commute.cols)
-    for i in range(h_mod.rows):
-        span.add(h_mod.row_dense(i))
-    reps = []
-    for i in range(kernel.rows):
-        v = kernel.row_dense(i)
-        if span.add(v):
-            reps.append(v)
-    assert len(reps) == k
-    return F2Matrix.from_dense(np.stack(reps))
+    picks = independent_rows(h_mod, kernel)
+    assert len(picks) == k
+    return F2Matrix.from_dense(kernel.to_dense()[picks])
 
 
 def to_stabilizer_code(css: CssCode) -> StabilizerCode:
@@ -307,16 +292,15 @@ def css_distance(css: CssCode, max_weight: int | None = None) -> float:
 
 def _pure_distance(h_commute, h_mod, n, max_weight):
     hc = h_commute.to_dense().astype(np.int64)
-    span = RowSpace(n)
-    for i in range(h_mod.rows):
-        span.add(h_mod.row_dense(i))
+    # rowspace(h_mod) is the orthogonal complement of ker(h_mod)
+    dual = h_mod.kernel_basis()
     for w in range(1, max_weight + 1):
         for support in itertools.combinations(range(n), w):
             v = np.zeros(n, dtype=np.uint8)
             v[list(support)] = 1
             if hc.size and (hc @ v % 2).any():
                 continue
-            if not span.contains(v):
+            if dual.matvec(v).any():
                 return w
     return None
 

@@ -220,6 +220,11 @@ def test_decode_bposd_is_an_alias_of_bp_osd(tmp_path, capsys):
     {"syndrome": "0000", "decoder": 7},
     {"syndrome": "0000", "decoder": "bp", "cfg": ["order"]},
     {"syndrome": "0000", "decoder": "bp", "cfg": {"iterations": [1]}},
+    {"syndrome": "0000", "decoder": "bp", "cfg": {"iterations": 2.9}},
+    {"syndrome": "0000", "decoder": "bp", "cfg": {"iterations": "3"}},
+    {"syndrome": "0000", "decoder": "bposd", "cfg": {"order": True}},
+    {"syndrome": "0000", "decoder": "bposd", "cfg": {"order": 1.7}},
+    {"syndrome": "0000", "decoder": "bp", "cfg": {"variant": 1}},
 ])
 def test_decode_non_string_fields_exit_one(tmp_path, capsys, fields):
     problem = classical_problem(build_code("repetition 5"), 0.1)
@@ -240,6 +245,16 @@ def test_decode_descriptor_missing_a_file_exits_one(tmp_path, capsys, key):
     code, _, err = run(capsys, "decode", str(req))
     assert code == 1
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("decoder", ["bposd", "mld"])
+def test_decode_nan_prior_exits_one(tmp_path, capsys, decoder):
+    problem = classical_problem(build_code("repetition 5"), 0.1)
+    req = write_request(tmp_path, problem, syndrome="1000", decoder=decoder)
+    (tmp_path / "problem.prior.csv").write_text("nan\n" * 5)
+    code, _, err = run(capsys, "decode", str(req))
+    assert code == 1
+    assert err.startswith("error:") and "[0, 0.5]" in err
 
 
 @pytest.mark.parametrize("entry", ["9", "-1"])

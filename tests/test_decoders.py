@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qecbench.classical import hamming74
 from qecbench.decoders import (
@@ -367,6 +368,37 @@ def test_mld_dominates_mwd_exactly():
     problem = depolarizing_problem(css_code(hx, hz), 0.2)
     mwd_rate, mld_rate = enumerate_exact_rates(problem)
     assert mld_rate >= mwd_rate - 1e-15
+
+
+@st.composite
+def mld_instances(draw):
+    """Small random problems with uneven priors, as in the acceptance test."""
+    r = draw(st.integers(2, 4))
+    c = draw(st.integers(r + 1, 10))
+    bits = lambda rows: arrays(np.uint8, (rows, c), elements=st.integers(0, 1))
+    h = F2Matrix.from_dense(draw(bits(r)))
+    l = F2Matrix.from_dense(draw(bits(draw(st.integers(1, 2)))))
+    p = draw(arrays(np.float64, c, elements=st.floats(0.02, 0.4)))
+    return decoding_problem(h, l, Prior(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mld_instances())
+def test_mld_class_has_maximal_summed_probability(problem):
+    # reference: all 2^c errors, probability summed per (syndrome, class)
+    h, l, p = problem.h.to_dense(), problem.l.to_dense(), problem.prior.p
+    c = h.shape[1]
+    errors = ((np.arange(1 << c)[:, None] >> np.arange(c)) & 1).astype(np.uint8)
+    probs = np.prod(np.where(errors == 1, p, 1.0 - p), axis=1)
+    syndromes = (errors @ h.T % 2) @ (1 << np.arange(h.shape[0]))
+    class_bits = 1 << np.arange(l.shape[0])
+    classes = (errors @ l.T % 2) @ class_bits
+    totals = np.zeros((1 << h.shape[0], 1 << l.shape[0]))
+    np.add.at(totals, (syndromes, classes), probs)
+    for s in np.unique(syndromes):
+        sv = ((s >> np.arange(h.shape[0])) & 1).astype(np.uint8)
+        cls = int(exhaustive_mld(problem, sv) @ class_bits)
+        assert totals[s, cls] >= totals[s].max() * (1 - 1e-9)
 
 
 def test_degeneracy_separates_mld_from_mwd():

@@ -9,6 +9,7 @@ from qecbench.f2 import (
     block_diag,
     from_alist,
     hstack,
+    independent_rows,
     kron,
     span_blocks,
     to_alist,
@@ -29,9 +30,13 @@ def f2_matrices(max_rows=8, max_cols=12, min_rows=0, min_cols=0):
 
 @given(f2_matrices())
 def test_eliminate_reconstruction(m):
-    res = m.eliminate()
-    assert (res.row_transform @ m) == res.reduced
-    assert res.row_transform.rank() == m.rows  # invertible
+    # eliminating [M | I] over M's columns leaves [R | T] with T M = R
+    res = hstack([m, F2Matrix.identity(m.rows)]).eliminate(range(m.cols))
+    dense = res.reduced.to_dense()
+    reduced = F2Matrix.from_dense(dense[:, : m.cols])
+    t = F2Matrix.from_dense(dense[:, m.cols :])
+    assert (t @ m) == reduced == m.eliminate().reduced
+    assert t.rank() == m.rows  # invertible
     assert len(res.pivot_columns) == m.rank()
 
 
@@ -103,6 +108,42 @@ def test_eliminate_respects_column_order():
     m = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
     res = m.eliminate([2, 1, 0])
     assert res.pivot_columns == (2, 1)
+
+
+@given(f2_matrices(), st.data())
+def test_unlisted_columns_never_take_a_pivot(m, data):
+    order = data.draw(st.permutations(range(m.cols)))
+    listed = order[: data.draw(st.integers(0, m.cols))]
+    res = m.eliminate(listed)
+    assert set(res.pivot_columns) <= set(listed)
+    assert len(res.pivot_columns) == F2Matrix.from_dense(m.to_dense()[:, listed]).rank()
+    dense = res.reduced.to_dense()
+    for i, p in enumerate(res.pivot_columns):
+        assert dense[i, p] == 1 and dense[:, p].sum() == 1
+
+
+@st.composite
+def base_and_candidates(draw):
+    cols = draw(st.integers(0, 10))
+    block = lambda: arrays(np.uint8, (draw(st.integers(0, 6)), cols),
+                           elements=st.integers(0, 1)).map(F2Matrix.from_dense)
+    return draw(block()), draw(block())
+
+
+@given(base_and_candidates())
+def test_independent_rows_picks_each_row_that_extends_the_span(pair):
+    base, cand = pair
+    picks = independent_rows(base, cand)
+    rank = [vstack([base, F2Matrix.from_dense(cand.to_dense()[:i])]).rank()
+            for i in range(cand.rows + 1)]
+    assert picks == [i for i in range(cand.rows) if rank[i + 1] > rank[i]]
+
+
+@given(base_and_candidates())
+def test_independent_rows_span_every_candidate(pair):
+    base, cand = pair
+    kept = F2Matrix.from_dense(cand.to_dense()[independent_rows(base, cand)])
+    assert vstack([base, kept]).rank() == vstack([base, cand]).rank()
 
 
 @given(f2_matrices())

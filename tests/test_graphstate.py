@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qecbench.errors import NoSolution, NotAbelian, StateError
-from qecbench.f2 import F2Matrix, RowSpace
+from qecbench.f2 import F2Matrix, vstack
 from qecbench.graphstate import (
     FoliatedState,
     Tableau,
@@ -420,13 +420,12 @@ def test_detectors_and_logicals_complete_the_kernel():
         kernel = f.adjacency.kernel_basis()
         dets = detectors(f)
         assert len(dets) + len(f.logical_supports) == kernel.rows
-        span = RowSpace(f.n_vertices)
-        for s in list(f.logical_supports) + dets:
-            vec = np.zeros(f.n_vertices, dtype=np.uint8)
-            vec[sorted(s)] = 1
-            assert span.add(vec)
-        for i in range(kernel.rows):
-            assert not span.add(kernel.row_dense(i))
+        picked = np.zeros((kernel.rows, f.n_vertices), dtype=np.uint8)
+        for i, s in enumerate(list(f.logical_supports) + dets):
+            picked[i, sorted(s)] = 1
+        picked = F2Matrix.from_dense(picked)
+        assert picked.rank() == kernel.rows  # independent
+        assert vstack([picked, kernel]).rank() == kernel.rows  # span the kernel
 
 
 def test_surface_code_foliation_size():

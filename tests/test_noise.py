@@ -32,6 +32,8 @@ def test_prior_rejects_out_of_range():
         Prior(np.array([0.6]))
     with pytest.raises(ValueError):
         Prior(np.array([-0.1]))
+    with pytest.raises(ValueError):
+        Prior(np.array([0.1, math.nan]))
 
 
 def test_prior_llr_endpoints():
