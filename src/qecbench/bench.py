@@ -30,6 +30,7 @@ from .decoders import (
     exhaustive_mwd,
     success,
 )
+from .descriptors import load
 from .homology import hypergraph_product, surface_code
 from .noise import (
     DecodingProblem,
@@ -37,7 +38,6 @@ from .noise import (
     decoding_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
-    load_problem,
     sample_bsc,
     sample_depolarizing,
     uniform_prior,
@@ -57,7 +57,9 @@ def build_code(spec: str):
     """Parse a code spec string into a code object.
 
     Grammar: ``repetition N | hamming | fivequbit | surface L |
-    hgp <spec> <spec> | transpose <spec> | problem PATH``.
+    hgp <spec> <spec> | transpose <spec> | problem PATH``.  The
+    operands of hgp and transpose are classical codes; ``problem PATH``
+    reads any file descriptors.load accepts.
     """
     tokens = spec.split()
     code, rest = _parse_code(tokens)
@@ -81,15 +83,22 @@ def _parse_code(tokens):
     if head == "surface":
         return surface_code(int(rest[0])), rest[1:]
     if head == "transpose":
-        inner, rest = _parse_code(rest)
+        inner, rest = _parse_classical(rest, head)
         return transpose_code(inner), rest
     if head == "hgp":
-        a, rest = _parse_code(rest)
-        b, rest = _parse_code(rest)
+        a, rest = _parse_classical(rest, head)
+        b, rest = _parse_classical(rest, head)
         return hypergraph_product(a, b), rest
     if head == "problem":
-        return load_problem(rest[0]), rest[1:]
+        return load(rest[0]), rest[1:]
     raise ValueError(f"unknown code spec {head!r}")
+
+
+def _parse_classical(tokens, head):
+    code, rest = _parse_code(tokens)
+    if not isinstance(code, LinearCode):
+        raise ValueError(f"{head} needs classical codes, not {code!r}")
+    return code, rest
 
 
 def parse_decoder(spec: str) -> tuple[str, int]:
@@ -140,7 +149,7 @@ class BenchmarkConfig:
         object.__setattr__(self, "rates", rates)
         if self.noise not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
-        if self.max_seconds <= 0:
+        if not self.max_seconds > 0:  # also refuses NaN
             raise ValueError("max_seconds must be positive")
         parse_decoder(self.decoder)
 

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Five subcommands cover the workbench surface: ``build-code`` writes
-check matrices, ``foliate`` exports measurement graphs with their
-detector sets, ``sample`` draws noise realizations, ``decode`` answers
-a one-shot request and ``benchmark`` sweeps physical rates from a
-config file.  Exit status is 0 on success, 1 on usage or input errors
-and 2 when a capacity guard trips or a syndrome is unsatisfiable.
+check matrices that the ``problem PATH`` spec reads back, ``foliate``
+exports measurement graphs with their detector sets, ``sample`` draws
+noise realizations, ``decode`` answers a one-shot request and
+``benchmark`` sweeps physical rates from a config file.  Exit status
+is 0 on success, 1 on usage or input errors and 2 when a capacity
+guard trips or a syndrome is unsatisfiable.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .bench import (build_code, csv_text, decode, parse_decoder, read_config,
                     run_benchmark, write_json)
 from .classical import LinearCode
 from .decoders import BpConfig, exhaustive_mld
+from .descriptors import load, save_css_code, save_foliation, save_stabilizer_code
 from .errors import CapacityExceeded, NoSolution, QecError, Unsatisfiable
-from .f2 import to_alist, vstack, write_alist
-from .graphstate import detectors, foliate, save_foliation
-from .noise import load_problem, sample_bsc, sample_depolarizing, uniform_prior
-from .quantum import CssCode, StabilizerCode, save_css_code, save_stabilizer_code
+from .f2 import to_alist, vstack
+from .graphstate import detectors, foliate
+from .noise import DecodingProblem, sample_bsc, sample_depolarizing, uniform_prior
+from .quantum import CssCode, StabilizerCode
 
 
 def _bits_from_string(text: str, expect: int, what: str) -> np.ndarray:
@@ -150,7 +152,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     problem_path = Path(request["problem"])
     if not problem_path.is_absolute():
         problem_path = request_path.parent / problem_path
-    problem = load_problem(problem_path)
+    problem = load(problem_path)
+    if not isinstance(problem, DecodingProblem):
+        raise ValueError(f"{problem_path} names a code, not a decoding problem")
     s = _bits_from_string(request["syndrome"], problem.h.rows, "syndrome")
     cfg, order = _decode_cfg(request.get("cfg", {}), order)
 
@@ -206,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-code", help="write a code's check matrices")
     p.add_argument("spec", nargs="+",
                    help="hamming | repetition N | fivequbit | surface L |"
-                        " hgp <spec> <spec> | transpose <spec>")
+                        " hgp <spec> <spec> | transpose <spec> | problem PATH")
     p.add_argument("--out", help="alist (classical) or JSON descriptor path")
     p.set_defaults(func=_cmd_build_code)
 

@@ -11,9 +11,7 @@ the F2 kernel of the graph adjacency matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -327,23 +325,6 @@ def teleport_one_bit(t: Tableau, data: int, fresh: int,
     return outcome, t
 
 
-def measurement_induced_cz(t: Tableau, a: int, mid1: int, mid2: int, b: int,
-                           rng: np.random.Generator):
-    """Entangle a CZ chain a-mid1-mid2-b and measure out the middle.
-
-    Realizes CZ(a, b) on the tracked logicals up to a Pauli frame set
-    by the two X outcomes; returns ((m1, m2), t).
-    """
-    _require_plus(t, mid1)
-    _require_plus(t, mid2)
-    t.apply_clifford("CZ", (a, mid1))
-    t.apply_clifford("CZ", (mid1, mid2))
-    t.apply_clifford("CZ", (mid2, b))
-    m1, _ = t.measure_pauli(PauliOperator.single(t.n, mid1, "X"), rng)
-    m2, _ = t.measure_pauli(PauliOperator.single(t.n, mid2, "X"), rng)
-    return (m1, m2), t
-
-
 # -- foliation ----------------------------------------------------------------
 
 
@@ -477,28 +458,3 @@ def detectors(state: FoliatedState) -> list[frozenset]:
     return [frozenset(int(v) for v in np.nonzero(dense[i])[0])
             for i in independent_rows(logicals, kernel)]
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def foliation_json(state: FoliatedState) -> dict:
-    return {
-        "vertices": [
-            {
-                "id": v,
-                "layer": state.layer_of[v],
-                "kind": state.kind_of[v],
-                "parity": state.parity[v],
-            }
-            for v in range(state.n_vertices)
-        ],
-        "edges": [[u, v] for u, v in state.edges],
-    }
-
-
-def save_foliation(state: FoliatedState, json_path) -> None:
-    """Graph JSON plus detector/logical vertex sets."""
-    doc = foliation_json(state)
-    doc["detectors"] = [sorted(d) for d in detectors(state)]
-    doc["logical_supports"] = [sorted(s) for s in state.logical_supports]
-    Path(json_path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -9,14 +9,12 @@ product of two length-1 complexes yields the hypergraph product code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .classical import LinearCode, distance as classical_distance
 from .errors import NotAComplex
-from .f2 import F2Matrix, hstack, kron, read_alist, vstack, write_alist
+from .f2 import F2Matrix, hstack, kron
 from .quantum import CssCode, css_code
 
 
@@ -154,28 +152,3 @@ def surface_code(side: int) -> CssCode:
     rep = repetition(side)
     return hypergraph_product(rep, transpose_code(rep))
 
-
-# -- descriptors ------------------------------------------------------------
-
-
-def save_complex(complex_: ChainComplex, json_path) -> None:
-    """JSON descriptor {dims, boundaries} with sibling alist files."""
-    json_path = Path(json_path)
-    names = []
-    for j, b in enumerate(complex_.boundaries):
-        i = complex_.length - j
-        path = json_path.with_suffix(f".d{i}.alist")
-        write_alist(b, path)
-        names.append(path.name)
-    doc = {"dims": list(complex_.spaces), "boundaries": names}
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_complex(json_path) -> ChainComplex:
-    json_path = Path(json_path)
-    doc = json.loads(json_path.read_text())
-    boundaries = [read_alist(json_path.parent / name) for name in doc["boundaries"]]
-    complex_ = chain_complex(boundaries)
-    if list(complex_.spaces) != doc["dims"]:
-        raise ValueError("descriptor dims disagree with the stored boundary maps")
-    return complex_

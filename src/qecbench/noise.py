@@ -1,23 +1,20 @@
 """Noise channels, priors, and decoder-facing problem assembly.
 
-Bit-level channels (BSC, erasure, AWGN) produce samples or soft
-information; the depolarizing channel produces Pauli errors.  A
-DecodingProblem bundles the check matrix, the logical-correlation
-matrix, and the per-fault prior in one immutable object, including the
-three-column-block X/Z/Y layout where a Y fault hits both check types.
+The binary symmetric channel flips bits; the depolarizing channel
+produces Pauli errors.  A DecodingProblem bundles the check matrix,
+the logical-correlation matrix, and the per-fault prior in one
+immutable object, including the three-column-block X/Z/Y layout where
+a Y fault hits both check types.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .classical import LinearCode, encoding_matrix
-from .f2 import F2Matrix, hstack, read_alist, vstack, write_alist
+from .f2 import F2Matrix, hstack, vstack
 from .pauli import PauliOperator
 from .quantum import CssCode
 
@@ -58,7 +55,6 @@ class DecodingProblem:
     h: F2Matrix
     l: F2Matrix
     prior: Prior
-    undetectable: np.ndarray  # flags the all-zero columns of H
 
     def __repr__(self) -> str:
         return (
@@ -70,24 +66,7 @@ class DecodingProblem:
 def decoding_problem(h: F2Matrix, l: F2Matrix, prior: Prior) -> DecodingProblem:
     if not (h.cols == l.cols == len(prior)):
         raise ValueError("H, L, and prior must agree on the fault count")
-    column_weights = h.to_dense().sum(axis=0) if h.rows else np.zeros(h.cols)
-    undetectable = column_weights == 0
-    undetectable.flags.writeable = False
-    return DecodingProblem(h=h, l=l, prior=prior, undetectable=undetectable)
-
-
-def error_probability(e: np.ndarray, prior: Prior) -> float:
-    """prod (1-p_i)^(1-e_i) p_i^e_i, evaluated in the log domain."""
-    e = np.asarray(e, dtype=np.uint8) & 1
-    p = prior.p
-    if e.shape != p.shape:
-        raise ValueError("error and prior lengths differ")
-    hit = e == 1
-    if np.any(p[hit] == 0.0):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        log_terms = np.where(hit, np.log(p), np.log1p(-p))
-    return float(math.exp(log_terms.sum()))
+    return DecodingProblem(h=h, l=l, prior=prior)
 
 
 # -- bit-level channels ------------------------------------------------------
@@ -96,31 +75,6 @@ def error_probability(e: np.ndarray, prior: Prior) -> float:
 def sample_bsc(prior: Prior, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli(p_i) flip pattern."""
     return (rng.random(len(prior)) < prior.p).astype(np.uint8)
-
-
-def sample_erasure(p_e: float, n: int, rng: np.random.Generator,
-                   base: Prior | None = None) -> tuple[np.ndarray, Prior]:
-    """Erase each position with probability p_e.
-
-    Erased positions get prior 1/2 (zero LLR, complete uncertainty);
-    the rest keep the base channel prior (default: error-free).
-    """
-    if base is None:
-        base = uniform_prior(n, 0.0)
-    if len(base) != n:
-        raise ValueError("base prior length differs from n")
-    flags = (rng.random(n) < p_e).astype(np.uint8)
-    adjusted = np.where(flags == 1, 0.5, base.p)
-    return flags, Prior(adjusted)
-
-
-def sample_awgn(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-bit LLRs 2y/sigma^2 for the received y = x + N(0, sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("need sigma > 0")
-    x = np.asarray(x, dtype=np.float64)
-    y = x + rng.normal(0.0, sigma, x.shape)
-    return 2.0 * y / sigma**2
 
 
 # -- depolarizing channel ----------------------------------------------------
@@ -135,17 +89,6 @@ def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliOper
     x = (hit & (kind != 1)).astype(np.uint8)
     z = (hit & (kind != 0)).astype(np.uint8)
     return PauliOperator(x, z, 0)
-
-
-def sample_depolarizing2(p: float, rng: np.random.Generator) -> PauliOperator:
-    """Two-qubit channel: identity with prob 1-p, else one of 15 uniformly."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("need 0 <= p <= 1")
-    if rng.random() >= p:
-        return PauliOperator.identity(2)
-    idx = int(rng.integers(1, 16))
-    codes = np.array([idx & 3, (idx >> 2) & 3], dtype=np.uint8)
-    return PauliOperator(codes & 1, codes >> 1, 0)
 
 
 def depolarizing_problem(code: CssCode, p: float, mode: str = "xzy"):
@@ -193,31 +136,3 @@ def classical_problem(code: LinearCode, p: float) -> DecodingProblem:
     l = F2Matrix.from_dense(dense)
     return decoding_problem(code.h, l, uniform_prior(code.n, p))
 
-
-# -- serialization -----------------------------------------------------------
-
-
-def save_problem(problem: DecodingProblem, json_path) -> None:
-    """JSON descriptor with sibling alist files for H, L and a prior CSV."""
-    json_path = Path(json_path)
-    h_path = json_path.with_suffix(".h.alist")
-    l_path = json_path.with_suffix(".l.alist")
-    p_path = json_path.with_suffix(".prior.csv")
-    write_alist(problem.h, h_path)
-    write_alist(problem.l, l_path)
-    np.savetxt(p_path, problem.prior.p, fmt="%.17g")
-    doc = {"H": h_path.name, "L": l_path.name, "prior": p_path.name}
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_problem(json_path) -> DecodingProblem:
-    json_path = Path(json_path)
-    doc = json.loads(json_path.read_text())
-    if not (isinstance(doc, dict)
-            and all(isinstance(doc.get(key), str) for key in ("H", "L", "prior"))):
-        raise ValueError(f"{json_path}: a problem descriptor needs file names"
-                         " under 'H', 'L' and 'prior'")
-    h = read_alist(json_path.parent / doc["H"])
-    l = read_alist(json_path.parent / doc["L"])
-    p = np.loadtxt(json_path.parent / doc["prior"], ndmin=1)
-    return decoding_problem(h, l, Prior(p))

@@ -67,6 +67,8 @@ class PauliOperator:
                 body = text[len(pref):]
                 phase = val
                 break
+        if set(body) - set("IXYZ"):
+            raise ValueError(f"not a Pauli string: {text!r}")
         bits = [_BITS[c] for c in body]
         if not bits:
             return cls(np.zeros(0, np.uint8), np.zeros(0, np.uint8), phase)
@@ -130,17 +132,6 @@ class PauliOperator:
             _phase_contrib(self.x, self.z, other.x, other.z).sum()
         )
         return PauliOperator(self.x ^ other.x, self.z ^ other.z, phase)
-
-    def commutes(self, other: "PauliOperator") -> bool:
-        overlap = (self.x & other.z).sum() + (self.z & other.x).sum()
-        return overlap % 2 == 0
-
-
-def lambda_matrix(n: int) -> F2Matrix:
-    """Symplectic form ((0, I), (I, 0)) on 2n bits."""
-    top = np.hstack([np.zeros((n, n), np.uint8), np.eye(n, dtype=np.uint8)])
-    bot = np.hstack([np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8)])
-    return F2Matrix.from_dense(np.vstack([top, bot]))
 
 
 def symplectic_product(a: np.ndarray, b: np.ndarray) -> int:

@@ -4,21 +4,21 @@ Codes are held as binary symplectic check matrices (one row per
 generator).  Logical representatives come from the centralizer of the
 stabilizer group modulo the group itself and are arranged in
 anticommuting X/Z pairs; destabilizers complete the set to a full
-symplectic basis of the 2n-dimensional Pauli space.
+symplectic basis of the 2n-dimensional Pauli space, the basis the
+graph-state tableau keeps.  Distance is found by exhaustive search
+over low-weight Paulis, guarded by qubit count and weight.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityExceeded, DistanceUnknown, NotAbelian, NotCss
-from .f2 import F2Matrix, block_diag, independent_rows, read_alist, vstack, write_alist
+from .f2 import F2Matrix, independent_rows, vstack
 from .pauli import PauliOperator, swap_halves, symplectic_product
 
 DISTANCE_QUBIT_GUARD = 20
@@ -38,10 +38,6 @@ class StabilizerCode:
 
     def generator(self, i: int) -> PauliOperator:
         return PauliOperator.from_bsr(self.h.row_dense(i))
-
-    @property
-    def h_independent(self) -> F2Matrix:
-        return F2Matrix.from_dense(self.h.to_dense()[list(self.pivot_rows)])
 
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, k={self.k})"
@@ -137,50 +133,6 @@ def _destabilizers(h: F2Matrix, logicals: F2Matrix) -> F2Matrix:
     return F2Matrix.from_dense(np.stack(rows))
 
 
-def tls_decompose(code: StabilizerCode, p: PauliOperator):
-    """Coordinates of p in the destabilizer/logical/stabilizer basis.
-
-    Returns (t_bits, l_bits, s_bits) with bsr(p) = t.T + l.L + s.S; the
-    t bits are exactly the syndrome of p over the independent generators.
-    """
-    e = p.bsr()
-    t_bits = np.array(
-        [symplectic_product(code.h.row_dense(i), e) for i in code.pivot_rows],
-        dtype=np.uint8,
-    )
-    k = code.k
-    l_bits = np.zeros(2 * k, dtype=np.uint8)
-    for j in range(k):
-        xbar = code.logicals.row_dense(j)
-        zbar = code.logicals.row_dense(k + j)
-        l_bits[j] = symplectic_product(e, zbar)      # coefficient of Xbar_j
-        l_bits[k + j] = symplectic_product(e, xbar)  # coefficient of Zbar_j
-    s_bits = np.array(
-        [
-            symplectic_product(e, code.destabilizers.row_dense(i))
-            for i in range(code.destabilizers.rows)
-        ],
-        dtype=np.uint8,
-    )
-    return t_bits, l_bits, s_bits
-
-
-def tls_recombine(code: StabilizerCode, t_bits, l_bits, s_bits) -> np.ndarray:
-    """Inverse of tls_decompose at the symplectic-row level."""
-    out = code.destabilizers.rmatvec(t_bits)
-    out ^= code.logicals.rmatvec(l_bits)
-    out ^= code.h_independent.rmatvec(s_bits)
-    return out
-
-
-def syndrome_of(code: StabilizerCode, p: PauliOperator) -> np.ndarray:
-    e = p.bsr()
-    return np.array(
-        [symplectic_product(code.h.row_dense(i), e) for i in range(code.h.rows)],
-        dtype=np.uint8,
-    )
-
-
 # -- CSS codes -------------------------------------------------------------
 
 
@@ -228,18 +180,6 @@ def _coset_reps(h_commute: F2Matrix, h_mod: F2Matrix, k: int) -> F2Matrix:
     picks = independent_rows(h_mod, kernel)
     assert len(picks) == k
     return F2Matrix.from_dense(kernel.to_dense()[picks])
-
-
-def to_stabilizer_code(css: CssCode) -> StabilizerCode:
-    """Block-diagonal symplectic form of a CSS code."""
-    h = block_diag([css.hx, css.hz])
-    code = stabilizer_code(h)
-    return code
-
-
-def css_syndrome(css: CssCode, ex: np.ndarray, ez: np.ndarray):
-    """(X-check syndrome of the Z part, Z-check syndrome of the X part)."""
-    return css.hx.matvec(ez), css.hz.matvec(ex)
 
 
 # -- distance ---------------------------------------------------------------
@@ -322,52 +262,3 @@ def four_two_two_checks() -> tuple[F2Matrix, F2Matrix]:
     hx = F2Matrix.from_dense([[1, 1, 0, 0], [0, 0, 1, 1]])
     hz = F2Matrix.from_dense([[1, 1, 1, 1]])
     return hx, hz
-
-
-# -- descriptors --------------------------------------------------------------
-
-
-def save_stabilizer_code(code: StabilizerCode, path) -> None:
-    doc = {
-        "n": code.n,
-        "k": code.k,
-        "generators": [code.generator(i).to_string() for i in range(code.h.rows)],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_stabilizer_code(path) -> StabilizerCode:
-    doc = json.loads(Path(path).read_text())
-    code = stabilizer_code(
-        [PauliOperator.from_string(s) for s in doc["generators"]]
-    )
-    if (code.n, code.k) != (doc["n"], doc["k"]):
-        raise ValueError("descriptor parameters disagree with the generators")
-    return code
-
-
-def save_css_code(css: CssCode, json_path, name: str = "css") -> None:
-    json_path = Path(json_path)
-    hx_path = json_path.with_suffix(".hx.alist")
-    hz_path = json_path.with_suffix(".hz.alist")
-    write_alist(css.hx, hx_path)
-    write_alist(css.hz, hz_path)
-    doc = {
-        "name": name,
-        "n": css.n,
-        "k": css.k,
-        "H_X": hx_path.name,
-        "H_Z": hz_path.name,
-    }
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_css_code(json_path) -> CssCode:
-    json_path = Path(json_path)
-    doc = json.loads(json_path.read_text())
-    hx = read_alist(json_path.parent / doc["H_X"])
-    hz = read_alist(json_path.parent / doc["H_Z"])
-    css = css_code(hx, hz)
-    if (css.n, css.k) != (doc["n"], doc["k"]):
-        raise ValueError("descriptor parameters disagree with the matrices")
-    return css

@@ -22,11 +22,11 @@ from qecbench.classical import LinearCode, hamming74
 from qecbench.decoders import BpConfig, exhaustive_mld, success
 from qecbench.errors import CapacityExceeded
 from qecbench.homology import surface_code
+from qecbench.descriptors import save_problem
 from qecbench.noise import (
     classical_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
-    save_problem,
 )
 from qecbench.quantum import StabilizerCode, css_code, four_two_two_checks
 
@@ -48,8 +48,9 @@ def test_config_validation():
         BenchmarkConfig(**{**good, "decoder": "mwd 3"})
     with pytest.raises(ValueError):
         BenchmarkConfig(**{**good, "decoder": "bp+osd -1"})
-    with pytest.raises(ValueError):
-        BenchmarkConfig(**{**good, "max_seconds": 0.0})
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            BenchmarkConfig(**{**good, "max_seconds": bad})
 
 
 def test_wilson_interval_reference_values():

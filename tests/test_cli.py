@@ -1,17 +1,20 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qecbench.cli import cli_main
+from qecbench.descriptors import save_problem
 from qecbench.f2 import F2Matrix, from_alist
 from qecbench.noise import (
     classical_problem,
     decoding_problem,
     depolarizing_problem,
-    save_problem,
     uniform_prior,
 )
 from qecbench.quantum import css_code, four_two_two_checks
@@ -54,6 +57,29 @@ def test_build_code_rejects_problem_spec(tmp_path, capsys):
     code, _, err = run(capsys, "build-code", "problem", str(path))
     assert code == 1
     assert "not a code" in err
+
+
+@pytest.mark.parametrize("spec", ["transpose surface 3", "hgp surface 2 hamming",
+                                  "hgp fivequbit hamming", "transpose fivequbit"])
+def test_build_code_non_classical_operand_exits_one(tmp_path, capsys, spec):
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "build-code", *spec.split(), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "classical" in err
+    assert not out.exists()
+
+
+def test_build_code_outputs_load_back_as_operands(tmp_path, capsys):
+    alist = tmp_path / "r.alist"
+    assert run(capsys, "build-code", "repetition", "3", "--out", str(alist))[0] == 0
+    code, out, _ = run(capsys, "build-code", "transpose", "problem", str(alist))
+    assert code == 0
+    assert from_alist(out) == build_code("transpose repetition 3").h
+    surface = tmp_path / "s2.json"
+    assert run(capsys, "build-code", "surface", "2", "--out", str(surface))[0] == 0
+    code, text, _ = run(capsys, "build-code", "problem", str(surface),
+                        "--out", str(tmp_path / "again.json"))
+    assert code == 0 and "[[5,1]]" in text
 
 
 @pytest.mark.parametrize("spec", ["repetition", "surface", "problem", "hgp hamming"])
@@ -234,6 +260,16 @@ def test_decode_non_string_fields_exit_one(tmp_path, capsys, fields):
     assert err.startswith("error:")
 
 
+def test_decode_refuses_a_code_file(tmp_path, capsys):
+    run(capsys, "build-code", "surface", "2", "--out", str(tmp_path / "s2.json"))
+    req = tmp_path / "request.json"
+    req.write_text(json.dumps({"problem": "s2.json", "syndrome": "0000",
+                               "decoder": "bp"}))
+    code, _, err = run(capsys, "decode", str(req))
+    assert code == 1
+    assert err.startswith("error:") and "names a code, not a decoding problem" in err
+
+
 @pytest.mark.parametrize("key", ["H", "L", "prior"])
 def test_decode_descriptor_missing_a_file_exits_one(tmp_path, capsys, key):
     problem = classical_problem(build_code("repetition 5"), 0.1)
@@ -337,3 +373,150 @@ def test_benchmark_json_output(tmp_path, capsys):
 def test_benchmark_missing_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "benchmark", str(tmp_path / "absent.cfg"))
     assert code == 1
+
+
+# -- boundary fuzz ------------------------------------------------------------
+
+FILE_TOKENS = {"r.alist", "s.json", "f.json", "p.json", "q.json", "absent.json"}
+CLASSICAL_SPECS = [["hamming"], ["repetition", "3"], ["problem", "r.alist"]]
+OTHER_SPECS = [["fivequbit"], ["surface", "2"], ["surface", "3"], ["problem", "s.json"],
+               ["problem", "f.json"], ["problem", "p.json"], ["problem", "q.json"]]
+BAD_TOKENS = ["x", "0", "1", "repetition", "hgp", "problem", "absent.json"]
+MUTATION_TOKENS = ["0", "1", "9", "-1", " ", "\n", "{", "}", "[]", '"', ",", ":",
+                   "nan", "x", "null", "QX"]
+
+
+def _concat(parts):
+    return [tok for part in parts for tok in part]
+
+
+def _often(valid, rare):
+    """Draws from valid about four times as often as from rare."""
+    return st.sampled_from(list(valid) * 4 + list(rare))
+
+
+def _edit_spec(spec, where, drop, token):
+    i = int(where * len(spec))
+    if drop and len(spec) > 1:  # an empty spec is an argparse usage error
+        return spec[:i] + spec[i + 1:]
+    return spec[:i] + [token] + spec[i:]
+
+
+classical = st.recursive(
+    st.sampled_from(CLASSICAL_SPECS),
+    lambda inner: st.tuples(st.just(["transpose"]), inner).map(_concat),
+    max_leaves=2)
+operand = _often(CLASSICAL_SPECS, OTHER_SPECS) | classical
+grammar_specs = st.one_of(
+    st.sampled_from(CLASSICAL_SPECS + OTHER_SPECS),
+    st.tuples(st.just(["transpose"]), operand).map(_concat),
+    st.tuples(st.just(["hgp"]), operand, operand).map(_concat))
+# a spec from the grammar, sometimes with one token dropped or one bad token added
+specs = st.tuples(grammar_specs, st.none() | st.tuples(
+    st.floats(0.0, 1.0), st.booleans(), st.sampled_from(BAD_TOKENS))).map(
+    lambda t: t[0] if t[1] is None else _edit_spec(t[0], *t[1]))
+
+
+configs = st.fixed_dictionaries({
+    "noise": _often(["bsc", "xzy", "split-xz", "generic"], ["erasure"]),
+    "decoder": _often(["bp", "bposd 1", "bp+osd", "mwd", "mld"], ["osd", "bp+osd x"]),
+    "rates": _often(["0.1", "0.05, 0.2"], ["0.7", "x", ""]),
+    "trials": _often(["3"], ["0", "x"]),
+}, optional={
+    "max_seconds": _often(["inf", "5"], ["nan", "0"]),
+    "bp_iterations": _often(["4"], ["0", "x"]),
+    "bp_variant": _often(["min-sum", "sum-product"], ["max-product"]),
+    "seed": _often(["1", "7"], ["-1"]),
+})
+requests = st.fixed_dictionaries({
+    "problem": _often(["p.json", "q.json"], ["s.json", "r.alist", "absent.json"]),
+    "syndrome": _often(["00", "10", "11", "0000", "1010", "0110"], ["1", 5]),
+    "decoder": _often(["bp", "bposd", "bp+osd 1", "mwd", "mld"], ["nope"]),
+}, optional={"cfg": _often([{"order": 1}, {"iterations": 3}, {}],
+                           [{"iterations": 0}, {"variant": "x"}, [1]])})
+commands = st.one_of(
+    st.tuples(st.sampled_from(["build-code", "sample-bsc", "sample-xzy", "foliate"]),
+              specs, st.none()),
+    st.tuples(st.just("benchmark"), specs, configs),
+    st.tuples(st.just("decode"), st.just([]), requests),
+)
+mutations = st.none() | st.tuples(
+    st.sampled_from(["r.alist", "s.json", "s.hx.alist", "f.json", "p.json",
+                     "p.h.alist", "p.prior.csv", "q.json", "q.l.alist", "c.cfg",
+                     "req.json"]),
+    st.sampled_from(["delete", "insert", "replace"]),
+    st.floats(0.0, 1.0),
+    st.integers(1, 4),
+    st.sampled_from(MUTATION_TOKENS),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid inputs for every command: what build-code and save_problem write."""
+    base = tmp_path_factory.mktemp("fuzz")
+    for spec, name in (("repetition 3", "r.alist"), ("surface 2", "s.json"),
+                       ("fivequbit", "f.json")):
+        assert cli_main(["build-code", *spec.split(), "--out", str(base / name)]) == 0
+    save_problem(classical_problem(build_code("repetition 3"), 0.1), base / "p.json")
+    save_problem(depolarizing_problem(build_code("surface 2"), 0.1, "xzy"),
+                 base / "q.json")
+    return {path.name: path.read_text() for path in base.iterdir()}
+
+
+def write_case(d, files, command):
+    """Write the inputs of one case into d and return its argv."""
+    for name, text in files.items():
+        (d / name).write_text(text)
+    kind, spec, fields = command
+    spec = [str(d / tok) if tok in FILE_TOKENS else tok for tok in spec]
+    (d / "c.cfg").write_text(f"code = {' '.join(spec)}\n" + "".join(
+        f"{key} = {value}\n" for key, value in (fields or {}).items()
+        if kind == "benchmark"))
+    (d / "req.json").write_text(json.dumps(fields if kind == "decode" else {}))
+    out = str(d / "out.json")
+    return {
+        "build-code": ["build-code", *spec, "--out", out],
+        "sample-bsc": ["sample", *spec, "--noise", "bsc", "--rate", "0.1",
+                       "--trials", "2"],
+        "sample-xzy": ["sample", *spec, "--noise", "xzy", "--rate", "0.1",
+                       "--trials", "2"],
+        "foliate": ["foliate", *spec, "--layers", "2", "--out", out],
+        "benchmark": ["benchmark", str(d / "c.cfg"), "--format", "json",
+                      "--out", out],
+        "decode": ["decode", str(d / "req.json")],
+    }[kind]
+
+
+def mutate(path, op, where, length, token):
+    text = path.read_text()
+    i = int(where * len(text))
+    if op == "delete":
+        text = text[:i] + text[i + length:]
+    elif op == "insert":
+        text = text[:i] + token + text[i:]
+    else:
+        text = text[:i] + token + text[i + length:]
+    path.write_text(text)
+
+
+@settings(max_examples=200)
+@given(command=commands, mutation=mutations)
+@example(command=("build-code", ["transpose", "surface", "3"], None), mutation=None)
+@example(command=("build-code", ["hgp", "fivequbit", "hamming"], None), mutation=None)
+@example(command=("benchmark", ["problem", "s.json"],
+                  {"noise": "xzy", "decoder": "bp", "rates": "0.1", "trials": "3",
+                   "max_seconds": "nan"}), mutation=None)
+def test_cli_boundary_fuzz(fuzz_files, tmp_path_factory, command, mutation):
+    """Mutated specs, files, configs and requests never escape as exceptions."""
+    d = tmp_path_factory.mktemp("case")
+    argv = write_case(d, fuzz_files, command)
+    if mutation is not None:
+        mutate(d / mutation[0], *mutation[1:])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli_main(argv)
+    assert status in (0, 1, 2)
+    if status:
+        lines = err.getvalue().splitlines()
+        assert lines and all(line.startswith("error:") for line in lines), lines

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecbench.descriptors import save_foliation
 from qecbench.errors import NoSolution, NotAbelian, StateError
 from qecbench.f2 import F2Matrix, vstack
 from qecbench.graphstate import (
@@ -14,10 +15,7 @@ from qecbench.graphstate import (
     Tableau,
     detectors,
     foliate,
-    foliation_json,
     graph_state,
-    measurement_induced_cz,
-    save_foliation,
     teleport_one_bit,
 )
 from qecbench.homology import surface_code
@@ -341,6 +339,15 @@ def test_teleport_requires_a_fresh_plus_state():
         teleport_one_bit(t, 0, 1, np.random.default_rng(0))
 
 
+def measurement_induced_cz(t, a, mid1, mid2, b, rng):
+    """CZ chain a-mid1-mid2-b, then X measurements on the two middle qubits."""
+    for u, v in ((a, mid1), (mid1, mid2), (mid2, b)):
+        t.apply_clifford("CZ", (u, v))
+    m1, _ = t.measure_pauli(PauliOperator.single(t.n, mid1, "X"), rng)
+    m2, _ = t.measure_pauli(PauliOperator.single(t.n, mid2, "X"), rng)
+    return (m1, m2), t
+
+
 def test_measurement_induced_cz_frames():
     ops = [pauli("XIII"), pauli("ZIII"), pauli("IIIX"), pauli("IIIZ")]
     for seed in range(20):
@@ -501,16 +508,14 @@ def test_predicted_parity_rejects_non_stabilizer_sets():
 
 def test_foliation_export(tmp_path):
     f = foliate(code_422(), 2)
-    doc = foliation_json(f)
-    assert len(doc["vertices"]) == 11
-    assert doc["vertices"][4] == {"id": 4, "layer": 0, "kind": "ancilla",
-                                  "parity": "dual"}
-    assert all(u < v for u, v in doc["edges"])
     out = tmp_path / "foliation.json"
     save_foliation(f, out)
     loaded = json.loads(out.read_text())
-    assert loaded["edges"] == [list(e) for e in sorted(doc["edges"])] or \
-        loaded["edges"] == doc["edges"]
+    assert len(loaded["vertices"]) == 11
+    assert loaded["vertices"][4] == {"id": 4, "layer": 0, "kind": "ancilla",
+                                     "parity": "dual"}
+    assert all(u < v for u, v in loaded["edges"])
+    assert loaded["edges"] == [list(e) for e in f.edges]
     assert sorted(map(tuple, loaded["detectors"])) == sorted(
         tuple(sorted(d)) for d in detectors(f))
     assert loaded["logical_supports"] == []

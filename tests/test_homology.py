@@ -14,8 +14,6 @@ from qecbench.homology import (
     hgp_parameters,
     homology_dimension,
     hypergraph_product,
-    load_complex,
-    save_complex,
     surface_code,
     to_css,
     validate,
@@ -140,11 +138,3 @@ def test_hgp_distance_formula(a, b):
     else:
         assert css_distance(code) == d
 
-
-def test_complex_descriptor_round_trip(tmp_path):
-    c = from_css(surface_code(2))
-    path = tmp_path / "surface2.json"
-    save_complex(c, path)
-    loaded = load_complex(path)
-    assert loaded.spaces == c.spaces
-    assert all(x == y for x, y in zip(loaded.boundaries, c.boundaries))

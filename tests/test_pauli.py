@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qecbench.f2 import F2Matrix
-from qecbench.pauli import (
-    PauliOperator,
-    lambda_matrix,
-    swap_halves,
-    symplectic_product,
-)
+from qecbench.pauli import PauliOperator, swap_halves, symplectic_product
 
 
 def pauli_strings(n):
@@ -31,7 +26,6 @@ def test_commutation_matches_pairwise_count(a, b):
     for ca, cb in zip(a, b):
         if ca != "I" and cb != "I" and ca != cb:
             anti += 1
-    assert pa.commutes(pb) == (anti % 2 == 0)
     assert symplectic_product(pa.bsr(), pb.bsr()) == anti % 2
 
 
@@ -83,7 +77,8 @@ def test_bsr_layout():
 
 
 def test_lambda_matrix_and_swap():
-    lam = lambda_matrix(3)
+    zero, one = np.zeros((3, 3), np.uint8), np.eye(3, dtype=np.uint8)
+    lam = F2Matrix.from_dense(np.block([[zero, one], [one, zero]]))
     m = F2Matrix.from_dense(np.arange(12).reshape(2, 6) % 2)
     assert (m @ lam) == swap_halves(m)
     # symplectic product via the form matrix

@@ -11,24 +11,18 @@ from qecbench.errors import (
     NotAbelian,
     NotCss,
 )
-from qecbench.f2 import F2Matrix, vstack
+from qecbench.descriptors import load, save_css_code, save_stabilizer_code
+from qecbench.f2 import F2Matrix, block_diag, vstack
 from qecbench.pauli import PauliOperator, symplectic_product
 from qecbench.quantum import (
+    CssCode,
+    StabilizerCode,
     css_code,
     css_distance,
-    css_syndrome,
     distance,
     five_qubit_code,
     four_two_two_checks,
-    load_css_code,
-    load_stabilizer_code,
-    save_css_code,
-    save_stabilizer_code,
     stabilizer_code,
-    syndrome_of,
-    tls_decompose,
-    tls_recombine,
-    to_stabilizer_code,
 )
 
 FIVE_QUBIT_H = np.array(
@@ -105,16 +99,6 @@ def test_tls_basis_spans_everything():
     assert full.rank() == 2 * code.n
 
 
-@given(st.lists(st.text(alphabet="IXYZ", min_size=5, max_size=5), min_size=1, max_size=3))
-def test_tls_roundtrip(strings):
-    code = five_qubit_code()
-    for s in strings:
-        p = PauliOperator.from_string(s)
-        t, l, smear = tls_decompose(code, p)
-        assert np.array_equal(tls_recombine(code, t, l, smear), p.bsr())
-        assert np.array_equal(t, syndrome_of(code, p))
-
-
 def test_css_code_422():
     hx, hz = four_two_two_checks()
     css = css_code(hx, hz)
@@ -134,20 +118,10 @@ def test_css_rejects_non_orthogonal():
         )
 
 
-def test_css_syndrome_split():
-    hx, hz = four_two_two_checks()
-    css = css_code(hx, hz)
-    ex = np.array([1, 0, 0, 0], dtype=np.uint8)
-    ez = np.zeros(4, dtype=np.uint8)
-    sx, sz = css_syndrome(css, ex, ez)
-    assert not sx.any()          # X errors are invisible to X checks
-    assert np.array_equal(sz, [1])
-
-
 def test_block_diagonal_matches_css():
     hx, hz = four_two_two_checks()
     css = css_code(hx, hz)
-    stab = to_stabilizer_code(css)
+    stab = stabilizer_code(block_diag([hx, hz]))
     assert stab.k == css.k
     assert distance(stab, 3) == css_distance(css)
 
@@ -171,15 +145,15 @@ def test_code_descriptor_roundtrips(tmp_path):
     code = five_qubit_code()
     path = tmp_path / "five.json"
     save_stabilizer_code(code, path)
-    loaded = load_stabilizer_code(path)
-    assert loaded.h == code.h
+    loaded = load(path)
+    assert isinstance(loaded, StabilizerCode) and loaded.h == code.h
 
     hx, hz = four_two_two_checks()
     css = css_code(hx, hz)
     cpath = tmp_path / "fourtwotwo.json"
     save_css_code(css, cpath, name="fourtwotwo")
-    back = load_css_code(cpath)
-    assert back.hx == css.hx and back.hz == css.hz
+    back = load(cpath)
+    assert isinstance(back, CssCode) and back.hx == css.hx and back.hz == css.hz
 
 
 @settings(max_examples=25)
