@@ -2,9 +2,10 @@
 
 A code is the null space {c : H c = 0} of its parity-check matrix.
 The encoding matrix V stacks a generator on top of the transposed
-right inverse of H, so any word splits as v^T V^{-1} = (logical :
-syndrome); the logical half labels the information bits of a
-classical decoding problem and the syndrome half equals H v.
+right inverse of H's independent rows, so any word splits as
+v^T V^{-1} = (logical : syndrome); the logical half labels the
+information bits of a classical decoding problem and the syndrome
+half equals H v on those rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded
-from .f2 import F2Matrix, span_blocks, vstack
+from .f2 import F2Matrix, independent_rows, span_blocks, vstack
 
 DISTANCE_GUARD = 24  # 2^k codewords get enumerated; refuse beyond this
 
@@ -54,20 +55,23 @@ def syndrome(code: LinearCode, word: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """Invertible V = (G ; R^T) with R a fixed right inverse of H."""
+    """Invertible V = (G ; R^T), R a fixed right inverse of H's
+    independent rows (all of H when it has full row rank)."""
 
     v: F2Matrix
     v_inv: F2Matrix
 
 
 def encoding_matrix(code: LinearCode) -> EncodingMatrix:
-    if code.h.rows == 0:
+    picks = independent_rows(F2Matrix(0, code.n), code.h)
+    if not picks:
         v = code.g
     else:
-        r = code.h.right_inverse()
+        r = F2Matrix.from_dense(code.h.to_dense()[picks]).right_inverse()
         v = vstack([code.g, r.T])
-    # V is always invertible: a dependency (a G + b R^T) = 0 hit with H^T
-    # forces b = 0, then a = 0 since G has independent rows.
+    # V is always invertible: a dependency (a G + b R^T) = 0 hit with the
+    # picked rows of H, transposed, forces b = 0, then a = 0 since G has
+    # independent rows.
     v_inv = v.right_inverse()
     return EncodingMatrix(v=v, v_inv=v_inv)
 

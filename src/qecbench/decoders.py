@@ -229,6 +229,8 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
            w: int = 0) -> DecodeResult:
     """BP with ordered-statistics fallback on non-convergence."""
+    if w < 0:
+        raise ValueError("need w >= 0")
     result = bp_decode(problem, s, cfg)
     if result.converged:
         return result

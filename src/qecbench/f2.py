@@ -76,10 +76,6 @@ class F2Matrix:
         return cls(rows, cols, _pack(dense))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls.from_dense(np.eye(n, dtype=np.uint8))
 

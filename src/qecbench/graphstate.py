@@ -1,9 +1,12 @@
 """Sign-tracking stabilizer tableau, graph states, and foliation.
 
-The tableau keeps stabilizer generators with their signs, a parallel
-set of destabilizers (so deterministic measurement outcomes reduce to
-a destabilizer-indexed group expansion), and optionally tracked
-logical operators evolving in the Heisenberg picture.  Foliation
+The tableau (after Aaronson and Gottesman) keeps stabilizer generators
+with their signs, one destabilizer per generator, and optionally
+tracked logical operators evolving in the Heisenberg picture.  The
+destabilizers pair with the stabilizers symplectically and commute
+with everything else, so a deterministic measurement outcome reduces
+to a destabilizer-indexed product of stabilizers; they are built here,
+by one elimination, because nothing else reads them.  Foliation
 stacks the Z- and X-Tanner graph states of a CSS code in alternating
 layers; detectors fall out as the pure-X stabilizer products, i.e.
 the F2 kernel of the graph adjacency matrix.
@@ -15,26 +18,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolution, NotAbelian, StateError
+from .errors import NoRightInverse, NoSolution, NotAbelian, StateError
 from .f2 import F2Matrix, independent_rows
 from .pauli import PauliOperator, _phase_contrib, swap_halves
-from .quantum import CssCode, _destabilizers
+from .quantum import CssCode
 
 
-def _mul_row(x, z, p, i, nx, nz, np_phase):
-    """rows[i] <- rows[i] * N in place, with phase bookkeeping."""
-    contrib = int(_phase_contrib(x[i], z[i], nx, nz).sum())
-    p[i] = (p[i] + np_phase + contrib) % 4
-    x[i] ^= nx
-    z[i] ^= nz
+def _product(rows, p):
+    """(x, z, phase) of the ordered product of the rows i^p W(x, z)."""
+    # i^p W(x, z) = i^(p + x.z) X^x Z^z; moving every X left of every Z
+    # costs (-1)^(z_i . x_j) for i < j, and X^X Z^Z = i^(-X.Z) W(X, Z)
+    n = rows.shape[1] // 2
+    x, z = rows[:, :n], rows[:, n:]
+    px = np.bitwise_xor.reduce(x, axis=0)
+    pz = np.bitwise_xor.reduce(z, axis=0)
+    before = np.bitwise_xor.accumulate(z, axis=0) ^ z  # z_1 + ... + z_(j-1)
+    phase = (int(p.sum()) + np.count_nonzero(x & z)
+             + 2 * np.count_nonzero(before & x) - np.count_nonzero(px & pz))
+    return px, pz, phase % 4
 
 
-def _anticommute_mask(x, z, mx, mz):
-    return ((x @ mz + z @ mx) % 2).astype(bool)
+def _anticommute_mask(rows, m: PauliOperator):
+    return ((rows @ np.concatenate([m.z, m.x])) % 2).astype(bool)
+
+
+def _destabilizers(s: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Symplectic rows d_j pairing with stabilizer row s_j alone.
+
+    The d_j commute with each other and with every row of l.  One right
+    inverse of [s; l_ind] Lambda, with l_ind an independent subset of
+    l, gives rows D0 with the right pairings; adding the stabilizers
+    picked by the strict upper triangle of D0 Lambda D0^T makes them
+    commute and keeps every pairing with s and l.  Raises
+    NoRightInverse when the rows of s are dependent or a product of
+    rows of l lies in span(s).
+    """
+    lm = F2Matrix.from_dense(l)
+    l_ind = l[independent_rows(F2Matrix(0, lm.cols), lm)]
+    a = F2Matrix.from_dense(np.concatenate([s, l_ind]))
+    d0 = F2Matrix.from_dense(
+        swap_halves(a).right_inverse().to_dense().T[: len(s)])
+    upper = F2Matrix.from_dense(np.triu((swap_halves(d0) @ d0.T).to_dense(), 1))
+    return d0.to_dense() ^ (upper @ F2Matrix.from_dense(s)).to_dense()
 
 
 class Tableau:
-    """Mutable stabilizer state with signs and tracked logicals."""
+    """Mutable stabilizer state with signs and tracked logicals.
+
+    One array of binary symplectic rows (x | z) holds the r stabilizers
+    (rows 0..r-1), their destabilizers (rows r..2r-1) and the tracked
+    logicals (the rest), next to a vector of phases (powers of i).
+    Destabilizer signs are never read.
+    """
 
     def __init__(self, stabilizers, tracked_logicals=(), n=None):
         stabs = list(stabilizers)
@@ -43,60 +78,57 @@ class Tableau:
             n = stabs[0].n
         elif n is None:
             raise ValueError("need qubit count for a stabilizer-free tableau")
-        self.n = n
         for p in stabs + logicals:
             if p.n != n:
                 raise ValueError("operators act on differing qubit counts")
             if p.phase % 2:
                 raise ValueError("operators must be Hermitian (real sign)")
-        r = len(stabs)
-        self._sx = np.array([p.x for p in stabs], dtype=np.uint8).reshape(r, n)
-        self._sz = np.array([p.z for p in stabs], dtype=np.uint8).reshape(r, n)
-        self._sp = np.array([p.phase for p in stabs], dtype=np.int64).reshape(r)
-        h = F2Matrix.from_dense(np.concatenate([self._sx, self._sz], axis=1))
-        if not (swap_halves(h) @ h.T).is_zero():
+        s, l = (np.reshape([p.bsr() for p in ops], (len(ops), 2 * n))
+                .astype(np.uint8) for ops in (stabs, logicals))
+        sm = F2Matrix.from_dense(s)
+        if not (swap_halves(sm) @ sm.T).is_zero():
             raise NotAbelian("stabilizer rows must pairwise commute")
-        if h.rank() != r:
-            raise ValueError("stabilizer rows must be independent")
-        k = len(logicals)
-        self._lx = np.array([p.x for p in logicals], dtype=np.uint8).reshape(k, n)
-        self._lz = np.array([p.z for p in logicals], dtype=np.uint8).reshape(k, n)
-        self._lp = np.array([p.phase for p in logicals], dtype=np.int64).reshape(k)
-        for i in range(k):
-            if _anticommute_mask(self._sx, self._sz, self._lx[i], self._lz[i]).any():
-                raise ValueError("tracked logicals must commute with stabilizers")
-        lm = F2Matrix.from_dense(np.concatenate([self._lx, self._lz], axis=1))
-        destab = _destabilizers(h, lm)
-        self._dx = destab.to_dense()[:, :n].astype(np.uint8)
-        self._dz = destab.to_dense()[:, n:].astype(np.uint8)
-        self._dp = np.zeros(r, dtype=np.int64)
+        if not (swap_halves(F2Matrix.from_dense(l)) @ sm.T).is_zero():
+            raise ValueError("tracked logicals must commute with stabilizers")
+        try:
+            d = _destabilizers(s, l)
+        except NoRightInverse:
+            raise ValueError(
+                "stabilizer rows must be independent, and no product of "
+                "tracked logicals may lie in the stabilizer group"
+            ) from None
+        phases = [p.phase for p in stabs] + [0] * len(stabs) + [
+            p.phase for p in logicals]
+        self.n, self._r = n, len(stabs)
+        self._rows = np.concatenate([s, d, l])
+        self._p = np.array(phases, dtype=np.int64)
 
     @classmethod
-    def _from_arrays(cls, sx, sz, sp, dx, dz, dp, lx, lz, lp):
+    def _from_rows(cls, r, rows, p):
         t = object.__new__(cls)
-        t.n = sx.shape[1]
-        t._sx, t._sz, t._sp = sx, sz, sp
-        t._dx, t._dz, t._dp = dx, dz, dp
-        t._lx, t._lz, t._lp = lx, lz, lp
+        t.n, t._r, t._rows, t._p = rows.shape[1] // 2, r, rows, p
         return t
 
     # -- views ----------------------------------------------------------
 
     @property
     def n_stabilizers(self) -> int:
-        return self._sx.shape[0]
+        return self._r
 
     def stabilizer(self, i: int) -> PauliOperator:
-        return PauliOperator(self._sx[i].copy(), self._sz[i].copy(),
-                             int(self._sp[i]))
+        return self._row(range(self._r)[i])
 
     def tracked(self, i: int) -> PauliOperator:
-        return PauliOperator(self._lx[i].copy(), self._lz[i].copy(),
-                             int(self._lp[i]))
+        return self._row(range(2 * self._r, len(self._rows))[i])
+
+    def _row(self, i: int) -> PauliOperator:
+        n = self.n
+        return PauliOperator(self._rows[i, :n], self._rows[i, n:],
+                             int(self._p[i]))
 
     @property
     def n_tracked(self) -> int:
-        return self._lx.shape[0]
+        return self._rows.shape[0] - 2 * self._r
 
     def reduce_tracked(self, i: int, support) -> PauliOperator:
         """Equivalent representative of tracked(i) inside ``support``.
@@ -109,21 +141,15 @@ class Tableau:
         keep[list(support)] = True
         drop = np.nonzero(~keep)[0]
         cols = np.concatenate([drop, drop + self.n])
-        stab_bsr = np.concatenate([self._sx, self._sz], axis=1)
-        target = np.concatenate([self._lx[i], self._lz[i]])
-        system = F2Matrix.from_dense(stab_bsr[:, cols].T)
-        combo = system.solve_columns(range(system.cols), target[cols])
+        system = F2Matrix.from_dense(self._rows[: self._r, cols].T)
         out = self.tracked(i)
+        combo = system.solve_columns(range(self._r), out.bsr()[cols])
         for j in np.nonzero(combo)[0]:
             out = out * self.stabilizer(int(j))
         return out
 
     def copy(self) -> "Tableau":
-        return Tableau._from_arrays(
-            self._sx.copy(), self._sz.copy(), self._sp.copy(),
-            self._dx.copy(), self._dz.copy(), self._dp.copy(),
-            self._lx.copy(), self._lz.copy(), self._lp.copy(),
-        )
+        return Tableau._from_rows(self._r, self._rows.copy(), self._p.copy())
 
     def __repr__(self) -> str:
         return (
@@ -145,40 +171,26 @@ class Tableau:
             raise ValueError(f"unknown gate {gate!r}")
         if len(qs) != expect[gate]:
             raise ValueError(f"{gate} acts on {expect[gate]} qubit(s)")
-        for x, z, p in (
-            (self._sx, self._sz, self._sp),
-            (self._dx, self._dz, self._dp),
-            (self._lx, self._lz, self._lp),
-        ):
-            if x.shape[0]:
-                _conjugate(gate, qs, x, z, p)
+        _conjugate(gate, qs, self._rows[:, : self.n], self._rows[:, self.n :],
+                   self._p)
         return self
 
     def apply_pauli(self, p: PauliOperator) -> "Tableau":
         """Inject a Pauli fault: flip the sign of anticommuting rows."""
-        for x, z, ph in (
-            (self._sx, self._sz, self._sp),
-            (self._lx, self._lz, self._lp),
-        ):
-            if x.shape[0]:
-                flips = _anticommute_mask(x, z, p.x, p.z)
-                ph[flips] = (ph[flips] + 2) % 4
+        flips = _anticommute_mask(self._rows, p)
+        self._p[flips] = (self._p[flips] + 2) % 4
         return self
 
     # -- measurement ------------------------------------------------------
 
     def deterministic_outcome(self, m: PauliOperator):
         """Measurement outcome of m if it is fixed by the state, else None."""
-        picks = _anticommute_mask(self._dx, self._dz, m.x, m.z)
-        x = np.zeros(self.n, dtype=np.uint8)
-        z = np.zeros(self.n, dtype=np.uint8)
-        p = np.array([0], dtype=np.int64)
-        xs, zs = x[None, :], z[None, :]
-        for i in np.nonzero(picks)[0]:
-            _mul_row(xs, zs, p, 0, self._sx[i], self._sz[i], int(self._sp[i]))
-        if not (np.array_equal(xs[0], m.x) and np.array_equal(zs[0], m.z)):
+        r = self._r
+        picks = np.nonzero(_anticommute_mask(self._rows[r : 2 * r], m))[0]
+        x, z, phase = _product(self._rows[picks], self._p[picks])
+        if not (np.array_equal(x, m.x) and np.array_equal(z, m.z)):
             return None
-        return 1 if (int(p[0]) - m.phase) % 4 == 0 else -1
+        return 1 if (phase - m.phase) % 4 == 0 else -1
 
     def measure_pauli(self, m: PauliOperator, rng: np.random.Generator):
         """Measure a Hermitian Pauli; returns (outcome, self)."""
@@ -188,27 +200,22 @@ class Tableau:
             raise ValueError("measurement operator must be Hermitian")
         if not (m.x.any() or m.z.any()):
             raise ValueError("measurement operator must be nontrivial")
-        anti_s = _anticommute_mask(self._sx, self._sz, m.x, m.z)
-        if anti_s.any():
-            pivot = int(np.nonzero(anti_s)[0][0])
-            nx = self._sx[pivot].copy()
-            nz = self._sz[pivot].copy()
-            nph = int(self._sp[pivot])
-            anti_s[pivot] = False
-            for mask, (x, z, p) in (
-                (anti_s, (self._sx, self._sz, self._sp)),
-                (_anticommute_mask(self._dx, self._dz, m.x, m.z),
-                 (self._dx, self._dz, self._dp)),
-                (_anticommute_mask(self._lx, self._lz, m.x, m.z),
-                 (self._lx, self._lz, self._lp)),
-            ):
-                for i in np.nonzero(mask)[0]:
-                    _mul_row(x, z, p, i, nx, nz, nph)
+        r, rows = self._r, self._rows
+        anti = _anticommute_mask(rows, m)
+        if anti[:r].any():
+            pivot = int(np.nonzero(anti[:r])[0][0])
+            anti[pivot] = False
+            # every other anticommuting row absorbs the pivot stabilizer
+            picks, n = np.nonzero(anti)[0], self.n
+            contrib = _phase_contrib(rows[picks, :n], rows[picks, n:],
+                                     rows[pivot, :n], rows[pivot, n:])
+            self._p[picks] += self._p[pivot] + contrib.sum(axis=1)
+            self._p[picks] %= 4
+            rows[picks] ^= rows[pivot]
             outcome = 1 if int(rng.integers(2)) == 0 else -1
-            self._dx[pivot], self._dz[pivot] = nx, nz
-            self._dp[pivot] = nph
-            self._sx[pivot], self._sz[pivot] = m.x.copy(), m.z.copy()
-            self._sp[pivot] = (m.phase + (0 if outcome == 1 else 2)) % 4
+            rows[r + pivot] = rows[pivot]
+            rows[pivot] = m.bsr()
+            self._p[pivot] = (m.phase + (0 if outcome == 1 else 2)) % 4
             return outcome, self
 
         sign = self.deterministic_outcome(m)
@@ -216,58 +223,45 @@ class Tableau:
             return sign, self
         # m is independent of the group; measuring it would destroy any
         # tracked logical it fails to commute with
-        if _anticommute_mask(self._lx, self._lz, m.x, m.z).any():
+        if anti[2 * r :].any():
             raise StateError(
                 "measurement outcome is random and disturbs a tracked logical"
             )
+        s = np.concatenate([rows[:r], m.bsr()[None, :]])
+        try:
+            d = _destabilizers(s, rows[2 * r :])
+        except NoRightInverse:
+            raise StateError(
+                "measured operator is a product of stabilizers and tracked "
+                "logicals outside the stabilizer group"
+            ) from None
         outcome = 1 if int(rng.integers(2)) == 0 else -1
-        self._extend(m, outcome)
+        sign_phase = (m.phase + (0 if outcome == 1 else 2)) % 4
+        self._r, self._rows = r + 1, np.concatenate([s, d, rows[2 * r :]])
+        self._p = np.insert(self._p, [r, 2 * r], [sign_phase, 0])
         return outcome, self
-
-    def _extend(self, m: PauliOperator, outcome: int) -> None:
-        rows = [
-            np.concatenate([self._sx, self._sz], axis=1),
-            np.concatenate([m.x, m.z])[None, :],
-            np.concatenate([self._dx, self._dz], axis=1),
-            np.concatenate([self._lx, self._lz], axis=1),
-        ]
-        system = swap_halves(F2Matrix.from_dense(np.concatenate(rows, axis=0)))
-        rhs = np.zeros(system.rows, dtype=np.uint8)
-        rhs[self.n_stabilizers] = 1
-        t = system.solve_columns(range(system.cols), rhs)
-        self._sx = np.vstack([self._sx, m.x[None, :]])
-        self._sz = np.vstack([self._sz, m.z[None, :]])
-        self._sp = np.append(
-            self._sp, (m.phase + (0 if outcome == 1 else 2)) % 4
-        )
-        self._dx = np.vstack([self._dx, t[None, : self.n]])
-        self._dz = np.vstack([self._dz, t[None, self.n :]])
-        self._dp = np.append(self._dp, 0)
 
 
 def _conjugate(gate: str, qs, x, z, p) -> None:
     if gate == "H":
         q = qs[0]
         flip = x[:, q] & z[:, q]
-        p[flip.astype(bool)] = (p[flip.astype(bool)] + 2) % 4
         x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
     elif gate == "S":
         q = qs[0]
         flip = x[:, q] & z[:, q]
-        p[flip.astype(bool)] = (p[flip.astype(bool)] + 2) % 4
         z[:, q] ^= x[:, q]
     elif gate == "CX":
         c, t = qs
         flip = x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
-        p[flip.astype(bool)] = (p[flip.astype(bool)] + 2) % 4
         x[:, t] ^= x[:, c]
         z[:, c] ^= z[:, t]
     else:  # CZ
         a, b = qs
         flip = x[:, a] & x[:, b] & (z[:, a] ^ z[:, b])
-        p[flip.astype(bool)] = (p[flip.astype(bool)] + 2) % 4
         z[:, a] ^= x[:, b]
         z[:, b] ^= x[:, a]
+    p[flip.astype(bool)] = (p[flip.astype(bool)] + 2) % 4
 
 
 # -- graph states -------------------------------------------------------------
@@ -291,17 +285,9 @@ def graph_state(adjacency) -> Tableau:
     if not np.array_equal(a, a.T):
         raise ValueError("adjacency matrix must be symmetric")
     n = a.shape[0]
-    return Tableau._from_arrays(
-        sx=np.eye(n, dtype=np.uint8),
-        sz=a.copy(),
-        sp=np.zeros(n, dtype=np.int64),
-        dx=np.zeros((n, n), dtype=np.uint8),
-        dz=np.eye(n, dtype=np.uint8),
-        dp=np.zeros(n, dtype=np.int64),
-        lx=np.zeros((0, n), dtype=np.uint8),
-        lz=np.zeros((0, n), dtype=np.uint8),
-        lp=np.zeros(0, dtype=np.int64),
-    )
+    eye = np.eye(n, dtype=np.uint8)
+    return Tableau._from_rows(n, np.block([[eye, a], [0 * eye, eye]]),
+                              np.zeros(2 * n, dtype=np.int64))
 
 
 # -- MBQC primitives ---------------------------------------------------------

@@ -1,12 +1,11 @@
 """Stabilizer codes, CSS codes, logical operators and distance search.
 
 Codes are held as binary symplectic check matrices (one row per
-generator).  Logical representatives come from the centralizer of the
-stabilizer group modulo the group itself and are arranged in
-anticommuting X/Z pairs; destabilizers complete the set to a full
-symplectic basis of the 2n-dimensional Pauli space, the basis the
-graph-state tableau keeps.  Distance is found by exhaustive search
-over low-weight Paulis, guarded by qubit count and weight.
+generator, redundant rows allowed).  Logical representatives come
+from the centralizer of the stabilizer group modulo the group itself
+and are arranged in anticommuting X/Z pairs.  Distance is found by
+exhaustive search over low-weight Paulis, guarded by qubit count and
+weight.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, DistanceUnknown, NotAbelian, NotCss
-from .f2 import F2Matrix, independent_rows, vstack
+from .f2 import F2Matrix, independent_rows
 from .pauli import PauliOperator, swap_halves, symplectic_product
 
 DISTANCE_QUBIT_GUARD = 20
@@ -33,8 +32,6 @@ class StabilizerCode:
     n: int
     k: int
     logicals: F2Matrix     # rows: Xbar_1..Xbar_k, Zbar_1..Zbar_k
-    destabilizers: F2Matrix  # n-k rows; row j anticommutes with pivot row j only
-    pivot_rows: tuple[int, ...]  # independent generating subset of h's rows
 
     def generator(self, i: int) -> PauliOperator:
         return PauliOperator.from_bsr(self.h.row_dense(i))
@@ -79,17 +76,8 @@ def stabilizer_code(generators) -> StabilizerCode:
         if prod.phase != 0:
             raise NotAbelian("-identity lies in the span of the generators")
 
-    # pivot rows of h give an independent generating subset; redundant
-    # rows stay in h for syndrome extraction but take no destabilizer
-    pivots = h.T.eliminate(range(h.rows)).pivot_columns
-    k = n - len(pivots)
-    h_ind = F2Matrix.from_dense(h.to_dense()[list(pivots)])
-    logicals = _logical_pairs(h, n, k)
-    destab = _destabilizers(h_ind, logicals)
-    return StabilizerCode(
-        h=h, n=n, k=k, logicals=logicals, destabilizers=destab,
-        pivot_rows=tuple(int(i) for i in pivots),
-    )
+    k = n - h.rank()
+    return StabilizerCode(h=h, n=n, k=k, logicals=_logical_pairs(h, n, k))
 
 
 def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
@@ -115,22 +103,6 @@ def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
         xs.append(u)
         zs.append(w)
     return F2Matrix.from_dense(np.stack(xs + zs))
-
-
-def _destabilizers(h: F2Matrix, logicals: F2Matrix) -> F2Matrix:
-    """Row j anticommutes with generator j only and with no logical."""
-    if h.rows == 0:
-        return F2Matrix(0, h.cols)
-    rows: list[np.ndarray] = []
-    for j in range(h.rows):
-        blocks = [h, logicals] + (
-            [F2Matrix.from_dense(np.stack(rows))] if rows else []
-        )
-        system = swap_halves(vstack(blocks))
-        rhs = np.zeros(system.rows, dtype=np.uint8)
-        rhs[j] = 1
-        rows.append(system.solve_columns(range(system.cols), rhs))
-    return F2Matrix.from_dense(np.stack(rows))
 
 
 # -- CSS codes -------------------------------------------------------------

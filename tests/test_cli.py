@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qecbench.cli import cli_main
 from qecbench.descriptors import save_problem
-from qecbench.f2 import F2Matrix, from_alist
+from qecbench.f2 import F2Matrix, from_alist, write_alist
 from qecbench.noise import (
     classical_problem,
     decoding_problem,
@@ -251,6 +251,7 @@ def test_decode_bposd_is_an_alias_of_bp_osd(tmp_path, capsys):
     {"syndrome": "0000", "decoder": "bposd", "cfg": {"order": True}},
     {"syndrome": "0000", "decoder": "bposd", "cfg": {"order": 1.7}},
     {"syndrome": "0000", "decoder": "bp", "cfg": {"variant": 1}},
+    {"syndrome": "0000", "decoder": "bposd", "cfg": {"order": -1}},
 ])
 def test_decode_non_string_fields_exit_one(tmp_path, capsys, fields):
     problem = classical_problem(build_code("repetition 5"), 0.1)
@@ -325,6 +326,17 @@ def test_benchmark_stdout_csv(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "rate,trials,failures,ler,ci_low,ci_high,mean_iters,seconds"
     assert len(lines) == 3
+
+
+def test_benchmark_bsc_on_an_alist_with_redundant_checks(tmp_path, capsys):
+    # the 3-cycle code: checks 12/23/13, any one of them redundant
+    alist = tmp_path / "cycle3.alist"
+    write_alist(F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), alist)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG.replace("repetition 5", f"problem {alist}"))
+    code, out, err = run(capsys, "benchmark", str(cfg))
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 3
 
 
 def mask_seconds(csv_doc: str) -> str:

@@ -1,5 +1,6 @@
 """Tableau simulation, graph-state measurements, and foliation checks."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from qecbench.descriptors import save_foliation
 from qecbench.errors import NoSolution, NotAbelian, StateError
-from qecbench.f2 import F2Matrix, vstack
+from qecbench.f2 import F2Matrix, block_diag, vstack
 from qecbench.graphstate import (
     FoliatedState,
     Tableau,
@@ -20,7 +21,12 @@ from qecbench.graphstate import (
 )
 from qecbench.homology import surface_code
 from qecbench.pauli import PauliOperator, swap_halves
-from qecbench.quantum import css_code, four_two_two_checks
+from qecbench.quantum import (
+    css_code,
+    five_qubit_code,
+    four_two_two_checks,
+    stabilizer_code,
+)
 
 pauli = PauliOperator.from_string
 
@@ -69,6 +75,16 @@ def test_tableau_rejects_bad_generators():
         Tableau([pauli("XI")], [pauli("ZI")])  # anticommutes with the stabilizer
     with pytest.raises(ValueError):
         Tableau([])
+    # a product of tracked logicals inside the stabilizer group
+    with pytest.raises(ValueError, match="stabilizer group"):
+        Tableau([pauli("XX")], [pauli("XX")])
+    with pytest.raises(ValueError, match="stabilizer group"):
+        Tableau([pauli("ZZ")], [pauli("XX"), pauli("YY")])
+
+
+def test_tableau_accepts_duplicate_tracked_logicals():
+    t = Tableau([pauli("XI")], [pauli("IX"), pauli("IZ"), pauli("IX")])
+    assert [t.tracked(i).to_string() for i in range(3)] == ["+IX", "+IZ", "+IX"]
 
 
 def test_single_qubit_conjugation_table():
@@ -165,6 +181,29 @@ def test_measure_that_disturbs_a_tracked_logical_raises():
     t = Tableau([pauli("IX")], [pauli("XI"), pauli("ZI")])
     with pytest.raises(StateError):
         t.measure_pauli(pauli("ZI"), np.random.default_rng(0))
+
+
+def test_measure_in_the_logical_span_raises_before_drawing():
+    # XX is the tracked logical itself: commutes with everything tracked,
+    # lies outside the stabilizer group, and cannot extend it
+    t = Tableau([pauli("ZZ")], [pauli("XX")])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(StateError):
+        t.measure_pauli(pauli("XX"), rng)
+    assert rng.bit_generator.state == state
+    assert t.n_stabilizers == 1 and t.tracked(0).to_string() == "+XX"
+
+
+def test_extended_group_keeps_deterministic_outcomes():
+    # the new stabilizer XIX anticommutes with the destabilizer of XII;
+    # the destabilizers must be rebuilt for IIX = XII * XIX to read out
+    for seed in range(8):
+        t = Tableau([pauli("XII")], [pauli("IXI"), pauli("IZI")])
+        m, _ = t.measure_pauli(pauli("XIX"), np.random.default_rng(seed))
+        assert t.deterministic_outcome(pauli("IIX")) == m
+        assert t.measure_pauli(pauli("IIX"), np.random.default_rng(0))[0] == m
+        assert_tableau_invariants(t)
 
 
 def test_measure_argument_validation():
@@ -268,6 +307,40 @@ def simple_graphs(draw, max_n=6):
     return a
 
 
+def assert_tableau_invariants(t):
+    """Abelian independent S; D pairs with S as the identity and
+    commutes with itself and with the tracked logicals L."""
+    r, rows = t.n_stabilizers, t._rows
+    stab, destab, logs = (F2Matrix.from_dense(b)
+                          for b in (rows[:r], rows[r : 2 * r], rows[2 * r :]))
+    assert (swap_halves(stab) @ stab.T).is_zero(), "stabilizers must stay abelian"
+    assert stab.rank() == r
+    pairing = (swap_halves(destab) @ stab.T).to_dense()
+    assert np.array_equal(pairing, np.eye(r, dtype=np.uint8))
+    assert (swap_halves(destab) @ destab.T).is_zero()
+    assert (swap_halves(destab) @ logs.T).is_zero()
+
+
+def random_pauli(pyrng, n):
+    letters = "".join(pyrng.choice("IXYZ") for _ in range(n - 1))
+    return pauli(pyrng.choice("+-") + letters + pyrng.choice("XYZ"))
+
+
+def scramble(t, pyrng, rng, steps=6):
+    """Random Cliffords and single- or multi-qubit Pauli measurements."""
+    n = t.n
+    for _ in range(steps):
+        if pyrng.random() < 0.5:
+            gate = pyrng.choice(["H", "S", "CX", "CZ"])
+            t.apply_clifford(gate, pyrng.sample(range(n), len(gate)))
+        elif pyrng.random() < 0.5:
+            q, basis = pyrng.randrange(n), pyrng.choice("XYZ")
+            t.measure_pauli(PauliOperator.single(n, q, basis), rng)
+        else:
+            t.measure_pauli(random_pauli(pyrng, n), rng)
+    return t
+
+
 @settings(max_examples=40, deadline=None)
 @given(simple_graphs(), st.randoms(use_true_random=False))
 def test_measurement_keeps_tableau_invariants(a, pyrng):
@@ -278,13 +351,7 @@ def test_measurement_keeps_tableau_invariants(a, pyrng):
         q = pyrng.randrange(n)
         basis = pyrng.choice("XYZ")
         t.measure_pauli(PauliOperator.single(n, q, basis), rng)
-    stab = F2Matrix.from_dense(np.concatenate([t._sx, t._sz], axis=1))
-    destab = F2Matrix.from_dense(np.concatenate([t._dx, t._dz], axis=1))
-    gram = (swap_halves(stab) @ stab.T).to_dense()
-    assert not gram.any(), "stabilizer rows must stay abelian"
-    assert stab.rank() == t.n_stabilizers
-    pairing = (swap_halves(destab) @ stab.T).to_dense()
-    assert np.array_equal(pairing, np.eye(t.n_stabilizers, dtype=np.uint8))
+    assert_tableau_invariants(t)
     # deterministic outcomes are reproducible and non-disturbing
     q = pyrng.randrange(n)
     op = PauliOperator.single(n, q, "Z")
@@ -292,6 +359,61 @@ def test_measurement_keeps_tableau_invariants(a, pyrng):
     if fixed is not None:
         m, _ = t.measure_pauli(op, rng)
         assert m == fixed
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs(max_n=7), st.randoms(use_true_random=False))
+def test_deterministic_outcome_matches_group_enumeration(a, pyrng):
+    t = scramble(graph_state(a), pyrng,
+                 np.random.default_rng(pyrng.randrange(2**32)))
+    n, r = t.n, t.n_stabilizers
+    group = {}
+    for bits in itertools.product((0, 1), repeat=r):
+        prod = PauliOperator.identity(n)
+        for i in np.nonzero(bits)[0]:
+            prod = prod * t.stabilizer(int(i))
+        group[(prod.x.tobytes(), prod.z.tobytes())] = prod.phase
+    members = list(group.items())
+    for _ in range(12):
+        if pyrng.random() < 0.5:
+            (xb, zb), _ = pyrng.choice(members)
+            m = PauliOperator(np.frombuffer(xb, np.uint8),
+                              np.frombuffer(zb, np.uint8), pyrng.choice((0, 2)))
+        else:
+            m = random_pauli(pyrng, n)
+        phase = group.get((m.x.tobytes(), m.z.tobytes()))
+        want = None if phase is None else (1 if phase == m.phase else -1)
+        assert t.deterministic_outcome(m) == want
+
+
+def code_tableau(code):
+    """Tableau of a stabilizer code with its logical pairs tracked."""
+    stabs = [code.generator(i) for i in range(code.h.rows)]
+    logs = [PauliOperator.from_bsr(code.logicals.row_dense(i))
+            for i in range(code.logicals.rows)]
+    return Tableau(stabs, logs)
+
+
+TABLEAUX = {
+    "partial": lambda: Tableau([pauli("XII")], [pauli("IXI"), pauli("IZI")]),
+    "five qubit": lambda: code_tableau(five_qubit_code()),
+    "surface 3": lambda: code_tableau(stabilizer_code(
+        block_diag([surface_code(3).hx, surface_code(3).hz]))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(TABLEAUX)), st.randoms(use_true_random=False))
+def test_constructed_tableau_keeps_invariants(name, pyrng):
+    t = TABLEAUX[name]()
+    rng = np.random.default_rng(pyrng.randrange(2**32))
+    assert_tableau_invariants(t)
+    for _ in range(4):
+        try:
+            scramble(t, pyrng, rng, steps=1)
+        except StateError:
+            pass
+        assert_tableau_invariants(t)
 
 
 # -- teleportation primitives --------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qecbench.classical import hamming74, encoding_matrix
+from qecbench.classical import encoding_matrix, hamming74, linear_code
 from qecbench.descriptors import load, save_problem
+from qecbench.f2 import F2Matrix
 from qecbench.homology import surface_code
 from qecbench.noise import (
     Prior,
@@ -119,6 +120,14 @@ def test_classical_problem_logicals_track_information_bits(word_int):
     e = np.array([(word_int >> i) & 1 for i in range(7)], dtype=np.uint8)
     logical = encoding_matrix(code).v_inv.rmatvec(e)[: code.k]
     assert np.array_equal(problem.l.matvec(e), logical)
+
+
+def test_classical_problem_ignores_redundant_checks():
+    code = hamming74()
+    h = code.h.to_dense()
+    redundant = linear_code(F2Matrix.from_dense(np.vstack([h, h[0] ^ h[1]])))
+    plain = classical_problem(code, 0.1)
+    assert classical_problem(redundant, 0.1).l == plain.l
 
 
 def test_problem_round_trip(tmp_path):
