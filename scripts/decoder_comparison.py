@@ -16,7 +16,6 @@ def main():
     parser.add_argument("--rate", type=float, default=0.03)
     parser.add_argument("--trials", type=int, default=5_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--decoders", nargs="+",
                         default=["bp", "bp+osd 0", "bp+osd 2"])
     args = parser.parse_args()
@@ -35,7 +34,7 @@ def main():
             trials=args.trials,
             seed=args.seed,
         )
-        rec = run_benchmark(cfg, threads=args.threads).records[0]
+        rec = run_benchmark(cfg).records[0]
         interval = f"[{rec.ci_low:.5f}, {rec.ci_high:.5f}]"
         print(f"{decoder:<12} {rec.failures:>8} {rec.logical_error_rate:>10.5f}"
               f" {interval:>24} {rec.mean_iterations:>7.2f}")

@@ -19,7 +19,6 @@ def main():
     parser.add_argument("--trials", type=int, default=20_000)
     parser.add_argument("--order", type=int, default=2, help="OSD order")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
 
@@ -33,7 +32,7 @@ def main():
             trials=args.trials,
             seed=args.seed,
         )
-        result = run_benchmark(cfg, threads=args.threads)
+        result = run_benchmark(cfg)
         out = args.out_dir / f"surface_{side}.csv"
         out.write_text(csv_text(result))
         for rec in result.records:

@@ -4,9 +4,9 @@ A benchmark sweeps physical rates, draws one error per trial from a
 per-trial RNG stream, decodes, and scores with the degeneracy-aware
 success predicate.  Results carry Wilson 95% intervals so rare-event
 points near zero failures stay honest.  Everything downstream of the
-seed is deterministic, including under a thread pool: trial t at rate
-index r always uses SeedSequence(seed, spawn_key=(r, t)) and results
-are merged in trial order.
+seed is deterministic: trial t at rate index r always uses
+SeedSequence(seed, spawn_key=(r, t)), and trials run in order on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -268,7 +267,8 @@ def run_benchmark(cfg: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     Rate points started after max_seconds has elapsed are dropped.
     mean_iterations counts decoder iterations only; trials short-cut on
     an all-zero syndrome contribute zero.  A CapacityExceeded from the
-    decoder propagates and aborts the rate point.
+    decoder propagates and aborts the rate point.  Trials run serially;
+    threads must be >= 1 and is otherwise unused.
     """
     if threads < 1:
         raise ValueError("need at least one worker")
@@ -280,17 +280,9 @@ def run_benchmark(cfg: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
             break
         trial = _make_trial(code, cfg, rate)
         t0 = time.monotonic()
-
-        def one(t, _trial=trial, _ri=rate_index):
-            return _trial(_trial_rng(cfg.seed, _ri, t))
-
-        if threads == 1:
-            outcomes = [one(t) for t in range(cfg.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(cfg.trials)))
-        failures = sum(f for f, _ in outcomes)
-        iters = sum(i for _, i in outcomes)
+        outcomes = [trial(_trial_rng(cfg.seed, rate_index, t))
+                    for t in range(cfg.trials)]
+        failures, iters = map(sum, zip(*outcomes))
         low, high = wilson_interval(failures, cfg.trials)
         records.append(RateRecord(
             rate=rate,

@@ -240,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config file's seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (>= 1) but unused: trials run serially")
     p.set_defaults(func=_cmd_benchmark)
     return parser
 

@@ -1,19 +1,21 @@
 """Belief propagation, ordered-statistics reprocessing, and oracles.
 
 Messages live in the LLR domain: positive means "probably no fault".
-The check update is the tanh-product rule with the syndrome folded in
-as a sign, realized with prefix/suffix products so degree-1 checks and
-saturated messages need no division.  OSD re-solves the syndrome on
-the most-reliable independent column set; order-w reprocessing sweeps
-low-weight patterns on the remaining columns.  Exhaustive MWD/MLD
-enumerate a solution coset and serve as oracles for everything else.
+The check update is the tanh-product rule (sum-product) or the scaled
+minimum (min-sum) with the syndrome folded in as a sign; both take the
+value over a check's other edges from one prefix/suffix scan, so
+degree-1 checks and saturated messages need no division or sort.  OSD
+re-solves the syndrome on the most-reliable independent column set;
+order-w reprocessing sweeps low-weight patterns on the remaining
+columns.  Exhaustive MWD/MLD enumerate a solution coset and serve as
+oracles for everything else.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,10 +41,12 @@ class BpConfig:
     def __post_init__(self):
         if self.variant not in ("sum-product", "min-sum"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_iterations < 1:
-            raise ValueError("need max_iterations >= 1")
-        if self.llr_clamp <= 0:
-            raise ValueError("need llr_clamp > 0")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        # NaN fails both tests; an infinite clamp lets inf - inf reach BP
+        if not 0 < self.llr_clamp < math.inf:
+            raise ValueError("llr_clamp must be positive and finite")
         if not 0.0 < self.min_sum_scale <= 1.0:
             raise ValueError("min_sum_scale must lie in (0, 1]")
 
@@ -53,6 +57,18 @@ class DecodeResult:
     converged: bool
     iterations_used: int
     posterior_llr: np.ndarray
+
+
+def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
+    """op over every other slot of the same row, for every slot.
+
+    Exclusive prefix and suffix scans along the last axis, joined with
+    op; fill is op's identity and pads short rows.
+    """
+    pad = np.full(rows.shape[:-1] + (1,), fill)
+    prefix = op.accumulate(np.concatenate([pad, rows[..., :-1]], axis=-1), axis=-1)
+    suffix = op.accumulate(np.concatenate([pad, rows[..., :0:-1]], axis=-1), axis=-1)
+    return op(prefix, suffix[..., ::-1])
 
 
 def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
@@ -77,62 +93,35 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
         converged = bool(np.array_equal(h.matvec(correction), s))
         return DecodeResult(correction, converged, 1, lam.copy())
 
-    # pad edges into per-check rows so the extrinsic product is a
-    # prefix*suffix along each row
+    # pad edges into per-check rows so the extrinsic value is a
+    # prefix/suffix scan along each row
     degrees = np.bincount(checks, minlength=h.rows)
     dmax = int(degrees.max())
     # np.nonzero is row-major, so a check's edges are contiguous
     edge_slot = np.arange(n_edges) - (np.cumsum(degrees) - degrees)[checks]
-    mask = np.zeros((h.rows, dmax), dtype=bool)
-    mask[checks, edge_slot] = True
-    check_sign = (1.0 - 2.0 * s).astype(np.float64)
+    edge_sign = (1.0 - 2.0 * s)[checks]
 
-    msg_v2c = lam[vars_].copy()
-    msg_c2v = np.zeros(n_edges)
-    posterior = lam.copy()
-    correction = np.zeros(h.cols, dtype=np.uint8)
-    converged = False
-    iterations = 0
-
-    for iteration in range(1, cfg.max_iterations + 1):
-        iterations = iteration
+    msg_v2c = lam[vars_]
+    # max_iterations >= 1, so the loop binds every name it returns
+    for iterations in range(1, cfg.max_iterations + 1):
         if cfg.variant == "sum-product":
             tanh_half = np.ones((h.rows, dmax))
             tanh_half[checks, edge_slot] = np.tanh(msg_v2c / 2.0)
-            prefix = np.cumprod(
-                np.concatenate([np.ones((h.rows, 1)), tanh_half[:, :-1]], axis=1),
-                axis=1,
-            )
-            suffix = np.cumprod(
-                np.concatenate([np.ones((h.rows, 1)), tanh_half[:, :0:-1]], axis=1),
-                axis=1,
-            )[:, ::-1]
-            extrinsic = prefix * suffix
+            extrinsic = _others(tanh_half, np.multiply, 1.0)[checks, edge_slot]
             with np.errstate(divide="ignore"):
-                update = 2.0 * np.arctanh(extrinsic[checks, edge_slot])
-            msg_c2v = np.clip(check_sign[checks] * update, -clamp, clamp)
+                update = 2.0 * np.arctanh(extrinsic)
+            msg_c2v = np.clip(edge_sign * update, -clamp, clamp)
         else:
             mags = np.full((h.rows, dmax), np.inf)
             mags[checks, edge_slot] = np.abs(msg_v2c)
+            ext_min = _others(mags, np.minimum, np.inf)[checks, edge_slot]
+            ext_min = np.where(np.isinf(ext_min), clamp, ext_min)  # degree-1 checks
             signs = np.where(msg_v2c < 0, -1.0, 1.0)
             sign_rows = np.ones((h.rows, dmax))
             sign_rows[checks, edge_slot] = signs
-            total_sign = sign_rows.prod(axis=1)
-            order = np.argsort(mags, axis=1)
-            m1 = mags[np.arange(h.rows), order[:, 0]]
-            if dmax > 1:
-                m2 = mags[np.arange(h.rows), order[:, 1]]
-            else:
-                m2 = np.full(h.rows, np.inf)
-            ext_min = np.where(
-                edge_slot == order[checks, 0], m2[checks], m1[checks]
-            )
-            ext_min = np.where(np.isinf(ext_min), clamp, ext_min)
-            ext_sign = total_sign[checks] * signs
+            ext_sign = sign_rows.prod(axis=1)[checks] * signs  # exact for +-1
             msg_c2v = np.clip(
-                cfg.min_sum_scale * check_sign[checks] * ext_sign * ext_min,
-                -clamp,
-                clamp,
+                cfg.min_sum_scale * edge_sign * ext_sign * ext_min, -clamp, clamp
             )
 
         incoming = np.zeros(h.cols)
@@ -219,11 +208,8 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     """
     if w < 0:
         raise ValueError("need w >= 0")
-    best_key, best = None, None
-    for key, c in _osd_candidates(h, s, soft, w):
-        if best_key is None or key < best_key:
-            best_key, best = key, c
-    return best
+    # keys end in the correction's bytes, so the minimum is unique
+    return min(_osd_candidates(h, s, soft, w), key=lambda kc: kc[0])[1]
 
 
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
@@ -235,12 +221,7 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
     if result.converged:
         return result
     correction = osd_w(problem.h, s, result.posterior_llr, w)
-    return DecodeResult(
-        correction=correction,
-        converged=True,
-        iterations_used=result.iterations_used,
-        posterior_llr=result.posterior_llr,
-    )
+    return replace(result, correction=correction, converged=True)
 
 
 # -- exhaustive oracles ------------------------------------------------------

@@ -138,6 +138,8 @@ def test_seed_determinism_and_thread_independence():
         return [(r.rate, r.trials, r.failures, r.logical_error_rate,
                  r.ci_low, r.ci_high, r.mean_iterations) for r in res.records]
     assert stats(a) == stats(b) == stats(c)
+    with pytest.raises(ValueError):
+        run_benchmark(cfg, threads=0)
     shifted = run_benchmark(
         BenchmarkConfig(**{**cfg.__dict__, "seed": 12}))
     assert stats(shifted) != stats(a)
@@ -283,6 +285,21 @@ def test_pinned_counts_per_noise_and_decoder(tmp_path, code, noise, decoder,
         code = f"problem {path}"
     cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder,
                           rates=(rate,), trials=300, seed=5)
+    rec = run_benchmark(cfg).records[0]
+    assert (rec.failures, rec.mean_iterations) == (failures, iterations / 300)
+
+
+PINNED_MIN_SUM = [
+    ("surface 3", "split-xz", "bp", 20, 675),
+    ("surface 3", "xzy", "bp+osd 1", 7, 629),
+]
+
+
+@pytest.mark.parametrize("code,noise,decoder,failures,iterations", PINNED_MIN_SUM)
+def test_pinned_min_sum_counts(code, noise, decoder, failures, iterations):
+    """The min-sum check update keeps its seeded failure and iteration counts."""
+    cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05,),
+                          trials=300, seed=5, bp=BpConfig(variant="min-sum"))
     rec = run_benchmark(cfg).records[0]
     assert (rec.failures, rec.mean_iterations) == (failures, iterations / 300)
 

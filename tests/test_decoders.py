@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qecbench.classical import hamming74
 from qecbench.decoders import (
@@ -17,6 +17,7 @@ from qecbench.decoders import (
     osd_w,
     success,
     _osd_candidates,
+    _others,
 )
 from qecbench.errors import CapacityExceeded, Unsatisfiable
 from qecbench.f2 import F2Matrix
@@ -190,6 +191,36 @@ def test_min_sum_agrees_with_sum_product_at_tiny_p():
         assert np.array_equal(sp.correction, ms.correction)
 
 
+def _brute_others(rows, reduce, fill):
+    out = np.empty_like(rows)
+    for idx in np.ndindex(rows.shape[:-1]):
+        row = rows[idx]
+        for j in range(row.size):
+            out[idx + (j,)] = reduce(np.delete(row, j), initial=fill)
+    return out
+
+
+_row_shapes = array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, _row_shapes,
+              elements=st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, np.inf])))
+def test_others_min_matches_brute_force(rows):
+    # repeated values give ties; inf stands for the padding of short rows
+    assert np.array_equal(_others(rows, np.minimum, np.inf),
+                          _brute_others(rows, np.min, np.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, _row_shapes,
+              elements=st.sampled_from([1.0, -1.0, 0.5, -2.0, 4.0, 0.0])))
+def test_others_product_matches_brute_force(rows):
+    # +-1 and powers of two multiply exactly in any order; 1.0 is the padding
+    assert np.array_equal(_others(rows, np.multiply, 1.0),
+                          _brute_others(rows, np.prod, 1.0))
+
+
 def test_bp_rejects_wrong_syndrome_length():
     problem = classical_problem(hamming74(), 0.1)
     with pytest.raises(ValueError):
@@ -201,8 +232,13 @@ def test_config_validation():
         BpConfig(variant="layered")
     with pytest.raises(ValueError):
         BpConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        BpConfig(llr_clamp=0.0)
+    for not_an_int in (2.5, True, "3"):
+        with pytest.raises(ValueError):
+            BpConfig(max_iterations=not_an_int)
+    assert BpConfig(max_iterations=np.int64(3)).max_iterations == 3
+    for bad_clamp in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BpConfig(llr_clamp=bad_clamp)
     with pytest.raises(ValueError):
         BpConfig(min_sum_scale=1.5)
 
