@@ -6,7 +6,9 @@ tracked logical operators evolving in the Heisenberg picture.  The
 destabilizers pair with the stabilizers symplectically and commute
 with everything else, so a deterministic measurement outcome reduces
 to a destabilizer-indexed product of stabilizers; they are built here,
-by one elimination, because nothing else reads them.  Foliation
+by one elimination, because nothing else reads them.  Products and
+commutation tests call ``pauli``, except ``_rowsum``, a batched
+two-row product for random measurements.  Foliation
 stacks the Z- and X-Tanner graph states of a CSS code in alternating
 layers; detectors fall out as the pure-X stabilizer products, i.e.
 the F2 kernel of the graph adjacency matrix.
@@ -20,26 +22,42 @@ import numpy as np
 
 from .errors import NoRightInverse, NoSolution, NotAbelian, StateError
 from .f2 import F2Matrix, independent_rows
-from .pauli import PauliOperator, _phase_contrib, swap_halves
+from .pauli import PauliOperator, product, swap_halves, symplectic_product
 from .quantum import CssCode
 
 
-def _product(rows, p):
-    """(x, z, phase) of the ordered product of the rows i^p W(x, z)."""
-    # i^p W(x, z) = i^(p + x.z) X^x Z^z; moving every X left of every Z
-    # costs (-1)^(z_i . x_j) for i < j, and X^X Z^Z = i^(-X.Z) W(X, Z)
+def _rowsum(rows, p, picks, pivot) -> None:
+    """Aaronson and Gottesman's rowsum, batched: row_i <- row_i row_pivot
+    for every i in picks, with the phase rule of ``pauli.product``."""
     n = rows.shape[1] // 2
-    x, z = rows[:, :n], rows[:, n:]
-    px = np.bitwise_xor.reduce(x, axis=0)
-    pz = np.bitwise_xor.reduce(z, axis=0)
-    before = np.bitwise_xor.accumulate(z, axis=0) ^ z  # z_1 + ... + z_(j-1)
-    phase = (int(p.sum()) + np.count_nonzero(x & z)
-             + 2 * np.count_nonzero(before & x) - np.count_nonzero(px & pz))
-    return px, pz, phase % 4
+    a, b = rows[picks], rows[pivot]
+    ab = a ^ b
+    # per qubit: Y letters of a and b, the Z-past-X swaps, less the Y
+    # letters of the product; uint8 wraps modulo 256, keeping it mod 4
+    g = ((a[:, :n] & a[:, n:]) + (b[:n] & b[n:]) + 2 * (a[:, n:] & b[:n])
+         - (ab[:, :n] & ab[:, n:]))
+    p[picks] = (p[picks] + p[pivot] + g.sum(axis=1, dtype=np.uint8)) % 4
+    rows[picks] = ab
 
 
-def _anticommute_mask(rows, m: PauliOperator):
-    return ((rows @ np.concatenate([m.z, m.x])) % 2).astype(bool)
+def _qubit_indices(qubits, n: int) -> list[int]:
+    """Ints in range(n), else ValueError (non-integer) or IndexError."""
+    for q in qubits:
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise ValueError(f"qubit index {q!r} is not an integer")
+        if not 0 <= q < n:
+            raise IndexError(f"qubit {q} out of range")
+    return [int(q) for q in qubits]
+
+
+def _operator(m: PauliOperator, n: int, hermitian: bool = True) -> np.ndarray:
+    """Symplectic row of m; ValueError unless m acts on n qubits and,
+    when ``hermitian``, has a real sign."""
+    if m.n != n:
+        raise ValueError(f"operator acts on {m.n} qubits, the tableau on {n}")
+    if hermitian and m.phase % 2:
+        raise ValueError("operator must be Hermitian (real sign)")
+    return m.bsr()
 
 
 def _destabilizers(s: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -56,10 +74,9 @@ def _destabilizers(s: np.ndarray, l: np.ndarray) -> np.ndarray:
     lm = F2Matrix.from_dense(l)
     l_ind = l[independent_rows(F2Matrix(0, lm.cols), lm)]
     a = F2Matrix.from_dense(np.concatenate([s, l_ind]))
-    d0 = F2Matrix.from_dense(
-        swap_halves(a).right_inverse().to_dense().T[: len(s)])
-    upper = F2Matrix.from_dense(np.triu((swap_halves(d0) @ d0.T).to_dense(), 1))
-    return d0.to_dense() ^ (upper @ F2Matrix.from_dense(s)).to_dense()
+    d0 = swap_halves(a).right_inverse().to_dense().T[: len(s)]
+    upper = F2Matrix.from_dense(np.triu(symplectic_product(d0, d0), 1))
+    return d0 ^ (upper @ F2Matrix.from_dense(s)).to_dense()
 
 
 class Tableau:
@@ -78,17 +95,11 @@ class Tableau:
             n = stabs[0].n
         elif n is None:
             raise ValueError("need qubit count for a stabilizer-free tableau")
-        for p in stabs + logicals:
-            if p.n != n:
-                raise ValueError("operators act on differing qubit counts")
-            if p.phase % 2:
-                raise ValueError("operators must be Hermitian (real sign)")
-        s, l = (np.reshape([p.bsr() for p in ops], (len(ops), 2 * n))
+        s, l = (np.reshape([_operator(p, n) for p in ops], (len(ops), 2 * n))
                 .astype(np.uint8) for ops in (stabs, logicals))
-        sm = F2Matrix.from_dense(s)
-        if not (swap_halves(sm) @ sm.T).is_zero():
+        if symplectic_product(s, s).any():
             raise NotAbelian("stabilizer rows must pairwise commute")
-        if not (swap_halves(F2Matrix.from_dense(l)) @ sm.T).is_zero():
+        if symplectic_product(l, s).any():
             raise ValueError("tracked logicals must commute with stabilizers")
         try:
             d = _destabilizers(s, l)
@@ -138,15 +149,15 @@ class Tableau:
         NoSolution when no stabilizer product does the job.
         """
         keep = np.zeros(self.n, dtype=bool)
-        keep[list(support)] = True
+        keep[_qubit_indices(list(support), self.n)] = True
         drop = np.nonzero(~keep)[0]
         cols = np.concatenate([drop, drop + self.n])
         system = F2Matrix.from_dense(self._rows[: self._r, cols].T)
-        out = self.tracked(i)
-        combo = system.solve_columns(range(self._r), out.bsr()[cols])
-        for j in np.nonzero(combo)[0]:
-            out = out * self.stabilizer(int(j))
-        return out
+        row = range(2 * self._r, len(self._rows))[i]
+        combo = system.solve_columns(range(self._r), self._rows[row, cols])
+        picks = np.concatenate([[row], np.nonzero(combo)[0]])
+        row, phase = product(self._rows[picks], self._p[picks])
+        return PauliOperator(row[: self.n], row[self.n :], phase)
 
     def copy(self) -> "Tableau":
         return Tableau._from_rows(self._r, self._rows.copy(), self._p.copy())
@@ -160,12 +171,9 @@ class Tableau:
     # -- Clifford conjugation --------------------------------------------
 
     def apply_clifford(self, gate: str, qubits) -> "Tableau":
-        qs = tuple(np.atleast_1d(qubits).astype(int))
+        qs = _qubit_indices(np.atleast_1d(qubits), self.n)
         if len(set(qs)) != len(qs):
             raise ValueError("qubit indices must be distinct")
-        for q in qs:
-            if not 0 <= q < self.n:
-                raise IndexError(f"qubit {q} out of range")
         expect = {"H": 1, "S": 1, "CX": 2, "CZ": 2}
         if gate not in expect:
             raise ValueError(f"unknown gate {gate!r}")
@@ -177,7 +185,7 @@ class Tableau:
 
     def apply_pauli(self, p: PauliOperator) -> "Tableau":
         """Inject a Pauli fault: flip the sign of anticommuting rows."""
-        flips = _anticommute_mask(self._rows, p)
+        flips = symplectic_product(self._rows, _operator(p, self.n, False)) == 1
         self._p[flips] = (self._p[flips] + 2) % 4
         return self
 
@@ -185,36 +193,28 @@ class Tableau:
 
     def deterministic_outcome(self, m: PauliOperator):
         """Measurement outcome of m if it is fixed by the state, else None."""
-        r = self._r
-        picks = np.nonzero(_anticommute_mask(self._rows[r : 2 * r], m))[0]
-        x, z, phase = _product(self._rows[picks], self._p[picks])
-        if not (np.array_equal(x, m.x) and np.array_equal(z, m.z)):
+        v, r = _operator(m, self.n), self._r
+        picks = np.nonzero(symplectic_product(self._rows[r : 2 * r], v))[0]
+        row, phase = product(self._rows[picks], self._p[picks])
+        if not np.array_equal(row, v):
             return None
         return 1 if (phase - m.phase) % 4 == 0 else -1
 
     def measure_pauli(self, m: PauliOperator, rng: np.random.Generator):
         """Measure a Hermitian Pauli; returns (outcome, self)."""
-        if m.n != self.n:
-            raise ValueError("operator size does not match the tableau")
-        if m.phase % 2:
-            raise ValueError("measurement operator must be Hermitian")
-        if not (m.x.any() or m.z.any()):
+        v = _operator(m, self.n)
+        if not v.any():
             raise ValueError("measurement operator must be nontrivial")
         r, rows = self._r, self._rows
-        anti = _anticommute_mask(rows, m)
+        anti = symplectic_product(rows, v) == 1
         if anti[:r].any():
             pivot = int(np.nonzero(anti[:r])[0][0])
             anti[pivot] = False
             # every other anticommuting row absorbs the pivot stabilizer
-            picks, n = np.nonzero(anti)[0], self.n
-            contrib = _phase_contrib(rows[picks, :n], rows[picks, n:],
-                                     rows[pivot, :n], rows[pivot, n:])
-            self._p[picks] += self._p[pivot] + contrib.sum(axis=1)
-            self._p[picks] %= 4
-            rows[picks] ^= rows[pivot]
+            _rowsum(rows, self._p, np.nonzero(anti)[0], pivot)
             outcome = 1 if int(rng.integers(2)) == 0 else -1
             rows[r + pivot] = rows[pivot]
-            rows[pivot] = m.bsr()
+            rows[pivot] = v
             self._p[pivot] = (m.phase + (0 if outcome == 1 else 2)) % 4
             return outcome, self
 
@@ -227,7 +227,7 @@ class Tableau:
             raise StateError(
                 "measurement outcome is random and disturbs a tracked logical"
             )
-        s = np.concatenate([rows[:r], m.bsr()[None, :]])
+        s = np.concatenate([rows[:r], v[None, :]])
         try:
             d = _destabilizers(s, rows[2 * r :])
         except NoRightInverse:
@@ -328,24 +328,19 @@ class FoliatedState:
     logical_supports: tuple[frozenset, ...]
     adjacency: F2Matrix
 
-    def graph_state(self) -> Tableau:
-        return graph_state(self.adjacency)
-
-    def stabilizer_of(self, v: int) -> PauliOperator:
-        x = np.zeros(self.n_vertices, dtype=np.uint8)
-        x[v] = 1
-        return PauliOperator(x, self.adjacency.row_dense(v), 0)
-
     def predicted_parity(self, support) -> int:
-        """Sign of the pure-X stabilizer product over a vertex set."""
-        prod = PauliOperator.identity(self.n_vertices)
-        for v in sorted(support):
-            prod = prod * self.stabilizer_of(v)
-        if prod.z.any() or not np.array_equal(
-            prod.x, _indicator(support, self.n_vertices)
-        ):
+        """Sign of the pure-X stabilizer product over a vertex set.
+
+        The graph-state stabilizer of vertex v is X_v times Z on its
+        neighbours, with sign +1.
+        """
+        n, vs = self.n_vertices, sorted(support)
+        rows = np.hstack([np.eye(n, dtype=np.uint8)[vs],
+                          self.adjacency.to_dense()[vs]])
+        row, phase = product(rows, 0)
+        if row[n:].any() or not np.array_equal(row[:n], _indicator(support, n)):
             raise ValueError("vertex set is not a pure-X stabilizer product")
-        return prod.sign
+        return 1 if phase == 0 else -1
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,9 @@
 An n-qubit Pauli is a pair of bit vectors (x | z) plus a power of i;
 qubit q carries X when x_q = 1, Z when z_q = 1 and Y when both are
 set.  Hermitian operators have phase i^0 or i^2, i.e. sign +-1.
-Commutation is the symplectic form x1.z2 + z1.x2 over GF(2).
+The two rules of the algebra live here, for codes and the tableau
+alike: ``product`` multiplies signed rows in order, and
+``symplectic_product`` is the commutation form x1.z2 + z1.x2 over GF(2).
 """
 
 from __future__ import annotations
@@ -15,20 +17,6 @@ from .f2 import F2Matrix
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _LETTERS.items()}
 _PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-
-
-def _phase_contrib(x1, z1, x2, z2):
-    """Per-qubit power of i picked up by W(x1,z1) W(x2,z2)."""
-    x1 = x1.astype(np.int8)
-    z1 = z1.astype(np.int8)
-    x2 = x2.astype(np.int8)
-    z2 = z2.astype(np.int8)
-    y1 = x1 * z1
-    return (
-        y1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-    )
 
 
 class PauliOperator:
@@ -128,18 +116,45 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        phase = self.phase + other.phase + int(
-            _phase_contrib(self.x, self.z, other.x, other.z).sum()
-        )
-        return PauliOperator(self.x ^ other.x, self.z ^ other.z, phase)
+        rows = np.stack([self.x, self.z, other.x, other.z]).reshape(2, -1)
+        row, phase = product(rows, self.phase + other.phase)
+        return PauliOperator(row[: self.n], row[self.n :], phase)
 
 
-def symplectic_product(a: np.ndarray, b: np.ndarray) -> int:
-    """Anticommutation indicator of two binary symplectic rows."""
+def product(rows: np.ndarray, phases) -> tuple[np.ndarray, int]:
+    """Symplectic row and phase of the ordered product of rows i^p W(x, z).
+
+    ``rows`` is an m x 2n stack of symplectic rows, multiplied first
+    to last; ``phases`` holds their powers of i (one per row, or their
+    sum).  An empty stack gives the identity.
+    """
+    # i^p W(x, z) = i^(p + x.z) X^x Z^z; moving every X left of every Z
+    # costs (-1)^(z_i . x_j) for i < j, and X^X Z^Z = i^(-X.Z) W(X, Z)
+    rows = np.asarray(rows, dtype=np.uint8)
+    n = rows.shape[1] // 2
+    x, z = rows[:, :n], rows[:, n:]
+    total = np.bitwise_xor.reduce(rows, axis=0)
+    before = np.bitwise_xor.accumulate(z[:-1], axis=0)  # z_1 + ... + z_(j-1)
+    phase = (int(np.asarray(phases).sum()) + np.count_nonzero(x & z)
+             + 2 * np.count_nonzero(before & x[1:])
+             - np.count_nonzero(total[:n] & total[n:]))
+    return total, int(phase) % 4
+
+
+def symplectic_product(a: np.ndarray, b: np.ndarray):
+    """Anticommutation indicator a_x.b_z + a_z.b_x mod 2 of symplectic rows.
+
+    Two rows give 0 or 1; a stack of rows against one row gives a
+    vector, and two stacks give the len(a) x len(b) matrix, all uint8.
+    """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    n = a.size // 2
-    return int((a[:n] & b[n:]).sum() + (a[n:] & b[:n]).sum()) % 2
+    n = b.shape[-1] // 2
+    swapped = np.concatenate([b[..., n:], b[..., :n]], axis=-1)
+    if swapped.ndim == 2:
+        return (a @ swapped.T) & 1  # the uint8 wrap modulo 256 keeps parity
+    # against one row, a masked parity beats numpy's integer matmul
+    return np.bitwise_xor.reduce(a & swapped, axis=-1)
 
 
 def swap_halves(m: F2Matrix) -> F2Matrix:

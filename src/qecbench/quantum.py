@@ -5,7 +5,7 @@ generator, redundant rows allowed).  Logical representatives come
 from the centralizer of the stabilizer group modulo the group itself
 and are arranged in anticommuting X/Z pairs.  Distance is found by
 exhaustive search over low-weight Paulis, guarded by qubit count and
-weight.
+weight.  Commutation and products go through ``pauli``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, DistanceUnknown, NotAbelian, NotCss
 from .f2 import F2Matrix, independent_rows
-from .pauli import PauliOperator, swap_halves, symplectic_product
+from .pauli import PauliOperator, product, swap_halves, symplectic_product
 
 DISTANCE_QUBIT_GUARD = 20
 DISTANCE_WEIGHT_GUARD = 6
@@ -47,33 +47,27 @@ def stabilizer_code(generators) -> StabilizerCode:
     phases, or multiply to -identity along a dependency.
     """
     if isinstance(generators, F2Matrix):
-        h = generators
-        paulis = [PauliOperator.from_bsr(h.row_dense(i)) for i in range(h.rows)]
+        h, phases = generators, []
     else:
         paulis = list(generators)
         if not paulis:
             raise ValueError("need at least one generator (or a check matrix)")
         h = F2Matrix.from_dense(np.stack([p.bsr() for p in paulis]))
+        phases = [p.phase for p in paulis]
     if h.cols % 2:
         raise ValueError("symplectic rows must have even length")
     n = h.cols // 2
 
-    gram = swap_halves(h) @ h.T
-    if not gram.is_zero():
+    rows = h.to_dense()
+    if symplectic_product(rows, rows).any():
         raise NotAbelian("generators do not mutually commute")
-    for p in paulis:
-        if p.phase % 2:
-            raise NotAbelian("generator carries an imaginary phase")
-    # normalize signs to +1 (replacing S by -S fixes the same code family)
-    paulis = [PauliOperator(p.x, p.z, 0) for p in paulis]
-    # a dependent subset multiplying to -I would make the group inconsistent
-    dependencies = h.T.kernel_basis()
-    for dep_row in range(dependencies.rows):
-        dep = dependencies.row_dense(dep_row)
-        prod = PauliOperator.identity(n)
-        for i in np.nonzero(dep)[0]:
-            prod = prod * paulis[i]
-        if prod.phase != 0:
+    if any(p % 2 for p in phases):
+        raise NotAbelian("generator carries an imaginary phase")
+    # signs are normalized to +1 (replacing S by -S fixes the same code
+    # family); a dependent subset multiplying to -I would make the group
+    # inconsistent
+    for dep in h.T.kernel_basis().to_dense():
+        if product(rows[dep == 1], 0)[1] != 0:
             raise NotAbelian("-identity lies in the span of the generators")
 
     k = n - h.rank()
@@ -85,21 +79,16 @@ def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
     if k == 0:
         return F2Matrix(0, 2 * n)
     centralizer = swap_halves(h).kernel_basis()
-    rem = list(centralizer.to_dense()[independent_rows(h, centralizer)])
+    rem = centralizer.to_dense()[independent_rows(h, centralizer)]
     assert len(rem) == 2 * k
     xs, zs = [], []
-    while rem:
-        u = rem.pop(0)
-        j = next(
-            i for i, w in enumerate(rem) if symplectic_product(u, w) == 1
-        )
-        w = rem.pop(j)
-        for i, v in enumerate(rem):
-            if symplectic_product(v, w):
-                v = v ^ u
-            if symplectic_product(v, u):
-                v = v ^ w
-            rem[i] = v
+    while len(rem):
+        u, rem = rem[0], rem[1:]
+        j = int(np.argmax(symplectic_product(rem, u)))  # first partner of u
+        w, rem = rem[j], np.delete(rem, j, axis=0)
+        # a row absorbs u if it anticommutes with w, then w if with u
+        rem = rem ^ symplectic_product(rem, w)[:, None] * u
+        rem = rem ^ symplectic_product(rem, u)[:, None] * w
         xs.append(u)
         zs.append(w)
     return F2Matrix.from_dense(np.stack(xs + zs))
@@ -170,21 +159,17 @@ def distance(code: StabilizerCode, max_weight: int = 3) -> float:
             f"distance search limited to n <= {DISTANCE_QUBIT_GUARD}, "
             f"weight <= {DISTANCE_WEIGHT_GUARD}"
         )
-    hs = swap_halves(code.h).to_dense().astype(np.int64)
-    ls = swap_halves(code.logicals).to_dense().astype(np.int64)
-    n = code.n
+    h, logicals, n = code.h.to_dense(), code.logicals.to_dense(), code.n
     for w in range(1, max_weight + 1):
+        # one row per choice of X, Z or Y on each qubit of the support
+        types = np.array(list(itertools.product((1, 2, 3), repeat=w)), np.uint8)
         for support in itertools.combinations(range(n), w):
-            support = list(support)
-            for types in itertools.product((1, 2, 3), repeat=w):
-                v = np.zeros(2 * n, dtype=np.int64)
-                for q, t in zip(support, types):
-                    v[q] = t & 1          # X component
-                    v[n + q] = (t >> 1) & 1  # Z component
-                if (hs @ v % 2).any():
-                    continue
-                if (ls @ v % 2).any():
-                    return w
+            v = np.zeros((len(types), 2 * n), dtype=np.uint8)
+            v[:, support] = types & 1
+            v[:, np.add(support, n)] = types >> 1
+            commuting = v[~symplectic_product(v, h).any(axis=1)]
+            if symplectic_product(commuting, logicals).any():
+                return w
     raise DistanceUnknown(max_weight)
 
 

@@ -1,5 +1,6 @@
 """Tableau simulation, graph-state measurements, and foliation checks."""
 
+import functools
 import itertools
 import json
 
@@ -217,6 +218,42 @@ def test_measure_argument_validation():
         t.measure_pauli(PauliOperator.identity(2), rng)
 
 
+def test_operator_check_is_shared():
+    t = Tableau([pauli("XI"), pauli("IZ")])
+    rng = np.random.default_rng(0)
+    # an imaginary phase has no +-1 outcome
+    for op in ("+iXI", "-iXI"):
+        with pytest.raises(ValueError, match="Hermitian"):
+            t.deterministic_outcome(pauli(op))
+        with pytest.raises(ValueError, match="Hermitian"):
+            t.measure_pauli(pauli(op), rng)
+    # a fault's phase is irrelevant, its length is not
+    assert t.copy().apply_pauli(pauli("+iZI")).stabilizer(0).to_string() == "-XI"
+    for call in (t.apply_pauli, t.deterministic_outcome,
+                 lambda m: t.measure_pauli(m, rng)):
+        with pytest.raises(ValueError, match="acts on 3 qubits"):
+            call(pauli("XII"))
+        with pytest.raises(ValueError, match="acts on 1 qubits"):
+            call(pauli("X"))
+
+
+def test_qubit_index_check_is_shared():
+    t = Tableau([pauli("XII")], [pauli("IXI"), pauli("IZI")])
+    for bad in ([1.7], 1.7, [True], [0.0, 1]):
+        with pytest.raises(ValueError, match="integer"):
+            t.apply_clifford("H" if np.size(bad) == 1 else "CZ", bad)
+    with pytest.raises(ValueError, match="integer"):
+        t.reduce_tracked(0, [1.0])
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            t.apply_clifford("H", [bad])
+        with pytest.raises(IndexError):
+            t.reduce_tracked(0, [1, bad])
+    assert t.stabilizer(0).to_string() == "+XII"
+    t.apply_clifford("CZ", np.array([0, 1]))
+    assert t.reduce_tracked(0, {0, 1}).to_string() == "+ZXI"
+
+
 def test_copy_isolates_state():
     t = Tableau([pauli("X")])
     u = t.copy()
@@ -384,6 +421,68 @@ def test_deterministic_outcome_matches_group_enumeration(a, pyrng):
         phase = group.get((m.x.tobytes(), m.z.tobytes()))
         want = None if phase is None else (1 if phase == m.phase else -1)
         assert t.deterministic_outcome(m) == want
+
+
+_DENSE = {
+    "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1]),
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "S": np.diag([1, 1j]),
+    "0": np.diag([1, 0]), "1": np.diag([0, 1]),
+}
+
+
+def on_qubits(n, letters):
+    """Dense operator with the given 2 x 2 factors, qubit 0 leftmost."""
+    return functools.reduce(np.kron, [_DENSE[letters.get(q, "I")] for q in range(n)])
+
+
+def dense_pauli(p):
+    body = p.to_string().lstrip("+-i")
+    return 1j ** p.phase * on_qubits(p.n, dict(enumerate(body)))
+
+
+def dense_gate(n, gate, qs):
+    if gate in ("H", "S"):
+        return on_qubits(n, {qs[0]: gate})
+    target = "X" if gate == "CX" else "Z"
+    return on_qubits(n, {qs[0]: "0"}) + on_qubits(n, {qs[0]: "1", qs[1]: target})
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs(max_n=4), st.randoms(use_true_random=False))
+def test_signs_match_a_state_vector(a, pyrng):
+    """Run the tableau next to a dense state vector: every outcome it
+    draws has nonzero probability, every stabilizer fixes the state and
+    every deterministic outcome is the expectation value."""
+    n = a.shape[0]
+    t, rng = graph_state(a), np.random.default_rng(pyrng.randrange(2**32))
+    psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    for u, v in zip(*np.nonzero(np.triu(a))):
+        psi = dense_gate(n, "CZ", (u, v)) @ psi
+    for _ in range(10):
+        kind = pyrng.random()
+        if kind < 0.4:
+            gate = pyrng.choice(["H", "S", "CX", "CZ"])
+            qs = pyrng.sample(range(n), len(gate))
+            t.apply_clifford(gate, qs)
+            psi = dense_gate(n, gate, qs) @ psi
+        elif kind < 0.5:
+            fault = random_pauli(pyrng, n)
+            t.apply_pauli(fault)
+            psi = dense_pauli(fault) @ psi
+        else:
+            m = random_pauli(pyrng, n)
+            outcome, _ = t.measure_pauli(m, rng)
+            psi = (psi + outcome * dense_pauli(m) @ psi) / 2
+            norm = np.linalg.norm(psi)
+            assert norm > 1e-6, "the tableau drew an impossible outcome"
+            psi /= norm
+    for i in range(t.n_stabilizers):
+        assert np.allclose(dense_pauli(t.stabilizer(i)) @ psi, psi)
+    m = random_pauli(pyrng, n)
+    expectation = np.vdot(psi, dense_pauli(m) @ psi).real
+    want = round(expectation) if abs(expectation) > 0.5 else None
+    assert t.deterministic_outcome(m) == want
 
 
 def code_tableau(code):

@@ -1,0 +1,36 @@
+"""Module boundaries inside the package."""
+
+import ast
+from pathlib import Path
+
+import qecbench
+
+PACKAGE = Path(qecbench.__file__).parent
+
+
+def private_imports(source: str):
+    """Underscore-prefixed names a module imports from a sibling module."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").split(".")[0] == "qecbench"
+        if sibling:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [f"{path.name}:{line} imports {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in private_imports(path.read_text())]
+    assert found == []
+
+
+def test_private_import_detection():
+    src = ("from .pauli import PauliOperator, _phase_contrib\n"
+           "from qecbench.f2 import _pack\n"
+           "from numpy import _globals\n"
+           "from . import __version__\n")
+    assert list(private_imports(src)) == [
+        (1, "_phase_contrib"), (2, "_pack"), (4, "__version__")]

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qecbench.f2 import F2Matrix
-from qecbench.pauli import PauliOperator, swap_halves, symplectic_product
+from qecbench.pauli import PauliOperator, product, swap_halves, symplectic_product
 
 
 def pauli_strings(n):
@@ -90,3 +92,57 @@ def test_lambda_matrix_and_swap():
 
 def test_weight():
     assert PauliOperator.from_string("IXYZI").weight() == 3
+
+
+# -- dense reference ----------------------------------------------------------
+
+_SINGLE = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]]),
+}
+
+
+def dense(row, phase=0):
+    """The 2^n x 2^n matrix i^phase W(x, z), qubit 0 the leftmost factor."""
+    n = len(row) // 2
+    factors = [_SINGLE[(int(row[q]), int(row[n + q]))] for q in range(n)]
+    return 1j ** phase * functools.reduce(np.kron, factors)
+
+
+@st.composite
+def signed_rows(draw, n=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    m = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m * 2 * n,
+                         max_size=m * 2 * n))
+    phases = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    return np.array(bits, np.uint8).reshape(m, 2 * n), np.array(phases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_rows())
+def test_product_matches_dense_matrices(case):
+    rows, phases = case
+    row, phase = product(rows, phases)
+    want = functools.reduce(np.matmul, map(dense, rows, phases))
+    assert np.allclose(dense(row, phase), want)
+    # the operator product is the two-row case
+    n = rows.shape[1] // 2
+    ops = [PauliOperator(r[:n], r[n:], int(p)) for r, p in zip(rows, phases)]
+    got = functools.reduce(lambda a, b: a * b, ops)
+    assert (got.bsr().tolist(), got.phase) == (row.tolist(), phase)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(signed_rows(n), signed_rows(n))))
+def test_symplectic_product_matches_dense_commutation(case):
+    (a, _), (b, _) = case
+    got = symplectic_product(a, b)
+    assert got.shape == (len(a), len(b))
+    for i, j in np.ndindex(got.shape):
+        u, v = dense(a[i]), dense(b[j])
+        assert got[i, j] == (not np.allclose(u @ v, v @ u))
+        assert symplectic_product(a[i], b[j]) == got[i, j]
+    assert np.array_equal(symplectic_product(a, b[0]), got[:, 0])

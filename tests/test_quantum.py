@@ -12,8 +12,9 @@ from qecbench.errors import (
     NotCss,
 )
 from qecbench.descriptors import load, save_css_code, save_stabilizer_code
-from qecbench.f2 import F2Matrix, block_diag, vstack
-from qecbench.pauli import PauliOperator, symplectic_product
+from qecbench.bench import build_code
+from qecbench.f2 import F2Matrix, block_diag, independent_rows, vstack
+from qecbench.pauli import PauliOperator, swap_halves, symplectic_product
 from qecbench.quantum import (
     CssCode,
     StabilizerCode,
@@ -55,6 +56,11 @@ def test_minus_identity_in_span_rejected():
         stabilizer_code(gens)
 
 
+def test_odd_check_matrix_rejected_by_its_own_check():
+    with pytest.raises(ValueError, match="symplectic rows must have even length"):
+        stabilizer_code(F2Matrix.from_dense([[1, 0, 1]]))
+
+
 def test_imaginary_generator_rejected():
     with pytest.raises(NotAbelian):
         stabilizer_code([PauliOperator.from_string("+iXX")])
@@ -80,6 +86,40 @@ def test_logical_pairing_five_qubit():
     for i in range(code.h.rows):
         assert symplectic_product(l.row_dense(0), code.h.row_dense(i)) == 0
         assert symplectic_product(l.row_dense(1), code.h.row_dense(i)) == 0
+
+
+def reference_pairs(h):
+    """Logical pairs by the per-row loop that the row-stack code replaced."""
+    centralizer = swap_halves(h).kernel_basis()
+    rem = list(centralizer.to_dense()[independent_rows(h, centralizer)])
+    xs, zs = [], []
+    while rem:
+        u = rem.pop(0)
+        w = rem.pop(next(i for i, w in enumerate(rem) if symplectic_product(u, w)))
+        for i, v in enumerate(rem):
+            if symplectic_product(v, w):
+                v = v ^ u
+            if symplectic_product(v, u):
+                v = v ^ w
+            rem[i] = v
+        xs.append(u)
+        zs.append(w)
+    return np.stack(xs + zs)
+
+
+@pytest.mark.parametrize(
+    "spec", ["surface 2", "surface 3", "surface 4", "hgp hamming transpose hamming"])
+def test_logical_pairs_match_the_loop_reference(spec):
+    css = build_code(spec)
+    h = block_diag([css.hx, css.hz])
+    got = stabilizer_code(h).logicals.to_dense()
+    assert np.array_equal(got, reference_pairs(h))
+    k = len(got) // 2
+    pairing = symplectic_product(got, got)
+    assert np.array_equal(pairing, np.kron([[0, 1], [1, 0]], np.eye(k, dtype=np.uint8)))
+    assert not symplectic_product(got, h.to_dense()).any()
+    five = five_qubit_code()
+    assert np.array_equal(five.logicals.to_dense(), reference_pairs(five.h))
 
 
 def test_tls_basis_spans_everything():
