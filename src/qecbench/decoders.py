@@ -6,9 +6,11 @@ minimum (min-sum) with the syndrome folded in as a sign; both take the
 value over a check's other edges from one prefix/suffix scan, so
 degree-1 checks and saturated messages need no division or sort.  OSD
 re-solves the syndrome on the most-reliable independent column set;
-order-w reprocessing sweeps low-weight patterns on the remaining
-columns.  Exhaustive MWD/MLD enumerate a solution coset and serve as
-oracles for everything else.
+order-w reprocessing sweeps every pattern of at most w remaining
+columns in array blocks: a candidate is the OSD-0 solution XOR each
+chosen column with the pivot bits it couples to, costed by one product
+with |soft|.  Exhaustive MWD/MLD enumerate a solution coset and serve
+as oracles for everything else.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .noise import DecodingProblem
 MWD_COLUMN_GUARD = 24
 MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
+OSD_BLOCK = 512  # candidates scored per array step of osd_w
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
     """Rank columns, eliminate, and split the syndrome solve.
 
     Returns (pivots, free columns, base pivot values ts, pivot-row
-    coupling R restricted to the free columns).
+    coupling R restricted to the free columns).  NaN soft information
+    has no rank, so it raises ValueError; +-inf is legal.
     """
     s = np.asarray(s, dtype=np.uint8) & 1
     soft = np.asarray(soft, dtype=np.float64)
@@ -155,6 +159,8 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
         raise ValueError("soft information length does not match column count")
     if s.shape != (h.rows,):
         raise ValueError("syndrome length does not match row count")
+    if np.isnan(soft).any():
+        raise ValueError("soft information contains NaN")
     order = np.argsort(soft, kind="stable")  # most likely in error first
     # s rides along as column h.cols of [H | s], so that column ends as T s
     elim = hstack([h, F2Matrix.from_dense(s[:, None])]).eliminate(order)
@@ -178,38 +184,74 @@ def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return c
 
 
-def _osd_candidates(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
-    """Yield every order-w candidate as (cost key, correction)."""
+def _patterns(f: int, w: int):
+    """Subsets of range(f) of at most w elements, in the order of
+    itertools.combinations, as (<= OSD_BLOCK, weight) index blocks."""
+    yield np.zeros((1, 0), dtype=np.intp)
+    for weight in range(1, min(w, f) + 1):
+        if weight <= 2:
+            rows = (np.arange(f)[:, None] if weight == 1
+                    else np.transpose(np.triu_indices(f, 1)))
+            yield from np.split(rows, range(OSD_BLOCK, len(rows), OSD_BLOCK))
+            continue
+        combos = itertools.combinations(range(f), weight)
+        while (block := np.fromiter(itertools.islice(combos, OSD_BLOCK),
+                                    (np.intp, weight))).size:
+            yield block
+
+
+def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
+    """Yield every order-w candidate in blocks (corrections, approximate soft weights)."""
     pivots, free, base, coupling = _osd_prepare(h, s, soft)
-    soft = np.asarray(soft, dtype=np.float64)
-    reliability = np.abs(soft)
     total = sum(math.comb(free.size, i) for i in range(0, w + 1))
     if total > OSD_CANDIDATE_GUARD:
         raise CapacityExceeded(
             f"{total} reprocessing candidates exceed {OSD_CANDIDATE_GUARD}"
         )
-    for weight in range(0, min(w, free.size) + 1):
-        for subset in itertools.combinations(range(free.size), weight):
-            c = np.zeros(h.cols, dtype=np.uint8)
-            bits = base.copy()
-            for j in subset:
-                bits ^= coupling[:, j]
-                c[free[j]] = 1
-            c[pivots] = bits
-            cost = float(reliability[c == 1].sum())
-            yield (cost, int(c.sum()), c.tobytes()), c
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    infinite = np.isinf(reliability)
+    finite = np.where(infinite, 0.0, reliability)  # 0 * inf would be NaN in the sum
+    # row j < free.size flips free column j and the pivot bits it couples
+    # to; the last row is the osd0 solution
+    flips = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
+    flips[np.arange(free.size), free] = 1
+    flips[:, pivots] = np.vstack([coupling.T, base])
+    for idx in _patterns(free.size, w):
+        c = np.repeat(flips[-1:], len(idx), axis=0)
+        for j in idx.T:
+            c ^= flips[j]
+        cost = np.einsum("ij,j->i", c, finite)  # no float64 copy of c, unlike c @ finite
+        cost[c[:, infinite].any(axis=1)] = np.inf
+        yield c, cost
+
+
+def _key(c: np.ndarray, reliability: np.ndarray):
+    return float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()
+
+
+def _osd_candidates(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
+    """Yield every order-w candidate as (cost key, correction)."""
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    for block, _ in _osd_blocks(h, s, soft, w):
+        for c in block:
+            yield _key(c, reliability), c
 
 
 def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     """Order-w reprocessing: best candidate by soft weight.
 
-    Ties break by Hamming weight, then lexicographically, so the
-    result is deterministic for any input ordering.
+    Candidates are scored OSD_BLOCK at a time by one product with
+    |soft|, which rounds in another order than the exact soft weight;
+    the rows within an h.cols-term rounding error of a block's minimum
+    are ranked exactly by soft weight, then Hamming weight, then bytes,
+    so the result is unique.  NaN soft raises ValueError; +-inf is legal.
     """
     if w < 0:
         raise ValueError("need w >= 0")
-    # keys end in the correction's bytes, so the minimum is unique
-    return min(_osd_candidates(h, s, soft, w), key=lambda kc: kc[0])[1]
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    near = (c for block, cost in _osd_blocks(h, s, soft, w)
+            for c in block[cost <= cost.min() * (1 + h.cols * 2.0**-50)])
+    return min(near, key=lambda c: _key(c, reliability))
 
 
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),

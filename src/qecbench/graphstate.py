@@ -91,10 +91,10 @@ class Tableau:
     def __init__(self, stabilizers, tracked_logicals=(), n=None):
         stabs = list(stabilizers)
         logicals = list(tracked_logicals)
-        if stabs:
+        if n is None:
+            if not stabs:
+                raise ValueError("need qubit count for a stabilizer-free tableau")
             n = stabs[0].n
-        elif n is None:
-            raise ValueError("need qubit count for a stabilizer-free tableau")
         s, l = (np.reshape([_operator(p, n) for p in ops], (len(ops), 2 * n))
                 .astype(np.uint8) for ops in (stabs, logicals))
         if symplectic_product(s, s).any():

@@ -25,8 +25,11 @@ class PauliOperator:
     __slots__ = ("x", "z", "phase")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, phase: int = 0):
-        self.x = np.asarray(x, dtype=np.uint8) & 1
-        self.z = np.asarray(z, dtype=np.uint8) & 1
+        x, z = np.asarray(x), np.asarray(z)
+        self.x = x.astype(np.uint8, copy=False) & 1
+        self.z = z.astype(np.uint8, copy=False) & 1
+        if np.count_nonzero(self.x != x) or np.count_nonzero(self.z != z):
+            raise ValueError("Pauli x and z entries must be 0 or 1")
         if self.x.shape != self.z.shape:
             raise ValueError("x and z supports differ in length")
         self.phase = phase % 4
@@ -65,7 +68,7 @@ class PauliOperator:
 
     @classmethod
     def from_bsr(cls, vec: np.ndarray, sign: int = 1) -> "PauliOperator":
-        vec = np.asarray(vec, dtype=np.uint8) & 1
+        vec = np.asarray(vec)
         n = vec.size // 2
         return cls(vec[:n], vec[n:], 0 if sign == 1 else 2)
 

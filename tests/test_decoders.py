@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from qecbench.classical import hamming74
@@ -17,6 +17,7 @@ from qecbench.decoders import (
     osd_w,
     success,
     _osd_candidates,
+    _osd_prepare,
     _others,
 )
 from qecbench.errors import CapacityExceeded, Unsatisfiable
@@ -307,6 +308,77 @@ def test_osd_candidate_guard():
     h = F2Matrix.from_dense(np.ones((1, 40), dtype=np.uint8))
     with pytest.raises(CapacityExceeded):
         osd_w(h, np.array([1], dtype=np.uint8), np.zeros(40), 7)
+
+
+def _osd_w_loop(h, s, soft, w):
+    """Reference order-w sweep: one correction built per candidate."""
+    pivots, free, base, coupling = _osd_prepare(h, s, soft)
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    best_key, best = None, None
+    for weight in range(0, min(w, free.size) + 1):
+        for subset in itertools.combinations(range(free.size), weight):
+            c = np.zeros(h.cols, dtype=np.uint8)
+            bits = base.copy()
+            for j in subset:
+                bits ^= coupling[:, j]
+                c[free[j]] = 1
+            c[pivots] = bits
+            key = (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes())
+            if best_key is None or key < best_key:
+                best_key, best = key, c
+    return best
+
+
+_decimals = st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 1.1, 2.2, 3.3])
+
+
+@st.composite
+def osd_instances(draw):
+    """Satisfiable (H, s, soft, w) with exact ties, rounding and infinities."""
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 11))
+    h = F2Matrix.from_dense(draw(arrays(np.uint8, (r, c), elements=st.integers(0, 1))))
+    e = draw(arrays(np.uint8, c, elements=st.integers(0, 1)))
+    magnitude = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),                    # integer sums tie exactly
+        st.builds(lambda d, sign: sign * d, _decimals, st.sampled_from([-1.0, 1.0])),
+        st.floats(-5, 5) | st.sampled_from([np.inf, -np.inf]),
+    ]))
+    soft = np.array(draw(st.lists(magnitude, min_size=c, max_size=c)))
+    return h, h.matvec(e), soft, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(osd_instances())
+@example((F2Matrix.from_dense([[1, 0, 1], [0, 1, 1]]), np.array([1, 1], dtype=np.uint8),
+          np.array([-0.1, -0.2, -0.3]), 1))  # 0.1 + 0.2 weighs more than 0.3
+@example((F2Matrix.from_dense([[1, 0, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1, 0, 1],
+                               [0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 0, 1, 1, 0],
+                               [1, 0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0, 0]]),
+          np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8),
+          np.array([0.1, 0.3, -0.7, -0.2, 0.1, 0.2, -0.2]), 1))  # block sum and key round apart
+def test_osd_w_matches_the_candidate_loop(instance):
+    h, s, soft, w = instance
+    assert np.array_equal(osd_w(h, s, soft, w), _osd_w_loop(h, s, soft, w))
+
+
+@pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],
+                         ids=["osd0", "osd_w"])
+def test_osd_rejects_nan_soft_information(decoder):
+    h = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ValueError, match="NaN"):
+        decoder(h, np.array([1, 0], dtype=np.uint8), np.array([0.5, np.nan, 1.0]))
+
+
+def test_osd_w_accepts_infinite_soft_information():
+    h = F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]])
+    s = np.array([1, 1], dtype=np.uint8)
+    for soft in ([np.inf, -1.0, np.inf, 2.0], [-np.inf, np.inf, 0.5, -np.inf]):
+        soft = np.array(soft)
+        for w in range(3):
+            c = osd_w(h, s, soft, w)
+            assert np.array_equal(h.matvec(c), s)
+            assert np.array_equal(c, _osd_w_loop(h, s, soft, w))
 
 
 def test_bp_osd_passthrough_when_converged():

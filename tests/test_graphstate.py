@@ -76,6 +76,9 @@ def test_tableau_rejects_bad_generators():
         Tableau([pauli("XI")], [pauli("ZI")])  # anticommutes with the stabilizer
     with pytest.raises(ValueError):
         Tableau([])
+    with pytest.raises(ValueError, match="acts on 1 qubits, the tableau on 3"):
+        Tableau([pauli("X")], n=3)
+    assert Tableau([pauli("XI")], n=2).n == Tableau([], n=2).n == 2
     # a product of tracked logicals inside the stabilizer group
     with pytest.raises(ValueError, match="stabilizer group"):
         Tableau([pauli("XX")], [pauli("XX")])

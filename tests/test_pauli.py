@@ -78,6 +78,15 @@ def test_bsr_layout():
     assert q.to_string() == "+XZZXI"
 
 
+@pytest.mark.parametrize("x, z", [([2, 3], [0, 1]), ([256], [0]), ([0], [-1]), ([0.5], [0])])
+def test_rejects_non_binary_entries(x, z):
+    with pytest.raises(ValueError, match="0 or 1"):
+        PauliOperator(np.array(x), np.array(z))
+    with pytest.raises(ValueError, match="0 or 1"):
+        PauliOperator.from_bsr(np.concatenate([x, z]))
+    assert PauliOperator([True, 1.0], [0, 1]).to_string() == "+XY"
+
+
 def test_lambda_matrix_and_swap():
     zero, one = np.zeros((3, 3), np.uint8), np.eye(3, dtype=np.uint8)
     lam = F2Matrix.from_dense(np.block([[zero, one], [one, zero]]))
