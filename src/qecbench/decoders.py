@@ -189,15 +189,10 @@ def _patterns(f: int, w: int):
     itertools.combinations, as (<= OSD_BLOCK, weight) index blocks."""
     yield np.zeros((1, 0), dtype=np.intp)
     for weight in range(1, min(w, f) + 1):
-        if weight <= 2:
-            rows = (np.arange(f)[:, None] if weight == 1
-                    else np.transpose(np.triu_indices(f, 1)))
-            yield from np.split(rows, range(OSD_BLOCK, len(rows), OSD_BLOCK))
-            continue
         combos = itertools.combinations(range(f), weight)
-        while (block := np.fromiter(itertools.islice(combos, OSD_BLOCK),
-                                    (np.intp, weight))).size:
-            yield block
+        while (flat := np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, OSD_BLOCK)), np.intp)).size:
+            yield flat.reshape(-1, weight)
 
 
 def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
@@ -225,16 +220,10 @@ def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
         yield c, cost
 
 
-def _key(c: np.ndarray, reliability: np.ndarray):
-    return float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()
-
-
 def _osd_candidates(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
-    """Yield every order-w candidate as (cost key, correction)."""
-    reliability = np.abs(np.asarray(soft, dtype=np.float64))
-    for block, _ in _osd_blocks(h, s, soft, w):
-        for c in block:
-            yield _key(c, reliability), c
+    """Yield every order-w candidate as (approximate soft weight, correction)."""
+    for block, cost in _osd_blocks(h, s, soft, w):
+        yield from zip(cost, block)
 
 
 def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
@@ -251,7 +240,7 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
     near = (c for block, cost in _osd_blocks(h, s, soft, w)
             for c in block[cost <= cost.min() * (1 + h.cols * 2.0**-50)])
-    return min(near, key=lambda c: _key(c, reliability))
+    return min(near, key=lambda c: (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()))
 
 
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),

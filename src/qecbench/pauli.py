@@ -19,17 +19,25 @@ _BITS = {v: k for k, v in _LETTERS.items()}
 _PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
+def _bits(v) -> np.ndarray:
+    """A uint8 copy of a 0/1 vector."""
+    v = np.asarray(v)
+    bits = v.astype(np.uint8)
+    # a byte other than 0 or 1 survives the delete; a cast from another
+    # dtype must also be exact (256 and 0.5 both cast to 0)
+    if bits.tobytes().translate(None, b"\0\1") or (
+            v.dtype != np.uint8 and not np.array_equal(bits, v)):
+        raise ValueError("Pauli x and z entries must be 0 or 1")
+    return bits
+
+
 class PauliOperator:
     """Signed Pauli string; phase is tracked as an exponent of i."""
 
     __slots__ = ("x", "z", "phase")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, phase: int = 0):
-        x, z = np.asarray(x), np.asarray(z)
-        self.x = x.astype(np.uint8, copy=False) & 1
-        self.z = z.astype(np.uint8, copy=False) & 1
-        if np.count_nonzero(self.x != x) or np.count_nonzero(self.z != z):
-            raise ValueError("Pauli x and z entries must be 0 or 1")
+        self.x, self.z = _bits(x), _bits(z)
         if self.x.shape != self.z.shape:
             raise ValueError("x and z supports differ in length")
         self.phase = phase % 4

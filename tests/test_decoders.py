@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qecbench.decoders import (
     _osd_candidates,
     _osd_prepare,
     _others,
+    _patterns,
 )
 from qecbench.errors import CapacityExceeded, Unsatisfiable
 from qecbench.f2 import F2Matrix
@@ -304,6 +306,21 @@ def test_reprocessing_beats_osd0_on_dependent_columns():
     assert best.tolist() == [0, 0, 1]
 
 
+def test_osd_patterns_stay_one_block_in_memory():
+    # 2,001,001 patterns over 2,000 free columns; the first weight-2
+    # blocks must not cost memory of order the pair count (32 MB of
+    # index pairs), only of order one block
+    tracemalloc.start()
+    try:
+        blocks = list(itertools.islice(_patterns(2000, 2), 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(b) for b in blocks] == [1, 512, 512, 512, 464, 512, 512, 512]
+    assert blocks[-1][0].tolist() == [0, 1025] and blocks[-1].shape == (512, 2)
+    assert peak < 1_000_000
+
+
 def test_osd_candidate_guard():
     h = F2Matrix.from_dense(np.ones((1, 40), dtype=np.uint8))
     with pytest.raises(CapacityExceeded):
@@ -357,6 +374,10 @@ def osd_instances(draw):
                                [1, 0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0, 0]]),
           np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8),
           np.array([0.1, 0.3, -0.7, -0.2, 0.1, 0.2, -0.2]), 1))  # block sum and key round apart
+@example((F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]]), np.array([1, 1], dtype=np.uint8),
+          np.array([np.inf, -1.0, np.inf, 2.0]), 2))
+@example((F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]]), np.array([1, 1], dtype=np.uint8),
+          np.array([-np.inf, np.inf, 0.5, -np.inf]), 2))
 def test_osd_w_matches_the_candidate_loop(instance):
     h, s, soft, w = instance
     assert np.array_equal(osd_w(h, s, soft, w), _osd_w_loop(h, s, soft, w))
@@ -368,17 +389,6 @@ def test_osd_rejects_nan_soft_information(decoder):
     h = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
     with pytest.raises(ValueError, match="NaN"):
         decoder(h, np.array([1, 0], dtype=np.uint8), np.array([0.5, np.nan, 1.0]))
-
-
-def test_osd_w_accepts_infinite_soft_information():
-    h = F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]])
-    s = np.array([1, 1], dtype=np.uint8)
-    for soft in ([np.inf, -1.0, np.inf, 2.0], [-np.inf, np.inf, 0.5, -np.inf]):
-        soft = np.array(soft)
-        for w in range(3):
-            c = osd_w(h, s, soft, w)
-            assert np.array_equal(h.matvec(c), s)
-            assert np.array_equal(c, _osd_w_loop(h, s, soft, w))
 
 
 def test_bp_osd_passthrough_when_converged():
