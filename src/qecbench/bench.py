@@ -238,12 +238,14 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
     problems, sample = _noise(code, cfg.noise, rate)
 
     def run(problem, e):
-        s = problem.h.matvec(e)
         if kind == "mld":
             # class output; the trivial coset need not win at s = 0,
-            # so no zero-syndrome shortcut here
-            winner = exhaustive_mld(problem, s)
-            return bool(np.array_equal(winner, problem.l.matvec(e))), 0
+            # so no zero-syndrome shortcut here.  One [H; L] parity
+            # gives the syndrome and the true class L e.
+            s_and_class = problem.tanner_hl.parity(e)
+            winner = exhaustive_mld(problem, s_and_class[:problem.h.rows])
+            return bool(np.array_equal(winner, s_and_class[problem.h.rows:])), 0
+        s = problem.tanner.parity(e)
         if s.any():
             c, _, iters = decode(problem, s, kind, order, cfg.bp)
         else:

@@ -81,53 +81,47 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     update, hard-decides on the posterior sign (ties decide "no
     fault"), and tests the syndrome equation.
     """
-    h = problem.h
+    g = problem.tanner
+    rows, cols = g.shape
     s = np.asarray(s, dtype=np.uint8) & 1
-    if s.shape != (h.rows,):
-        raise ValueError(f"syndrome length {s.size} does not match {h.rows} checks")
+    if s.shape != (rows,):
+        raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
     clamp = cfg.llr_clamp
     lam = np.clip(problem.prior.llr, -clamp, clamp)
-
-    dense = h.to_dense()
-    checks, vars_ = np.nonzero(dense)
-    n_edges = checks.size
-    if n_edges == 0:
+    if g.col.size == 0:
         correction = (lam < 0).astype(np.uint8)
-        converged = bool(np.array_equal(h.matvec(correction), s))
-        return DecodeResult(correction, converged, 1, lam.copy())
+        converged = bool(np.array_equal(g.parity(correction), s))
+        return DecodeResult(correction, converged, 1, lam)
 
-    # pad edges into per-check rows so the extrinsic value is a
-    # prefix/suffix scan along each row
-    degrees = np.bincount(checks, minlength=h.rows)
-    dmax = int(degrees.max())
-    # np.nonzero is row-major, so a check's edges are contiguous
-    edge_slot = np.arange(n_edges) - (np.cumsum(degrees) - degrees)[checks]
+    # edges are padded into per-check rows of dmax slots, so the
+    # extrinsic value is a prefix/suffix scan along each row
+    checks, vars_, edge_slot, dmax = g.row, g.col, g.slot, g.dmax
     edge_sign = (1.0 - 2.0 * s)[checks]
 
     msg_v2c = lam[vars_]
     # max_iterations >= 1, so the loop binds every name it returns
     for iterations in range(1, cfg.max_iterations + 1):
         if cfg.variant == "sum-product":
-            tanh_half = np.ones((h.rows, dmax))
+            tanh_half = np.ones((rows, dmax))
             tanh_half[checks, edge_slot] = np.tanh(msg_v2c / 2.0)
             extrinsic = _others(tanh_half, np.multiply, 1.0)[checks, edge_slot]
             with np.errstate(divide="ignore"):
                 update = 2.0 * np.arctanh(extrinsic)
             msg_c2v = np.clip(edge_sign * update, -clamp, clamp)
         else:
-            mags = np.full((h.rows, dmax), np.inf)
+            mags = np.full((rows, dmax), np.inf)
             mags[checks, edge_slot] = np.abs(msg_v2c)
             ext_min = _others(mags, np.minimum, np.inf)[checks, edge_slot]
             ext_min = np.where(np.isinf(ext_min), clamp, ext_min)  # degree-1 checks
             signs = np.where(msg_v2c < 0, -1.0, 1.0)
-            sign_rows = np.ones((h.rows, dmax))
+            sign_rows = np.ones((rows, dmax))
             sign_rows[checks, edge_slot] = signs
             ext_sign = sign_rows.prod(axis=1)[checks] * signs  # exact for +-1
             msg_c2v = np.clip(
                 cfg.min_sum_scale * edge_sign * ext_sign * ext_min, -clamp, clamp
             )
 
-        incoming = np.zeros(h.cols)
+        incoming = np.zeros(cols)
         np.add.at(incoming, vars_, msg_c2v)
         posterior = lam + incoming
         msg_v2c = np.clip(posterior[vars_] - msg_c2v, -clamp, clamp)
@@ -136,7 +130,7 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
         # every round: without early stopping a later sweep may undo an
         # intermediate syndrome match
         correction = (posterior < 0).astype(np.uint8)
-        converged = bool(np.array_equal(h.matvec(correction), s))
+        converged = bool(np.array_equal(g.parity(correction), s))
         if converged and cfg.early_stop:
             break
 
@@ -237,6 +231,8 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     """
     if w < 0:
         raise ValueError("need w >= 0")
+    if w == 0:  # the sweep's only candidate is the osd0 solution
+        return osd0(h, s, soft)
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
     near = (c for block, cost in _osd_blocks(h, s, soft, w)
             for c in block[cost <= cost.min() * (1 + h.cols * 2.0**-50)])
@@ -324,11 +320,11 @@ class SuccessReport:
 def success(correction: np.ndarray, error: np.ndarray,
             problem: DecodingProblem) -> SuccessReport:
     """Validity is H(c+e) = 0; success additionally needs L c = L e."""
-    c = np.asarray(correction, dtype=np.uint8) & 1
-    e = np.asarray(error, dtype=np.uint8) & 1
+    c = np.asarray(correction, dtype=np.uint8)
+    e = np.asarray(error, dtype=np.uint8)
     if c.shape != e.shape or c.shape != (problem.h.cols,):
         raise ValueError("correction/error lengths do not match the problem")
-    residual = (c + e) & 1
-    valid = not problem.h.matvec(residual).any()
-    ok = valid and not problem.l.matvec(residual).any()
+    parity = problem.tanner_hl.parity(c ^ e)  # H(c+e) over L(c+e)
+    valid = not parity[:problem.h.rows].any()
+    ok = valid and not parity[problem.h.rows:].any()
     return SuccessReport(valid=valid, success=ok)

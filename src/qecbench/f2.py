@@ -259,6 +259,40 @@ def independent_rows(base: F2Matrix, candidates: F2Matrix) -> list[int]:
     return [p - base.rows for p in res.pivot_columns if p >= base.rows]
 
 
+class SparseRows:
+    """Row-major edge list of a fixed matrix, and its row parities.
+
+    Edge k is the nonzero at (row[k], col[k]); a row's edges are
+    contiguous, and slot[k] is the position of edge k in its row (dmax
+    is the largest row degree).  Every array is read-only.
+    """
+
+    def __init__(self, m: F2Matrix):
+        self.shape = (m.rows, m.cols)
+        self.row, self.col = np.nonzero(m.to_dense())
+        degree = np.bincount(self.row, minlength=m.rows)
+        start = np.cumsum(degree) - degree
+        self.slot = np.arange(self.row.size) - start[self.row]
+        self.dmax = int(degree.max(initial=0))
+        # reduceat returns v[start] for an empty row and rejects a start
+        # equal to the edge count, so empty rows are left out of it
+        rows = np.flatnonzero(degree)
+        self._starts = start[rows]
+        self._rows = slice(None) if rows.size == m.rows else rows  # a slice assigns faster
+        for a in (self.row, self.col, self.slot, rows, self._starts):
+            a.flags.writeable = False
+
+    def parity(self, v: np.ndarray) -> np.ndarray:
+        """M v over GF(2) as uint8, from the low bit of each entry of integer v."""
+        v = np.asarray(v)
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"expected vector of length {self.shape[1]}, got {v.shape}")
+        out = np.zeros(self.shape[0], dtype=np.uint8)
+        if self._starts.size:
+            out[self._rows] = np.bitwise_xor.reduceat(v[self.col], self._starts) & 1
+        return out
+
+
 # -- assembly ------------------------------------------------------------
 
 

@@ -10,11 +10,12 @@ a Y fault hits both check types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classical import LinearCode, encoding_matrix
-from .f2 import F2Matrix, hstack, vstack
+from .f2 import F2Matrix, SparseRows, hstack, vstack
 from .pauli import PauliOperator
 from .quantum import CssCode
 
@@ -37,11 +38,13 @@ class Prior:
     def __len__(self) -> int:
         return self.p.size
 
-    @property
+    @cached_property
     def llr(self) -> np.ndarray:
-        """log((1-p)/p) per fault; +inf where p = 0, 0 where p = 1/2."""
+        """log((1-p)/p) per fault; +inf where p = 0, 0 where p = 1/2.  Read-only."""
         with np.errstate(divide="ignore"):
-            return np.log1p(-self.p) - np.log(self.p)
+            llr = np.log1p(-self.p) - np.log(self.p)
+        llr.flags.writeable = False
+        return llr
 
 
 def uniform_prior(n: int, p: float) -> Prior:
@@ -55,6 +58,16 @@ class DecodingProblem:
     h: F2Matrix
     l: F2Matrix
     prior: Prior
+
+    @cached_property
+    def tanner(self) -> SparseRows:
+        """Edge list of H, built on first use: BP's graph and the syndrome kernel."""
+        return SparseRows(self.h)
+
+    @cached_property
+    def tanner_hl(self) -> SparseRows:
+        """Edge list of [H; L]: a syndrome and a logical class in one parity."""
+        return SparseRows(vstack([self.h, self.l]))
 
     def __repr__(self) -> str:
         return (

@@ -23,10 +23,13 @@ from qecbench.decoders import BpConfig, exhaustive_mld, success
 from qecbench.errors import CapacityExceeded
 from qecbench.homology import surface_code
 from qecbench.descriptors import save_problem
+from qecbench.f2 import F2Matrix
 from qecbench.noise import (
     classical_problem,
+    decoding_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
+    uniform_prior,
 )
 from qecbench.quantum import StabilizerCode, css_code, four_two_two_checks
 
@@ -300,6 +303,21 @@ def test_pinned_min_sum_counts(code, noise, decoder, failures, iterations):
     """The min-sum check update keeps its seeded failure and iteration counts."""
     cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05,),
                           trials=300, seed=5, bp=BpConfig(variant="min-sum"))
+    rec = run_benchmark(cfg).records[0]
+    assert (rec.failures, rec.mean_iterations) == (failures, iterations / 300)
+
+
+@pytest.mark.parametrize("decoder,failures,iterations", [("bp", 18, 580), ("bp+osd 1", 15, 580)])
+def test_pinned_counts_with_empty_checks(tmp_path, decoder, failures, iterations):
+    """A problem file whose H has zero-degree checks, one of them last,
+    keeps its seeded counts (edge-list parities skip empty rows)."""
+    code = surface_code(3)
+    h = np.insert(code.hx.to_dense(), [2, code.hx.rows], 0, axis=0)
+    path = tmp_path / "p.json"
+    save_problem(decoding_problem(F2Matrix.from_dense(h), code.lx,
+                                  uniform_prior(code.n, 0.1)), path)
+    cfg = BenchmarkConfig(code=f"problem {path}", noise="generic", decoder=decoder,
+                          rates=(0.05,), trials=300, seed=5)
     rec = run_benchmark(cfg).records[0]
     assert (rec.failures, rec.mean_iterations) == (failures, iterations / 300)
 

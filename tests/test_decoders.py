@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from qecbench.bench import build_code
 from qecbench.classical import hamming74
 from qecbench.decoders import (
     BpConfig,
@@ -246,6 +248,57 @@ def test_config_validation():
         BpConfig(min_sum_scale=1.5)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 4), (3, 0), (0, 0)])
+def test_bp_without_edges_hard_decides_the_prior(shape):
+    rows, cols = shape
+    problem = make_problem(np.zeros(shape, dtype=np.uint8), np.linspace(0.0, 0.5, cols))
+    for s in {(0,) * rows, (1,) * rows}:
+        result = bp_decode(problem, np.array(s, dtype=np.uint8))
+        assert not result.correction.any() and result.iterations_used == 1
+        assert result.converged == (not any(s))
+        assert np.array_equal(result.posterior_llr, np.clip(problem.prior.llr, -30, 30))
+
+
+def _bp_digest(code: str, variant: str, early_stop: bool) -> str:
+    """sha256 over posterior bytes, correction, iterations and convergence
+    of BP on both split-xz sides of a code, for 12 seeded errors each."""
+    sha = hashlib.sha256()
+    cfg = BpConfig(variant=variant, early_stop=early_stop)
+    for problem in depolarizing_problem(build_code(code), 0.06, "split-xz"):
+        for seed in range(12):
+            e = (np.random.default_rng(seed).random(problem.h.cols) < 0.06).astype(np.uint8)
+            res = bp_decode(problem, problem.h.matvec(e), cfg)
+            sha.update(res.posterior_llr.tobytes())
+            sha.update(res.correction.tobytes())
+            sha.update(f"{res.iterations_used} {res.converged};".encode())
+    return sha.hexdigest()[:16]
+
+
+# Computed with the per-call Tanner-graph build and packed matvec
+# convergence test that the compiled edge list replaced.  They digest
+# raw float64 bytes, so they hold for the numpy build they came from
+# (numpy 2.4, x86-64); a libm that rounds tanh differently changes them.
+BP_DIGESTS = {
+    ("surface 5", "sum-product", True): "6ba21e489517f484",
+    ("surface 5", "sum-product", False): "a7c4114c73c2c419",
+    ("surface 5", "min-sum", True): "5acd579e38ee577f",
+    ("surface 5", "min-sum", False): "d187303d47464dd8",
+    ("surface 9", "sum-product", True): "1e49c9e074fadf02",
+    ("surface 9", "sum-product", False): "42311173510ffa45",
+    ("surface 9", "min-sum", True): "2e2ea7228757dcbc",
+    ("surface 9", "min-sum", False): "baba8d063fdaf09e",
+    ("hgp hamming transpose hamming", "sum-product", True): "e620002e6b290111",
+    ("hgp hamming transpose hamming", "sum-product", False): "c33b88e419c084fb",
+    ("hgp hamming transpose hamming", "min-sum", True): "665ef5fbb86079ae",
+    ("hgp hamming transpose hamming", "min-sum", False): "8517c9c79ced9af1",
+}
+
+
+@pytest.mark.parametrize("code,variant,early_stop", list(BP_DIGESTS))
+def test_bp_outputs_match_pinned_digests(code, variant, early_stop):
+    assert _bp_digest(code, variant, early_stop) == BP_DIGESTS[code, variant, early_stop]
+
+
 # -- ordered statistics ------------------------------------------------------
 
 
@@ -269,16 +322,6 @@ def test_osd0_unsatisfiable():
     h = F2Matrix.from_dense([[1, 1], [1, 1]])
     with pytest.raises(Unsatisfiable):
         osd0(h, np.array([1, 0], dtype=np.uint8), np.zeros(2))
-
-
-def test_osd_w_zero_equals_osd0():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        h = F2Matrix.from_dense(rng.integers(0, 2, (4, 9), dtype=np.uint8))
-        e = rng.integers(0, 2, 9, dtype=np.uint8)
-        s = h.matvec(e)
-        soft = rng.normal(size=9)
-        assert np.array_equal(osd0(h, s, soft), osd_w(h, s, soft, 0))
 
 
 def test_every_reprocessing_candidate_satisfies_syndrome():
@@ -381,6 +424,19 @@ def osd_instances(draw):
 def test_osd_w_matches_the_candidate_loop(instance):
     h, s, soft, w = instance
     assert np.array_equal(osd_w(h, s, soft, w), _osd_w_loop(h, s, soft, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(osd_instances())
+@example((F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]]), np.array([1, 1], dtype=np.uint8),
+          np.array([-np.inf, np.inf, 0.5, -np.inf]), 0))
+def test_osd_w_zero_equals_osd0(instance):
+    # osd_w returns osd0 at order 0; the block sweep it skips has that
+    # solution as its only candidate
+    h, s, soft, _ = instance
+    (_, swept), = _osd_candidates(h, s, soft, 0)
+    assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
+    assert np.array_equal(osd0(h, s, soft), swept)
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],

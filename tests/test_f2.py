@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qecbench.errors import NoRightInverse, NoSolution
 from qecbench.f2 import (
     F2Matrix,
+    SparseRows,
     block_diag,
     from_alist,
     hstack,
@@ -166,6 +167,29 @@ def test_matvec_matches_dense(m):
     v = rng.integers(0, 2, size=m.cols, dtype=np.uint8)
     ref = (m.to_dense().astype(int) @ v.astype(int)) % 2
     assert np.array_equal(m.matvec(v), ref.astype(np.uint8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.sampled_from([0, 1, 7, 63, 64, 65, 128, 129]),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), empty=st.sets(st.integers(0, 5)),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=4, cols=65, density=1.0, empty={1, 3}, seed=0)  # empty rows mid and last
+def test_sparse_rows_parity_matches_matvec(rows, cols, density, empty, seed):
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    dense[[i for i in empty if i < rows]] = 0
+    m = F2Matrix.from_dense(dense)
+    sparse = SparseRows(m)
+    degree = dense.sum(axis=1, dtype=np.intp)
+    assert np.array_equal(sparse.row, np.repeat(np.arange(rows), degree))
+    assert np.array_equal(dense[sparse.row, sparse.col], np.ones(degree.sum()))
+    assert np.array_equal(sparse.slot, np.concatenate([np.arange(d) for d in degree] + [[]]))
+    assert sparse.dmax == degree.max(initial=0)
+    v = rng.integers(0, 256, size=cols, dtype=np.uint8)  # matvec reads the low bit
+    out = sparse.parity(v)
+    assert out.dtype == np.uint8 and np.array_equal(out, m.matvec(v))
+    with pytest.raises(ValueError):
+        sparse.parity(np.zeros(cols + 1, dtype=np.uint8))
 
 
 def test_stacking():

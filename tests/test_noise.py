@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qecbench.classical import encoding_matrix, hamming74, linear_code
 from qecbench.descriptors import load, save_problem
-from qecbench.f2 import F2Matrix
+from qecbench.f2 import F2Matrix, SparseRows
 from qecbench.homology import surface_code
 from qecbench.noise import (
     Prior,
@@ -138,3 +138,17 @@ def test_problem_round_trip(tmp_path):
     assert loaded.h == problem.h
     assert loaded.l == problem.l
     assert np.allclose(loaded.prior.p, problem.prior.p)
+
+
+def test_compiled_arrays_are_read_only_and_built_once():
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    assert problem.tanner is problem.tanner and problem.prior.llr is problem.prior.llr
+    with_empty_row = SparseRows(F2Matrix.from_dense([[1, 0], [0, 0]]))
+    compiled = [problem.prior.llr]
+    for graph in (problem.tanner, problem.tanner_hl, with_empty_row):
+        compiled += [a for a in vars(graph).values() if isinstance(a, np.ndarray)]
+    # llr; row, col, slot and row starts per graph; the nonempty rows of the last
+    assert len(compiled) == 14
+    for a in compiled:
+        with pytest.raises(ValueError):
+            a[0] = 1
