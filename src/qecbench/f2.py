@@ -276,10 +276,9 @@ class SparseRows:
         self.dmax = int(degree.max(initial=0))
         # reduceat returns v[start] for an empty row and rejects a start
         # equal to the edge count, so empty rows are left out of it
-        rows = np.flatnonzero(degree)
-        self._starts = start[rows]
-        self._rows = slice(None) if rows.size == m.rows else rows  # a slice assigns faster
-        for a in (self.row, self.col, self.slot, rows, self._starts):
+        self._rows = np.flatnonzero(degree)
+        self._starts = start[self._rows]
+        for a in (self.row, self.col, self.slot, self._rows, self._starts):
             a.flags.writeable = False
 
     def parity(self, v: np.ndarray) -> np.ndarray:
@@ -288,8 +287,7 @@ class SparseRows:
         if v.shape != (self.shape[1],):
             raise ValueError(f"expected vector of length {self.shape[1]}, got {v.shape}")
         out = np.zeros(self.shape[0], dtype=np.uint8)
-        if self._starts.size:
-            out[self._rows] = np.bitwise_xor.reduceat(v[self.col], self._starts) & 1
+        out[self._rows] = np.bitwise_xor.reduceat(v[self.col], self._starts) & 1
         return out
 
 

@@ -259,44 +259,108 @@ def test_bp_without_edges_hard_decides_the_prior(shape):
         assert np.array_equal(result.posterior_llr, np.clip(problem.prior.llr, -30, 30))
 
 
-def _bp_digest(code: str, variant: str, early_stop: bool) -> str:
-    """sha256 over posterior bytes, correction, iterations and convergence
-    of BP on both split-xz sides of a code, for 12 seeded errors each."""
-    sha = hashlib.sha256()
+def _bp_runs(code: str, variant: str, early_stop: bool):
+    """BP on both split-xz sides of a code, for 12 seeded errors each."""
     cfg = BpConfig(variant=variant, early_stop=early_stop)
     for problem in depolarizing_problem(build_code(code), 0.06, "split-xz"):
         for seed in range(12):
             e = (np.random.default_rng(seed).random(problem.h.cols) < 0.06).astype(np.uint8)
-            res = bp_decode(problem, problem.h.matvec(e), cfg)
-            sha.update(res.posterior_llr.tobytes())
-            sha.update(res.correction.tobytes())
-            sha.update(f"{res.iterations_used} {res.converged};".encode())
-    return sha.hexdigest()[:16]
+            yield bp_decode(problem, problem.h.matvec(e), cfg)
 
 
 # Computed with the per-call Tanner-graph build and packed matvec
-# convergence test that the compiled edge list replaced.  They digest
-# raw float64 bytes, so they hold for the numpy build they came from
-# (numpy 2.4, x86-64); a libm that rounds tanh differently changes them.
-BP_DIGESTS = {
-    ("surface 5", "sum-product", True): "6ba21e489517f484",
-    ("surface 5", "sum-product", False): "a7c4114c73c2c419",
-    ("surface 5", "min-sum", True): "5acd579e38ee577f",
-    ("surface 5", "min-sum", False): "d187303d47464dd8",
-    ("surface 9", "sum-product", True): "1e49c9e074fadf02",
-    ("surface 9", "sum-product", False): "42311173510ffa45",
-    ("surface 9", "min-sum", True): "2e2ea7228757dcbc",
-    ("surface 9", "min-sum", False): "baba8d063fdaf09e",
-    ("hgp hamming transpose hamming", "sum-product", True): "e620002e6b290111",
-    ("hgp hamming transpose hamming", "sum-product", False): "c33b88e419c084fb",
-    ("hgp hamming transpose hamming", "min-sum", True): "665ef5fbb86079ae",
-    ("hgp hamming transpose hamming", "min-sum", False): "8517c9c79ced9af1",
+# convergence test that the compiled edge list replaced.  Per config:
+# iterations and convergence per syndrome, a sha256 prefix of the
+# corrections, and the posteriors' dot product with fixed weights, which
+# is compared with a tolerance so that a libm rounding tanh differently
+# does not trip it while any change to the message passing does.
+BP_PINNED = {
+    ("surface 5", "sum-product", True): (
+        "2 2 1 2 1 32 2 1 32 2 1 2 4 32 1 2 1 32 6 32 4 2 1 1",
+        "111110110111101110101111",
+        "3c199a491c8bf0fc",
+        3294.486682189015,
+    ),
+    ("surface 5", "sum-product", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "111110110111101110000111",
+        "edf9650818682051",
+        4349.131236011731,
+    ),
+    ("surface 5", "min-sum", True): (
+        "4 3 1 2 1 32 3 1 32 3 1 2 5 32 1 2 1 32 32 32 4 3 1 1",
+        "111110110111101110001111",
+        "d616c8f9b621f01c",
+        3318.634842098183,
+    ),
+    ("surface 5", "min-sum", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "111110110111101110000111",
+        "8fc2ca46b542109d",
+        3776.890795878852,
+    ),
+    ("surface 9", "sum-product", True): (
+        "9 2 32 3 1 2 32 32 2 32 4 32 32 2 32 3 1 32 32 32 2 32 32 32",
+        "110111001010010110001000",
+        "f99424cba6f6b4db",
+        14891.857039835846,
+    ),
+    ("surface 9", "sum-product", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "010111001010010110001000",
+        "cebaa8222095cf3d",
+        19143.878187746937,
+    ),
+    ("surface 9", "min-sum", True): (
+        "32 2 32 3 1 4 32 32 2 32 4 32 32 2 32 3 1 32 32 32 3 32 32 32",
+        "010111001010010110001000",
+        "b10f6ec80b7f42e1",
+        13430.806559412767,
+    ),
+    ("surface 9", "min-sum", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "010111001010010110001000",
+        "b10f6ec80b7f42e1",
+        15008.379801997393,
+    ),
+    ("hgp hamming transpose hamming", "sum-product", True): (
+        "32 2 4 2 1 32 32 3 2 2 1 32 32 2 3 3 1 3 32 7 2 2 1 32",
+        "011110011110011111011110",
+        "02c03cc6e7cf119c",
+        4095.42175426713,
+    ),
+    ("hgp hamming transpose hamming", "sum-product", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "000110000010000011010010",
+        "dde6226f2a4021da",
+        5116.757658840421,
+    ),
+    ("hgp hamming transpose hamming", "min-sum", True): (
+        "32 2 4 1 1 4 32 7 2 2 1 5 6 2 3 3 1 4 5 7 2 2 1 6",
+        "011111011111111111111111",
+        "44fa38377450e6a7",
+        4047.0938225862383,
+    ),
+    ("hgp hamming transpose hamming", "min-sum", False): (
+        "32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32 32",
+        "011111011111111111111110",
+        "f3f552a6af0c9516",
+        4619.793589695491,
+    ),
 }
 
 
-@pytest.mark.parametrize("code,variant,early_stop", list(BP_DIGESTS))
-def test_bp_outputs_match_pinned_digests(code, variant, early_stop):
-    assert _bp_digest(code, variant, early_stop) == BP_DIGESTS[code, variant, early_stop]
+@pytest.mark.parametrize("code,variant,early_stop", list(BP_PINNED))
+def test_bp_outputs_match_pinned_values(code, variant, early_stop):
+    iterations, converged, corrections, fingerprint = BP_PINNED[code, variant, early_stop]
+    runs = list(_bp_runs(code, variant, early_stop))
+    assert " ".join(str(r.iterations_used) for r in runs) == iterations
+    assert "".join(str(int(r.converged)) for r in runs) == converged
+    sha = hashlib.sha256(b"".join(r.correction.tobytes() for r in runs))
+    assert sha.hexdigest()[:16] == corrections
+    posterior = np.concatenate([r.posterior_llr for r in runs])
+    weights = np.random.default_rng(0).random(posterior.size)
+    assert posterior @ weights == pytest.approx(fingerprint, rel=1e-9)
 
 
 # -- ordered statistics ------------------------------------------------------
