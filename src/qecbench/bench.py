@@ -137,6 +137,9 @@ class BenchmarkConfig:
     bp: BpConfig = field(default_factory=BpConfig)
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in (self.trials, self.seed)):
+            raise ValueError("trials and seed must be integers")
         if self.trials < 1:
             raise ValueError("need at least one trial per rate")
         rates = tuple(float(r) for r in self.rates)

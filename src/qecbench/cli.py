@@ -255,7 +255,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (CapacityExceeded, Unsatisfiable) as exc:
+    except (CapacityExceeded, Unsatisfiable, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QecError, ValueError, OSError) as exc:

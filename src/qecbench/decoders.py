@@ -9,8 +9,8 @@ re-solves the syndrome on the most-reliable independent column set;
 order-w reprocessing sweeps every pattern of at most w remaining
 columns in array blocks: a candidate is the OSD-0 solution XOR each
 chosen column with the pivot bits it couples to, costed by one product
-with |soft|.  Exhaustive MWD/MLD enumerate a solution coset and serve
-as oracles for everything else.
+with |soft|.  Exhaustive MWD/MLD enumerate the whole solution coset
+that OSD walks and serve as oracles for everything else.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityExceeded, NoSolution, Unsatisfiable
+from .errors import CapacityExceeded, Unsatisfiable
 from .f2 import F2Matrix, hstack, span_blocks
 from .noise import DecodingProblem
 
@@ -141,11 +141,12 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
 
 
 def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
-    """Rank columns, eliminate, and split the syndrome solve.
+    """Rank columns, eliminate [H | s] once, and lay out the solution coset.
 
-    Returns (pivots, free columns, base pivot values ts, pivot-row
-    coupling R restricted to the free columns).  NaN soft information
-    has no rank, so it raises ValueError; +-inf is legal.
+    Returns (pivots, free columns, rows).  Row j < free.size is the
+    kernel vector that sets free column j and the pivot bits it couples
+    to; the last row is the OSD-0 solution, zero off the pivots.  NaN
+    soft information has no rank, so it raises ValueError; +-inf is legal.
     """
     s = np.asarray(s, dtype=np.uint8) & 1
     soft = np.asarray(soft, dtype=np.float64)
@@ -161,21 +162,20 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
     pivots = np.array(elim.pivot_columns, dtype=np.int64)
     rank = pivots.size
     reduced = elim.reduced.to_dense()
-    ts = reduced[:, h.cols]
-    if ts[rank:].any():
+    if reduced[rank:, h.cols].any():
         raise Unsatisfiable("syndrome lies outside the image of H")
     in_pivot = np.zeros(h.cols, dtype=bool)
     in_pivot[pivots] = True
     free = order[~in_pivot[order]]
-    return pivots, free, ts[:rank], reduced[:rank][:, free]
+    rows = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
+    rows[np.arange(free.size), free] = 1
+    rows[:, pivots] = reduced[:rank][:, np.append(free, h.cols)].T
+    return pivots, free, rows
 
 
 def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """Solve H c = s on the most-reliable independent column set."""
-    pivots, _, base, _ = _osd_prepare(h, s, soft)
-    c = np.zeros(h.cols, dtype=np.uint8)
-    c[pivots] = base
-    return c
+    return _osd_prepare(h, s, soft)[2][-1]
 
 
 def _patterns(f: int, w: int):
@@ -191,7 +191,7 @@ def _patterns(f: int, w: int):
 
 def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
     """Yield every order-w candidate in blocks (corrections, approximate soft weights)."""
-    pivots, free, base, coupling = _osd_prepare(h, s, soft)
+    _, free, flips = _osd_prepare(h, s, soft)
     total = sum(math.comb(free.size, i) for i in range(0, w + 1))
     if total > OSD_CANDIDATE_GUARD:
         raise CapacityExceeded(
@@ -200,11 +200,6 @@ def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
     infinite = np.isinf(reliability)
     finite = np.where(infinite, 0.0, reliability)  # 0 * inf would be NaN in the sum
-    # row j < free.size flips free column j and the pivot bits it couples
-    # to; the last row is the osd0 solution
-    flips = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
-    flips[np.arange(free.size), free] = 1
-    flips[:, pivots] = np.vstack([coupling.T, base])
     for idx in _patterns(free.size, w):
         c = np.repeat(flips[-1:], len(idx), axis=0)
         for j in idx.T:
@@ -255,13 +250,10 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
 
 
 def _solution_coset(h: F2Matrix, s: np.ndarray):
-    """One solution of H e = s plus a kernel basis."""
-    s = np.asarray(s, dtype=np.uint8) & 1
-    try:
-        e0 = h.solve_columns(range(h.cols), s)
-    except NoSolution as err:
-        raise Unsatisfiable("syndrome lies outside the image of H") from err
-    return e0, h.kernel_basis()
+    """Every solution of H e = s in dense blocks: OSD's rows under equal
+    soft values, so pivots are taken in column order."""
+    rows = _osd_prepare(h, s, np.zeros(h.cols))[2]
+    return span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
 
 
 def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
@@ -271,11 +263,10 @@ def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
         raise CapacityExceeded(
             f"MWD enumeration limited to {MWD_COLUMN_GUARD} columns"
         )
-    e0, kernel = _solution_coset(h, s)
     llr = problem.prior.llr
     weights = np.where(np.isinf(llr), 1e18, llr)
     best_key, best = None, None
-    for errors in span_blocks(kernel, e0):
+    for errors in _solution_coset(h, s):
         costs = errors @ weights
         idx = int(np.argmin(costs))
         near = np.nonzero(costs == costs[idx])[0]
@@ -294,16 +285,13 @@ def exhaustive_mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
         raise CapacityExceeded(
             f"MLD enumeration limited to {MLD_COLUMN_GUARD} columns"
         )
-    e0, kernel = _solution_coset(h, s)
-    p = problem.prior.p
-    with np.errstate(divide="ignore"):
-        base = np.log1p(-p).sum()
-        delta = np.log(p) - np.log1p(-p)
+    base = np.log1p(-problem.prior.p).sum()
+    delta = -problem.prior.llr  # log(p) - log1p(-p), bit for bit
     delta = np.where(np.isinf(delta), -1e300, delta)
     l_dense = l.to_dense().astype(np.uint8)
     class_bits = np.left_shift(1, np.arange(l.rows, dtype=np.int64))
     totals = np.zeros(1 << l.rows)
-    for errors in span_blocks(kernel, e0):
+    for errors in _solution_coset(h, s):
         probs = np.exp(base + errors @ delta)
         classes = ((errors @ l_dense.T) & 1) @ class_bits
         totals += np.bincount(classes, weights=probs, minlength=totals.size)

@@ -226,9 +226,9 @@ class F2Matrix:
 
         Raises NoSolution if the restricted system is inconsistent.
         """
-        cols = list(cols)
-        if len(set(cols)) != len(cols):
-            raise ValueError("column subset contains duplicates")
+        cols = np.asarray(cols).tolist()
+        if len(set(cols)) != len(cols) or not set(cols).issubset(range(self.cols)):
+            raise ValueError("cols must list distinct columns in range(cols)")
         s = np.asarray(s, dtype=np.uint8) & 1
         if s.shape != (self.rows,):
             raise ValueError("syndrome length does not match row count")

@@ -54,6 +54,9 @@ def test_config_validation():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             BenchmarkConfig(**{**good, "max_seconds": bad})
+    for field, bad in (("trials", True), ("seed", True), ("trials", 2.5), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=field):
+            BenchmarkConfig(**{**good, field: bad})
 
 
 def test_wilson_interval_reference_values():

@@ -119,6 +119,18 @@ def test_foliate_rejects_non_css(capsys):
     assert "CSS" in err
 
 
+def test_out_of_memory_exits_two_without_traceback(monkeypatch, tmp_path, capsys):
+    def exhausted(code, layers):
+        raise MemoryError("Unable to allocate 10.8 GiB for an array")
+
+    monkeypatch.setattr("qecbench.cli.foliate", exhausted)
+    code, _, err = run(capsys, "foliate", "surface", "3", "--layers", "2000",
+                       "--out", str(tmp_path / "g.json"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_sample_bsc_draws_are_seeded(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

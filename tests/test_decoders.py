@@ -436,7 +436,8 @@ def test_osd_candidate_guard():
 
 def _osd_w_loop(h, s, soft, w):
     """Reference order-w sweep: one correction built per candidate."""
-    pivots, free, base, coupling = _osd_prepare(h, s, soft)
+    pivots, free, rows = _osd_prepare(h, s, soft)
+    base, coupling = rows[-1, pivots], rows[:-1][:, pivots].T
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
     best_key, best = None, None
     for weight in range(0, min(w, free.size) + 1):
@@ -501,6 +502,67 @@ def test_osd_w_zero_equals_osd0(instance):
     (_, swept), = _osd_candidates(h, s, soft, 0)
     assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
     assert np.array_equal(osd0(h, s, soft), swept)
+
+
+@st.composite
+def prepare_instances(draw):
+    """Satisfiable (H, s, soft) across the 64-bit word boundary of [H | s],
+    rank-deficient H included."""
+    c = draw(st.sampled_from([1, 7, 63, 64, 65]))
+    r = draw(st.integers(0, 8))
+    h = draw(arrays(np.uint8, (r, c), elements=st.integers(0, 1)))
+    if r >= 2 and draw(st.booleans()):
+        h[-1] = h[0] ^ h[1]  # a dependent row
+    h = F2Matrix.from_dense(h)
+    e = draw(arrays(np.uint8, c, elements=st.integers(0, 1)))
+    soft = draw(arrays(np.float64, c, elements=st.integers(-2, 2).map(float)
+                       | st.floats(-5, 5) | st.sampled_from([np.inf, -np.inf])))
+    return h, h.matvec(e), soft
+
+
+@settings(max_examples=150, deadline=None)
+@given(prepare_instances())
+def test_osd_prepare_rows_lay_out_the_solution_coset(instance):
+    h, s, soft = instance
+    pivots, free, rows = _osd_prepare(h, s, soft)
+    assert rows.shape == (free.size + 1, h.cols)
+    assert sorted(pivots.tolist() + free.tolist()) == list(range(h.cols))
+    kernel, solution = rows[:-1], rows[-1]
+    assert not (kernel.astype(np.int64) @ h.to_dense().T.astype(np.int64) % 2).any()
+    assert np.array_equal(kernel[:, free], np.eye(free.size, dtype=np.uint8))
+    assert np.array_equal(h.matvec(solution), s)
+    assert not np.delete(solution, pivots).any()
+    # equal soft values rank the columns in index order, which is the
+    # order kernel_basis and solve_columns eliminate in
+    _, _, plain = _osd_prepare(h, s, np.zeros(h.cols))
+    assert np.array_equal(plain[:-1], h.kernel_basis().to_dense())
+    assert np.array_equal(plain[-1], h.solve_columns(range(h.cols), s))
+
+
+def test_each_decode_call_eliminates_once(monkeypatch):
+    problem = depolarizing_problem(build_code("surface 2"), 0.05)
+    e = np.zeros(problem.h.cols, dtype=np.uint8)
+    e[[1, 4]] = 1
+    s = problem.h.matvec(e)
+    soft = problem.prior.llr - e
+    calls = []
+    eliminate = F2Matrix.eliminate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return eliminate(self, *args, **kwargs)
+
+    monkeypatch.setattr(F2Matrix, "eliminate", counted)
+    decoders = {
+        "mld": lambda: exhaustive_mld(problem, s),
+        "mwd": lambda: exhaustive_mwd(problem, s),
+        "osd0": lambda: osd0(problem.h, s, soft),
+        **{f"osd_w {w}": lambda w=w: osd_w(problem.h, s, soft, w) for w in range(3)},
+    }
+    for name, decode in decoders.items():
+        calls.clear()
+        decode()
+        assert len(calls) == 1, name
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],

@@ -95,6 +95,9 @@ def test_solve_columns_restricted():
         m.solve_columns([0], np.array([1, 1], dtype=np.uint8))
     with pytest.raises(ValueError):
         m.solve_columns([0, 0], np.array([1, 1], dtype=np.uint8))
+    for cols in ([-1], [0, -3], [3]):  # negative indices do not wrap
+        with pytest.raises(ValueError):
+            m.solve_columns(cols, np.array([1, 1], dtype=np.uint8))
 
 
 def test_eliminate_rejects_malformed_order():
