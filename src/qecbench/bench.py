@@ -6,7 +6,8 @@ success predicate.  Results carry Wilson 95% intervals so rare-event
 points near zero failures stay honest.  Everything downstream of the
 seed is deterministic: trial t at rate index r always uses
 SeedSequence(seed, spawn_key=(r, t)), and trials run in order on the
-calling thread.
+calling thread.  A syndrome repeated at a rate point is decoded once
+(decoders.memo), but every trial still calls the decoder entry points.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .decoders import (
     bp_osd,
     exhaustive_mld,
     exhaustive_mwd,
+    memo,
     success,
 )
 from .descriptors import load
@@ -140,6 +142,8 @@ class BenchmarkConfig:
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
                for v in (self.trials, self.seed)):
             raise ValueError("trials and seed must be integers")
+        if self.seed < 0:  # SeedSequence's own error names no field
+            raise ValueError("seed must be >= 0")
         if self.trials < 1:
             raise ValueError("need at least one trial per rate")
         rates = tuple(float(r) for r in self.rates)
@@ -198,17 +202,19 @@ def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
     """Correct syndrome s: returns (correction, converged, iterations).
 
     kind is a parse_decoder kind other than mld, which picks a logical
-    class rather than a correction and is handled by its callers.
+    class rather than a correction and is handled by its callers.  A
+    repeated s is answered from decoders.memo, with a read-only correction.
     """
-    if kind == "bp":
-        res = bp_decode(problem, s, bp_cfg)
-    elif kind == "bp+osd":
-        res = bp_osd(problem, s, bp_cfg, order)
-    elif kind == "mwd":
-        return exhaustive_mwd(problem, s), True, 0
-    else:
+    if kind not in ("bp", "bp+osd", "mwd"):
         raise ValueError(f"decoder {kind!r} returns a class, not a correction")
-    return res.correction, res.converged, res.iterations_used
+
+    def run(s):
+        if kind == "mwd":
+            return exhaustive_mwd(problem, s), True, 0
+        res = (bp_decode(problem, s, bp_cfg) if kind == "bp"
+               else bp_osd(problem, s, bp_cfg, order))
+        return res.correction, res.converged, res.iterations_used
+    return memo(problem, (kind, order, bp_cfg), s, run)
 
 
 def _noise(code, noise: str, rate: float):
@@ -273,7 +279,8 @@ def run_benchmark(cfg: BenchmarkConfig, threads: int = 1) -> BenchmarkResult:
     mean_iterations counts decoder iterations only; trials short-cut on
     an all-zero syndrome contribute zero.  A CapacityExceeded from the
     decoder propagates and aborts the rate point.  Trials run serially;
-    threads must be >= 1 and is otherwise unused.
+    threads must be >= 1 and is otherwise unused.  A repeated syndrome is
+    looked up (decoders.memo) and adds its stored iteration count.
     """
     if threads < 1:
         raise ValueError("need at least one worker")

@@ -29,6 +29,7 @@ MWD_COLUMN_GUARD = 24
 MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
 OSD_BLOCK = 512  # candidates scored per array step of osd_w
+MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
 
 def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """Solve H c = s on the most-reliable independent column set."""
-    return _osd_prepare(h, s, soft)[2][-1]
+    return _osd_prepare(h, s, soft)[2][-1].copy()  # a view would pin all the rows
 
 
 def _patterns(f: int, w: int):
@@ -279,7 +280,12 @@ def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
-    """Most likely logical class: argmax of the coset-summed probability."""
+    """Most likely logical class: argmax of the coset-summed probability.
+    A repeated syndrome is answered from memo, as a fresh copy."""
+    return memo(problem, ("mld",), s, lambda s: (_mld(problem, s),))[0].copy()
+
+
+def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     h, l = problem.h, problem.l
     if h.cols > MLD_COLUMN_GUARD:
         raise CapacityExceeded(
@@ -297,6 +303,22 @@ def exhaustive_mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
         totals += np.bincount(classes, weights=probs, minlength=totals.size)
     winner = int(np.argmax(totals))
     return ((winner >> np.arange(l.rows)) & 1).astype(np.uint8)
+
+
+def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:
+    """compute(s), s as uint8 & 1, kept in problem.answers under key + s;
+    key names every other input.  The answer's first item, an array, is
+    made read-only.  Past MEMO_LIMIT answers none is added and none is
+    evicted; exceptions are never kept, so each call raises them again."""
+    s = np.asarray(s, dtype=np.uint8) & 1
+    key += (s.shape, s.tobytes())
+    answers = problem.answers
+    if (out := answers.get(key)) is None:
+        out = compute(s)
+        out[0].flags.writeable = False
+        if len(answers) < MEMO_LIMIT:
+            answers[key] = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,11 @@ class DecodingProblem:
         """Edge list of [H; L]: a syndrome and a logical class in one parity."""
         return SparseRows(vstack([self.h, self.l]))
 
+    @cached_property
+    def answers(self) -> dict:
+        """Decoder answers by key, filled on first use (decoders.memo)."""
+        return {}
+
     def __repr__(self) -> str:
         return (
             f"DecodingProblem(checks={self.h.rows}, faults={self.h.cols}, "

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qecbench import bench, decoders
 from qecbench.bench import (
     BenchmarkConfig,
     build_code,
@@ -20,7 +21,7 @@ from qecbench.bench import (
 )
 from qecbench.classical import LinearCode, hamming74
 from qecbench.decoders import BpConfig, exhaustive_mld, success
-from qecbench.errors import CapacityExceeded
+from qecbench.errors import CapacityExceeded, Unsatisfiable
 from qecbench.homology import surface_code
 from qecbench.descriptors import save_problem
 from qecbench.f2 import F2Matrix
@@ -54,7 +55,8 @@ def test_config_validation():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             BenchmarkConfig(**{**good, "max_seconds": bad})
-    for field, bad in (("trials", True), ("seed", True), ("trials", 2.5), ("seed", 1.5)):
+    for field, bad in (("trials", True), ("seed", True), ("trials", 2.5), ("seed", 1.5),
+                       ("seed", -1)):
         with pytest.raises(ValueError, match=field):
             BenchmarkConfig(**{**good, field: bad})
 
@@ -337,3 +339,131 @@ def test_parse_decoder_spellings_and_errors():
     problem = classical_problem(hamming74(), 0.1)
     with pytest.raises(ValueError):
         decode(problem, np.array([1, 0, 0], dtype=np.uint8), "mld", 0, BpConfig())
+
+
+# -- the per-problem memo of decoder answers ----------------------------------
+
+
+def without_seconds(result) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in csv_text(result).splitlines()]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+def test_memo_leaves_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
+    """run_benchmark with the memo gives the rows of the uncached path."""
+    path = tmp_path / "p.json"
+    save_problem(depolarizing_problem(css_code(*four_two_two_checks()), 0.1, "xzy"), path)
+    runs = [("hamming", "bsc", d) for d in ("bp", "bp+osd 2", "mwd", "mld")]
+    runs += [(f"problem {path}", "generic", d) for d in ("bp+osd 0", "mwd", "mld")]
+    runs += [("surface 2", "xzy", d) for d in ("mld", "bp+osd 2")]
+    runs += [("surface 3", "split-xz", d) for d in ("bp", "bp+osd 0")]
+    runs += [("surface 2", "split-xz", "mwd")]
+    for code, noise, decoder in runs:
+        cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.03, 0.1),
+                              trials=80, seed=seed, bp=BpConfig(variant=variant))
+        cached = without_seconds(run_benchmark(cfg))
+        monkeypatch.setattr(decoders, "MEMO_LIMIT", 0)
+        uncached = without_seconds(run_benchmark(cfg))
+        monkeypatch.undo()
+        assert cached == uncached, (code, noise, decoder)
+
+
+def test_memo_stops_storing_at_its_limit(monkeypatch):
+    monkeypatch.setattr(decoders, "MEMO_LIMIT", 2)
+    problem = classical_problem(hamming74(), 0.1)
+    syndromes = [np.array(bits, dtype=np.uint8) for bits in itertools.product((0, 1), repeat=3)]
+    for s in syndromes + syndromes[::-1]:
+        c, converged, iterations = decode(problem, s, "bp+osd", 1, BpConfig())
+        fresh = classical_problem(hamming74(), 0.1)
+        assert len(fresh.answers) == 0
+        c0, converged0, iterations0 = decode(fresh, s, "bp+osd", 1, BpConfig())
+        assert np.array_equal(c, c0) and (converged, iterations) == (converged0, iterations0)
+        assert np.array_equal(problem.h.matvec(c), s)
+    assert len(problem.answers) == 2
+    assert [key[-1] for key in problem.answers] == [s.tobytes() for s in syndromes[:2]]
+
+
+def test_memo_never_stores_an_exception():
+    # the rows of H sum to zero, so a syndrome of odd weight has no solution
+    cycle = decoding_problem(F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+                             F2Matrix.from_dense([[1, 1, 1]]), uniform_prior(3, 0.1))
+    wide = depolarizing_problem(surface_code(3), 0.05, "xzy")  # too many columns for MLD
+    odd, short = np.array([1, 0, 0], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)
+    calls = [
+        (Unsatisfiable, lambda: decode(cycle, odd, "bp+osd", 0, BpConfig())),
+        (Unsatisfiable, lambda: decode(cycle, odd, "mwd", 0, BpConfig())),
+        (Unsatisfiable, lambda: exhaustive_mld(cycle, odd)),
+        (CapacityExceeded, lambda: exhaustive_mld(wide, np.zeros(wide.h.rows, np.uint8))),
+    ]
+    calls += [(ValueError, lambda kind=kind: decode(cycle, short, kind, 0, BpConfig()))
+              for kind in ("bp", "bp+osd", "mwd")]
+    calls += [(ValueError, lambda: decode(cycle, odd[:, None], "bp", 0, BpConfig())),
+              (ValueError, lambda: exhaustive_mld(cycle, short))]
+    decode(cycle, odd, "bp", 0, BpConfig())  # stored: a 2-D s must not reach it
+    for error, call in calls:
+        for _ in range(3):
+            with pytest.raises(error):
+                call()
+    assert len(cycle.answers) == 1 and not wide.answers
+
+
+def test_memo_keys_name_kind_order_and_bp_config():
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    e = np.zeros(problem.h.cols, dtype=np.uint8)
+    e[[0, 4, 8]] = 1
+    s = problem.h.matvec(e)
+    settings = [("bp", 0, BpConfig()), ("bp", 0, BpConfig(max_iterations=1)),
+                 ("bp", 0, BpConfig(variant="min-sum")), ("bp+osd", 0, BpConfig()),
+                 ("bp+osd", 1, BpConfig(max_iterations=1)),
+                 ("bp+osd", 2, BpConfig(max_iterations=1)), ("mwd", 0, BpConfig())]
+    for _ in range(2):
+        for kind, order, cfg in settings:
+            c, converged, iterations = decode(problem, s, kind, order, cfg)
+            fresh = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+            c0, converged0, iterations0 = decode(fresh, s, kind, order, cfg)
+            assert np.array_equal(c, c0), (kind, order, cfg)
+            assert (converged, iterations) == (converged0, iterations0)
+        assert np.array_equal(exhaustive_mld(problem, s), exhaustive_mld(
+            depolarizing_problem(surface_code(3), 0.05, "split-xz")[0], s))
+        assert len(problem.answers) == len(settings) + 1
+
+
+def test_stored_answers_cannot_be_changed_through_a_caller():
+    problem = classical_problem(hamming74(), 0.1)
+    s = np.array([1, 1, 0], dtype=np.uint8)
+    c = decode(problem, s, "bp+osd", 0, BpConfig())[0]
+    kept = c.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] ^= 1
+    assert np.array_equal(decode(problem, s, "bp+osd", 0, BpConfig())[0], kept)
+    winner = exhaustive_mld(problem, s)
+    kept = winner.copy()
+    winner ^= 1  # a fresh copy: the caller may write to it
+    assert np.array_equal(exhaustive_mld(problem, s), kept)
+
+
+@pytest.mark.parametrize("code,noise,decoder,problems", [
+    ("surface 2", "xzy", "mld", 1),
+    ("hamming", "bsc", "mld", 1),
+    ("surface 3", "split-xz", "bp", 2),
+    ("hamming", "bsc", "bp+osd 1", 1),
+    ("repetition 5", "bsc", "mwd", 1),
+])
+def test_every_trial_reaches_the_scored_entry_point(monkeypatch, code, noise, decoder,
+                                                    problems):
+    """Each trial calls bench.exhaustive_mld (mld) or bench.success once per
+    problem, even when its syndrome was seen before: mcbench rescores every
+    trial from what these calls return."""
+    name = "exhaustive_mld" if decoder == "mld" else "success"
+    wrapped, calls = getattr(bench, name), []
+
+    def counted(*args):
+        calls.append(1)
+        return wrapped(*args)
+
+    monkeypatch.setattr(bench, name, counted)
+    cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05, 0.1),
+                          trials=150, seed=1)
+    run_benchmark(cfg)
+    assert len(calls) == 2 * 150 * problems

@@ -379,6 +379,14 @@ def test_benchmark_seed_flag_overrides_config(tmp_path, capsys):
     assert mask_seconds(base) != mask_seconds(other)
 
 
+def test_benchmark_negative_seed_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG)
+    code, out, err = run(capsys, "benchmark", str(cfg), "--seed", "-1")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
 def test_benchmark_json_output(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(BENCH_CFG)

@@ -563,6 +563,9 @@ def test_each_decode_call_eliminates_once(monkeypatch):
         calls.clear()
         decode()
         assert len(calls) == 1, name
+    calls.clear()
+    exhaustive_mld(problem, s)  # a repeated syndrome is answered from the memo
+    assert not calls
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],
