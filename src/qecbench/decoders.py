@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityExceeded, Unsatisfiable
-from .f2 import F2Matrix, hstack, span_blocks
+from .f2 import F2Matrix, span_blocks
 from .noise import DecodingProblem
 
 MWD_COLUMN_GUARD = 24
@@ -30,6 +30,7 @@ MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
 OSD_BLOCK = 512  # candidates scored per array step of osd_w
 MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
+MEMO_BYTES = 1 << 24  # nor once a problem's stored keys and answers reach this
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,17 @@ def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
     """op over every other slot of the same row, for every slot.
 
     Exclusive prefix and suffix scans along the last axis, joined with
-    op; fill is op's identity and pads short rows.
+    op; fill is op's identity and pads short rows.  Each scan starts
+    from fill in its first slot, which is exact: op(fill, x) == x.
     """
-    pad = np.full(rows.shape[:-1] + (1,), fill)
-    prefix = op.accumulate(np.concatenate([pad, rows[..., :-1]], axis=-1), axis=-1)
-    suffix = op.accumulate(np.concatenate([pad, rows[..., :0:-1]], axis=-1), axis=-1)
-    return op(prefix, suffix[..., ::-1])
+    prefix, suffix = np.empty_like(rows), np.empty_like(rows)
+    prefix[..., 0] = suffix[..., 0] = fill
+    op.accumulate(rows[..., :-1], axis=-1, out=prefix[..., 1:])
+    op.accumulate(rows[..., :0:-1], axis=-1, out=suffix[..., 1:])
+    return op(prefix, suffix[..., ::-1], out=prefix)
 
 
+@np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
 def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
     """Flooding BP on the Tanner graph of the problem's check matrix.
 
@@ -88,54 +92,53 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     if s.shape != (rows,):
         raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
     clamp = cfg.llr_clamp
-    lam = np.clip(problem.prior.llr, -clamp, clamp)
+    lam = np.append(problem.prior.llr.clip(-clamp, clamp), 0.0)  # 0 for the pads' column
     if g.col.size == 0:
-        correction = (lam < 0).astype(np.uint8)
+        correction = (lam[:cols] < 0).astype(np.uint8)
         converged = bool(np.array_equal(g.parity(correction), s))
-        return DecodeResult(correction, converged, 1, lam)
+        return DecodeResult(correction, converged, 1, lam[:cols])
 
-    # edges are padded into per-check rows of dmax slots, so the
-    # extrinsic value is a prefix/suffix scan along each row
-    checks, vars_, edge_slot, dmax = g.row, g.col, g.slot, g.dmax
-    edge_sign = (1.0 - 2.0 * s)[checks]
-
-    msg_v2c = lam[vars_]
+    # messages stay in g's padded (rows, dmax) layout: pads hold the scan's
+    # identity, and their messages only reach the dummy column cols
+    real, pad_col, flat_col = g.real, g.pad_col, g.pad_col.ravel()
+    # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
+    sum_product = cfg.variant == "sum-product"
+    sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    msg_v2c = lam[pad_col]
+    scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
     # max_iterations >= 1, so the loop binds every name it returns
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.variant == "sum-product":
-            tanh_half = np.ones((rows, dmax))
-            tanh_half[checks, edge_slot] = np.tanh(msg_v2c / 2.0)
-            extrinsic = _others(tanh_half, np.multiply, 1.0)[checks, edge_slot]
-            with np.errstate(divide="ignore"):
-                update = 2.0 * np.arctanh(extrinsic)
-            msg_c2v = np.clip(edge_sign * update, -clamp, clamp)
+        if sum_product:
+            np.tanh(msg_v2c / 2.0, out=scan, where=real)
+            extrinsic = _others(scan, np.multiply, 1.0)
+            msg_c2v = sign * np.arctanh(extrinsic, out=extrinsic)
         else:
-            mags = np.full((rows, dmax), np.inf)
-            mags[checks, edge_slot] = np.abs(msg_v2c)
-            ext_min = _others(mags, np.minimum, np.inf)[checks, edge_slot]
-            ext_min = np.where(np.isinf(ext_min), clamp, ext_min)  # degree-1 checks
-            signs = np.where(msg_v2c < 0, -1.0, 1.0)
-            sign_rows = np.ones((rows, dmax))
-            sign_rows[checks, edge_slot] = signs
-            ext_sign = sign_rows.prod(axis=1)[checks] * signs  # exact for +-1
-            msg_c2v = np.clip(
-                cfg.min_sum_scale * edge_sign * ext_sign * ext_min, -clamp, clamp
-            )
+            # |msg| <= clamp, so clamp is min's identity here and stands
+            # in for the minimum over no other edge (degree-1 checks)
+            np.abs(msg_v2c, out=scan, where=real)
+            ext_min = _others(scan, np.minimum, clamp)
+            # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
+            # and -0 and +0 add and subtract alike into the posterior
+            signs = np.ones_like(msg_v2c)
+            np.copysign(1.0, msg_v2c, out=signs, where=real)
+            msg_c2v = sign * signs.prod(axis=1, keepdims=True) * signs
+            msg_c2v *= ext_min
+        msg_c2v.clip(-clamp, clamp, out=msg_c2v)
 
-        incoming = np.zeros(cols)
-        np.add.at(incoming, vars_, msg_c2v)
-        posterior = lam + incoming
-        msg_v2c = np.clip(posterior[vars_] - msg_c2v, -clamp, clamp)
+        # bincount adds each column's messages one at a time in row-major
+        # edge order, so every sum is fixed to the bit by the graph alone
+        posterior = lam + np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
+        np.subtract(posterior[pad_col], msg_c2v, out=msg_v2c).clip(-clamp, clamp, out=msg_v2c)
 
         # converged must describe the correction we return, so re-test
         # every round: without early stopping a later sweep may undo an
         # intermediate syndrome match
-        correction = (posterior < 0).astype(np.uint8)
+        correction = (posterior[:cols] < 0).astype(np.uint8)
         converged = bool(np.array_equal(g.parity(correction), s))
         if converged and cfg.early_stop:
             break
 
-    return DecodeResult(correction, converged, iterations, posterior)
+    return DecodeResult(correction, converged, iterations, posterior[:cols])
 
 
 # -- ordered statistics ------------------------------------------------------
@@ -159,7 +162,7 @@ def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
         raise ValueError("soft information contains NaN")
     order = np.argsort(soft, kind="stable")  # most likely in error first
     # s rides along as column h.cols of [H | s], so that column ends as T s
-    elim = hstack([h, F2Matrix.from_dense(s[:, None])]).eliminate(order)
+    elim = h.with_column(s).eliminate(order)
     pivots = np.array(elim.pivot_columns, dtype=np.int64)
     rank = pivots.size
     reduced = elim.reduced.to_dense()
@@ -308,7 +311,8 @@ def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
 def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:
     """compute(s), s as uint8 & 1, kept in problem.answers under key + s;
     key names every other input.  The answer's first item, an array, is
-    made read-only.  Past MEMO_LIMIT answers none is added and none is
+    made read-only.  Past MEMO_LIMIT answers, or once the stored s bytes
+    and answer arrays reach MEMO_BYTES, none is added and none is
     evicted; exceptions are never kept, so each call raises them again."""
     s = np.asarray(s, dtype=np.uint8) & 1
     key += (s.shape, s.tobytes())
@@ -316,8 +320,9 @@ def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:
     if (out := answers.get(key)) is None:
         out = compute(s)
         out[0].flags.writeable = False
-        if len(answers) < MEMO_LIMIT:
+        if len(answers) < MEMO_LIMIT and answers.nbytes < MEMO_BYTES:
             answers[key] = out
+            answers.nbytes += s.nbytes + out[0].nbytes
     return out
 
 

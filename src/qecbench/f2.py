@@ -82,6 +82,14 @@ class F2Matrix:
     def copy(self) -> "F2Matrix":
         return F2Matrix(self.rows, self.cols, self._words.copy())
 
+    def with_column(self, v: np.ndarray) -> "F2Matrix":
+        """[M | v] for a 0/1 vector v of length rows, written into a copy of the words."""
+        words = np.zeros((self.rows, _n_words(self.cols + 1)), dtype=np.uint64)
+        words[:, : self._words.shape[1]] = self._words
+        w, b = divmod(self.cols, _WORD)
+        words[:, w] |= (np.asarray(v, dtype=np.uint64) & 1) << np.uint64(b)
+        return F2Matrix(self.rows, self.cols + 1, words)
+
     # -- views ---------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
@@ -263,22 +271,23 @@ class SparseRows:
     """Row-major edge list of a fixed matrix, and its row parities.
 
     Edge k is the nonzero at (row[k], col[k]); a row's edges are
-    contiguous, and slot[k] is the position of edge k in its row (dmax
-    is the largest row degree).  Every array is read-only.
+    contiguous.  Padded, row i's edges fill the first slots of a row of
+    dmax (the largest degree): real marks those slots, and pad_col holds
+    their columns and the dummy column cols elsewhere.  Read-only.
     """
 
     def __init__(self, m: F2Matrix):
         self.shape = (m.rows, m.cols)
         self.row, self.col = np.nonzero(m.to_dense())
         degree = np.bincount(self.row, minlength=m.rows)
-        start = np.cumsum(degree) - degree
-        self.slot = np.arange(self.row.size) - start[self.row]
-        self.dmax = int(degree.max(initial=0))
+        self.real = np.arange(degree.max(initial=0)) < degree[:, None]
+        self.pad_col = np.full(self.real.shape, m.cols)
+        self.pad_col[self.real] = self.col
         # reduceat returns v[start] for an empty row and rejects a start
         # equal to the edge count, so empty rows are left out of it
         self._rows = np.flatnonzero(degree)
-        self._starts = start[self._rows]
-        for a in (self.row, self.col, self.slot, self._rows, self._starts):
+        self._starts = (np.cumsum(degree) - degree)[self._rows]
+        for a in (self.row, self.col, self.real, self.pad_col, self._rows, self._starts):
             a.flags.writeable = False
 
     def parity(self, v: np.ndarray) -> np.ndarray:

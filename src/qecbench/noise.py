@@ -51,6 +51,12 @@ def uniform_prior(n: int, p: float) -> Prior:
     return Prior(np.full(n, p))
 
 
+class Answers(dict):
+    """Stored decoder answers; nbytes sums their syndrome bytes and answer arrays."""
+
+    nbytes = 0
+
+
 @dataclass(frozen=True, eq=False)
 class DecodingProblem:
     """Checks H, logical correlations L, and a prior over the faults."""
@@ -70,9 +76,9 @@ class DecodingProblem:
         return SparseRows(vstack([self.h, self.l]))
 
     @cached_property
-    def answers(self) -> dict:
+    def answers(self) -> Answers:
         """Decoder answers by key, filled on first use (decoders.memo)."""
-        return {}
+        return Answers()
 
     def __repr__(self) -> str:
         return (

@@ -383,6 +383,23 @@ def test_memo_stops_storing_at_its_limit(monkeypatch):
     assert [key[-1] for key in problem.answers] == [s.tobytes() for s in syndromes[:2]]
 
 
+def test_memo_stops_storing_at_its_byte_limit(monkeypatch):
+    # a stored bp+osd answer costs its 3 syndrome bytes and 7 correction bytes
+    monkeypatch.setattr(decoders, "MEMO_BYTES", 2 * (3 + 7) - 1)
+    problem = classical_problem(hamming74(), 0.1)
+    syndromes = [np.array(bits, dtype=np.uint8) for bits in itertools.product((0, 1), repeat=3)]
+    for s in syndromes + syndromes[::-1]:
+        c, converged, iterations = decode(problem, s, "bp+osd", 1, BpConfig())
+        fresh = classical_problem(hamming74(), 0.1)
+        c0, converged0, iterations0 = decode(fresh, s, "bp+osd", 1, BpConfig())
+        assert np.array_equal(c, c0) and (converged, iterations) == (converged0, iterations0)
+    # the second answer reaches the limit, so no third is stored
+    assert [key[-1] for key in problem.answers] == [s.tobytes() for s in syndromes[:2]]
+    assert problem.answers.nbytes == 2 * (3 + 7)
+    exhaustive_mld(problem, syndromes[3])
+    assert len(problem.answers) == 2
+
+
 def test_memo_never_stores_an_exception():
     # the rows of H sum to zero, so a syndrome of odd weight has no solution
     cycle = decoding_problem(F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),

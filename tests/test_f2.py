@@ -186,8 +186,12 @@ def test_sparse_rows_parity_matches_matvec(rows, cols, density, empty, seed):
     degree = dense.sum(axis=1, dtype=np.intp)
     assert np.array_equal(sparse.row, np.repeat(np.arange(rows), degree))
     assert np.array_equal(dense[sparse.row, sparse.col], np.ones(degree.sum()))
-    assert np.array_equal(sparse.slot, np.concatenate([np.arange(d) for d in degree] + [[]]))
-    assert sparse.dmax == degree.max(initial=0)
+    dmax = degree.max(initial=0)
+    assert np.array_equal(sparse.real, np.arange(dmax) < degree[:, None])
+    padded = np.full((rows, dmax), cols)
+    for i, row in enumerate(dense):
+        padded[i, :degree[i]] = np.flatnonzero(row)
+    assert np.array_equal(sparse.pad_col, padded)
     v = rng.integers(0, 256, size=cols, dtype=np.uint8)  # matvec reads the low bit
     out = sparse.parity(v)
     assert out.dtype == np.uint8 and np.array_equal(out, m.matvec(v))
@@ -203,6 +207,14 @@ def test_stacking():
     d = block_diag([a, b])
     assert (d.rows, d.cols) == (4, 4)
     assert d[0, 0] == 1 and d[2, 2] == 1 and d[0, 2] == 0
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (4, 1), (4, 63), (4, 64), (4, 65), (2, 128)])
+def test_with_column_matches_hstack(rows, cols):
+    rng = np.random.default_rng(cols)
+    m = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+    v = rng.integers(0, 2, size=rows, dtype=np.uint8)
+    assert m.with_column(v) == hstack([m, F2Matrix.from_dense(v.reshape(rows, 1))])
 
 
 def test_wide_matrix_crosses_word_boundary():

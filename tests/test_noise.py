@@ -142,11 +142,12 @@ def test_problem_round_trip(tmp_path):
 
 def test_compiled_arrays_are_read_only_and_built_once():
     problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    assert "tanner" not in vars(problem)  # the set-up builds no layout
     assert problem.tanner is problem.tanner and problem.prior.llr is problem.prior.llr
     with_empty_row = SparseRows(F2Matrix.from_dense([[1, 0], [0, 0]]))
     compiled = [problem.prior.llr]
     for graph in (problem.tanner, problem.tanner_hl, with_empty_row):
-        compiled += [graph.row, graph.col, graph.slot]
+        compiled += [graph.row, graph.col, graph.real, graph.pad_col]
         compiled += [a for a in vars(graph).values() if isinstance(a, np.ndarray)]
     for a in compiled:
         with pytest.raises(ValueError):
