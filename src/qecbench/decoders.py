@@ -106,6 +106,7 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
     msg_v2c = lam[pad_col]
     scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
+    solves = g.parity_test(s)
     # max_iterations >= 1, so the loop binds every name it returns
     for iterations in range(1, cfg.max_iterations + 1):
         if sum_product:
@@ -133,11 +134,11 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
         # converged must describe the correction we return, so re-test
         # every round: without early stopping a later sweep may undo an
         # intermediate syndrome match
-        correction = (posterior[:cols] < 0).astype(np.uint8)
-        converged = bool(np.array_equal(g.parity(correction), s))
+        converged = solves(posterior[:cols] < 0)
         if converged and cfg.early_stop:
             break
 
+    correction = (posterior[:cols] < 0).astype(np.uint8)
     return DecodeResult(correction, converged, iterations, posterior[:cols])
 
 

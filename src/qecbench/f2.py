@@ -162,7 +162,7 @@ class F2Matrix:
     def eliminate(self, column_order: Sequence[int] | None = None) -> "EliminationResult":
         """Row reduce, trying pivots greedily in ``column_order``.
 
-        ``column_order`` lists distinct columns (default: all, left to
+        ``column_order`` lists distinct int columns (default: all, left to
         right); only listed columns take pivots.  Unlisted columns are
         reduced with the rest, so appending s or I as extra columns and
         leaving them out of the order yields T @ s or T itself.  Returns
@@ -174,28 +174,29 @@ class F2Matrix:
         if column_order is None:
             order = range(self.cols)
         else:
-            order = np.asarray(column_order).tolist()
-            listed = set(order)
-            if len(listed) != len(order) or not listed.issubset(range(self.cols)):
-                raise ValueError("column_order must list distinct columns in range(cols)")
+            listed = np.asarray(column_order)  # [] comes out as float64
+            order = listed.tolist()
+            if (listed.size and listed.dtype.kind not in "iu" or len(set(order)) != len(order)
+                    or not set(order).issubset(range(self.cols))
+                    or not isinstance(column_order, np.ndarray)
+                    and {bool, np.bool_} & set(map(type, column_order))):
+                raise ValueError("columns must be distinct integers in range(cols)")
         m = self._words.copy()
         pivots: list[int] = []
         r = 0
         for col in order:
-            if r == self.rows:
+            if r == self.rows:  # also keeps argmax off an empty slice
                 break
             w, b = divmod(col, _WORD)
-            mask = np.uint64(1 << b)
-            hits = np.nonzero(m[r:, w] & mask)[0]
-            if hits.size == 0:
+            bits = m[:, w] & np.uint64(1 << b)
+            # every set entry equals the mask, so argmax is the first row from r with the bit
+            p = r + bits[r:].argmax()
+            if not bits[p]:
                 continue
-            p = r + int(hits[0])
-            if p != r:
-                m[[r, p]] = m[[p, r]]
-            elim = (m[:, w] & mask).astype(bool)
-            elim[r] = False
-            if elim.any():
-                m[elim] ^= m[r]
+            row = m[p].copy()
+            m[p], m[r] = m[r], row
+            bits[p], bits[r] = bits[r], 0
+            np.bitwise_xor.at(m, bits.nonzero()[0], row)
             pivots.append(col)
             r += 1
         return EliminationResult(
@@ -234,21 +235,19 @@ class F2Matrix:
 
         Raises NoSolution if the restricted system is inconsistent.
         """
-        cols = np.asarray(cols).tolist()
-        if len(set(cols)) != len(cols) or not set(cols).issubset(range(self.cols)):
-            raise ValueError("cols must list distinct columns in range(cols)")
         s = np.asarray(s, dtype=np.uint8) & 1
         if s.shape != (self.rows,):
             raise ValueError("syndrome length does not match row count")
-        augmented = np.hstack([self.to_dense()[:, cols], s[:, None]])
-        res = F2Matrix.from_dense(augmented).eliminate(range(len(cols)))
-        rhs = res.reduced.to_dense()[:, len(cols)]
+        if self.cols in np.asarray(cols):  # the column of s; eliminate checks the rest
+            raise ValueError("columns must be distinct integers in range(cols)")
+        res = self.with_column(s).eliminate(cols)  # only cols take pivots; s ends as T s
+        rhs = res.reduced.to_dense()[:, self.cols]
         r = len(res.pivot_columns)
         if np.any(rhs[r:]):
             raise NoSolution("syndrome not in the image of the selected columns")
         x = np.zeros(self.cols, dtype=np.uint8)
         # free columns of the restricted system are pinned to zero
-        x[[cols[p] for p in res.pivot_columns]] = rhs[:r]
+        x[list(res.pivot_columns)] = rhs[:r]
         return x
 
 
@@ -298,6 +297,15 @@ class SparseRows:
         out = np.zeros(self.shape[0], dtype=np.uint8)
         out[self._rows] = np.bitwise_xor.reduceat(v[self.col], self._starts) & 1
         return out
+
+    def parity_test(self, s: np.ndarray):
+        """A predicate for M v == s on bool vectors v; s (0/1) is split over the rows once."""
+        want = s[self._rows].astype(bool)
+        if np.count_nonzero(want) != np.count_nonzero(s):  # a 1 on an empty row
+            return lambda v: False
+        col, starts, want = self.col, self._starts, want.tobytes()
+        # bools are 0/1 bytes, so equal bytes are equal parities
+        return lambda v: np.bitwise_xor.reduceat(v[col], starts).tobytes() == want
 
 
 # -- assembly ------------------------------------------------------------

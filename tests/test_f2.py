@@ -98,6 +98,10 @@ def test_solve_columns_restricted():
     for cols in ([-1], [0, -3], [3]):  # negative indices do not wrap
         with pytest.raises(ValueError):
             m.solve_columns(cols, np.array([1, 1], dtype=np.uint8))
+    # floats and bools are not read as column numbers
+    for cols in ([0.0, 2.0], [2.0], [True], [2, True], np.array([True, False, True])):
+        with pytest.raises(ValueError):
+            m.solve_columns(cols, np.array([1, 1], dtype=np.uint8))
 
 
 def test_eliminate_rejects_malformed_order():
@@ -106,6 +110,63 @@ def test_eliminate_rejects_malformed_order():
         m.eliminate([0, 0])
     with pytest.raises(ValueError):
         m.eliminate([1, 2])
+    for order in ([0.0, 1.0], np.array([1.0]), [True, False], [0, True], [1, np.True_],
+                  np.array([True, False])):
+        with pytest.raises(ValueError):
+            m.eliminate(order)
+    assert m.eliminate([]).pivot_columns == ()
+    assert m.eliminate(np.array([1, 0], dtype=np.uint8)).pivot_columns == (1, 0)
+
+
+def _reference_eliminate(self, column_order=None):
+    """The elimination loop that F2Matrix.eliminate replaced, kept verbatim
+    as the reference: (pivot columns, reduced words)."""
+    if column_order is None:
+        order = range(self.cols)
+    else:
+        order = np.asarray(column_order).tolist()
+    m = self._words.copy()
+    pivots: list[int] = []
+    r = 0
+    for col in order:
+        if r == self.rows:
+            break
+        w, b = divmod(col, 64)
+        mask = np.uint64(1 << b)
+        hits = np.nonzero(m[r:, w] & mask)[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        elim = (m[:, w] & mask).astype(bool)
+        elim[r] = False
+        if elim.any():
+            m[elim] ^= m[r]
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
+       density=st.sampled_from([0.02, 0.1, 0.5, 0.9, 1.0]), dependent=st.booleans(),
+       order=st.sampled_from(["all", "permutation", "prefix"]), seed=st.integers(0, 2**32 - 1))
+def test_eliminate_matches_the_reference_loop(rows, cols, density, dependent, order, seed):
+    """Same pivots and the same reduced words on every row, rank on included."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if dependent and rows >= 2:  # one row becomes the sum of some others
+        i = rng.integers(rows)
+        others = rng.choice(np.delete(np.arange(rows), i), rng.integers(1, rows), replace=False)
+        dense[i] = np.bitwise_xor.reduce(dense[others], axis=0)
+    m = F2Matrix.from_dense(dense)
+    column_order = {"all": None, "permutation": rng.permutation(cols),
+                    "prefix": rng.permutation(cols)[:rng.integers(0, max(cols, 1))]}[order]
+    res = m.eliminate(column_order)
+    pivots, words = _reference_eliminate(m, column_order)
+    assert res.pivot_columns == pivots
+    assert np.array_equal(res.reduced._words, words)
 
 
 def test_eliminate_respects_column_order():
@@ -195,6 +256,8 @@ def test_sparse_rows_parity_matches_matvec(rows, cols, density, empty, seed):
     v = rng.integers(0, 256, size=cols, dtype=np.uint8)  # matvec reads the low bit
     out = sparse.parity(v)
     assert out.dtype == np.uint8 and np.array_equal(out, m.matvec(v))
+    for s in (out, rng.integers(0, 2, size=rows, dtype=np.uint8)):  # s may set an empty row
+        assert sparse.parity_test(s)((v & 1).astype(bool)) == np.array_equal(out, s)
     with pytest.raises(ValueError):
         sparse.parity(np.zeros(cols + 1, dtype=np.uint8))
 
