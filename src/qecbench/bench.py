@@ -315,23 +315,17 @@ CSV_FIELDS = ("rate", "trials", "failures", "ler", "ci_low", "ci_high",
               "mean_iters", "seconds")
 
 
-def result_rows(result: BenchmarkResult) -> list[list[str]]:
-    rows = []
+def csv_text(result: BenchmarkResult) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
     for r in result.records:
-        rows.append([
+        writer.writerow([
             f"{r.rate:.10g}", str(r.trials), str(r.failures),
             f"{r.logical_error_rate:.10g}", f"{r.ci_low:.10g}",
             f"{r.ci_high:.10g}", f"{r.mean_iterations:.10g}",
             f"{r.wall_time:.3f}",
         ])
-    return rows
-
-
-def csv_text(result: BenchmarkResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    writer.writerows(result_rows(result))
     return buf.getvalue()
 
 
@@ -373,6 +367,8 @@ def read_config(path) -> BenchmarkConfig:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             values[key] = val.strip()
     for required in ("code", "noise", "decoder", "rates", "trials"):
         if required not in values:

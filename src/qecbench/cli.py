@@ -26,7 +26,7 @@ from .decoders import BpConfig, exhaustive_mld
 from .descriptors import load, save_css_code, save_foliation, save_stabilizer_code
 from .errors import CapacityExceeded, NoSolution, QecError, Unsatisfiable
 from .f2 import to_alist, vstack
-from .graphstate import detectors, foliate
+from .graphstate import foliate
 from .noise import DecodingProblem, sample_bsc, sample_depolarizing, uniform_prior
 from .quantum import CssCode, StabilizerCode
 
@@ -82,9 +82,9 @@ def _cmd_foliate(args: argparse.Namespace) -> int:
     if not isinstance(code, CssCode):
         raise ValueError("foliation needs a CSS code")
     state = foliate(code, args.layers)
-    save_foliation(state, Path(args.out))
+    doc = save_foliation(state, Path(args.out))
     print(f"{state.n_vertices} vertices, {len(state.edges)} edges,"
-          f" {len(detectors(state))} detectors,"
+          f" {len(doc['detectors'])} detectors,"
           f" {len(state.logical_supports)} logical supports -> {args.out}")
     return 0
 

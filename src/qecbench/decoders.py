@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityExceeded, Unsatisfiable
+from .errors import CapacityExceeded, NoSolution, Unsatisfiable
 from .f2 import F2Matrix, span_blocks
 from .noise import DecodingProblem
 
@@ -146,36 +146,18 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
 
 
 def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
-    """Rank columns, eliminate [H | s] once, and lay out the solution coset.
-
-    Returns (pivots, free columns, rows).  Row j < free.size is the
-    kernel vector that sets free column j and the pivot bits it couples
-    to; the last row is the OSD-0 solution, zero off the pivots.  NaN
-    soft information has no rank, so it raises ValueError; +-inf is legal.
-    """
-    s = np.asarray(s, dtype=np.uint8) & 1
+    """h.coset(s) with the columns ranked by soft, most likely in error first;
+    its last row is the OSD-0 solution.  NaN soft information has no rank,
+    so it raises ValueError; +-inf is legal."""
     soft = np.asarray(soft, dtype=np.float64)
     if soft.shape != (h.cols,):
         raise ValueError("soft information length does not match column count")
-    if s.shape != (h.rows,):
-        raise ValueError("syndrome length does not match row count")
     if np.isnan(soft).any():
         raise ValueError("soft information contains NaN")
-    order = np.argsort(soft, kind="stable")  # most likely in error first
-    # s rides along as column h.cols of [H | s], so that column ends as T s
-    elim = h.with_column(s).eliminate(order)
-    pivots = np.array(elim.pivot_columns, dtype=np.int64)
-    rank = pivots.size
-    reduced = elim.reduced.to_dense()
-    if reduced[rank:, h.cols].any():
-        raise Unsatisfiable("syndrome lies outside the image of H")
-    in_pivot = np.zeros(h.cols, dtype=bool)
-    in_pivot[pivots] = True
-    free = order[~in_pivot[order]]
-    rows = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
-    rows[np.arange(free.size), free] = 1
-    rows[:, pivots] = reduced[:rank][:, np.append(free, h.cols)].T
-    return pivots, free, rows
+    try:
+        return h.coset(s, np.argsort(soft, kind="stable"))
+    except NoSolution:
+        raise Unsatisfiable("syndrome lies outside the image of H") from None
 
 
 def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
@@ -212,12 +194,6 @@ def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
         cost = np.einsum("ij,j->i", c, finite)  # no float64 copy of c, unlike c @ finite
         cost[c[:, infinite].any(axis=1)] = np.inf
         yield c, cost
-
-
-def _osd_candidates(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
-    """Yield every order-w candidate as (approximate soft weight, correction)."""
-    for block, cost in _osd_blocks(h, s, soft, w):
-        yield from zip(cost, block)
 
 
 def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:

@@ -58,9 +58,9 @@ def save_stabilizer_code(code: StabilizerCode, path) -> None:
     _write_json({"n": code.n, "k": code.k, "generators": gens}, path)
 
 
-def save_foliation(state: FoliatedState, json_path) -> None:
-    """Graph JSON: labelled vertices, edges, detector and logical vertex sets."""
-    _write_json({
+def save_foliation(state: FoliatedState, json_path) -> dict:
+    """Write and return the graph JSON: labelled vertices, edges, detectors, logical supports."""
+    doc = {
         "vertices": [
             {"id": v, "layer": state.layer_of[v], "kind": state.kind_of[v],
              "parity": state.parity[v]}
@@ -69,7 +69,9 @@ def save_foliation(state: FoliatedState, json_path) -> None:
         "edges": [[u, v] for u, v in state.edges],
         "detectors": [sorted(d) for d in detectors(state)],
         "logical_supports": [sorted(s) for s in state.logical_supports],
-    }, json_path)
+    }
+    _write_json(doc, json_path)
+    return doc
 
 
 def load(path) -> LinearCode | CssCode | StabilizerCode | DecodingProblem:

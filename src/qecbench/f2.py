@@ -98,11 +98,6 @@ class F2Matrix:
     def row_dense(self, i: int) -> np.ndarray:
         return _unpack(self._words[i : i + 1], self.cols)[0]
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        w, b = divmod(j, _WORD)
-        return int((self._words[i, w] >> np.uint64(b)) & np.uint64(1))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Matrix):
             return NotImplemented
@@ -216,39 +211,50 @@ class F2Matrix:
         out[list(res.pivot_columns)] = res.reduced.to_dense()[:, self.cols :]
         return F2Matrix.from_dense(out)
 
+    def coset(self, s: np.ndarray | None = None, cols: Sequence[int] | None = None):
+        """Lay out the solutions of M x = s supported on ``cols``, eliminating once.
+
+        Pivots are tried greedily in ``cols`` (default: every column, left
+        to right), and free holds the other listed columns in their order.
+        Returns (pivots, free, rows): row j < free.size is the kernel
+        vector that sets free column j and the pivot bits it couples to;
+        the last row is the solution that is zero off the pivots (zero for
+        s = None).  Raises NoSolution if no solution uses only ``cols``.
+        """
+        m = self
+        if s is not None:
+            s = np.asarray(s, dtype=np.uint8) & 1
+            if s.shape != (self.rows,):
+                raise ValueError("syndrome length does not match row count")
+            if cols is None:
+                cols = range(self.cols)
+            elif self.cols in np.asarray(cols):  # the column of s; eliminate checks the rest
+                raise ValueError("columns must be distinct integers in range(cols)")
+            m = self.with_column(s)  # only cols take pivots; s ends as T s
+        res = m.eliminate(cols)
+        pivots = np.array(res.pivot_columns, dtype=np.intp)
+        rank = pivots.size
+        reduced = res.reduced.to_dense()
+        if reduced[rank:, self.cols:].any():  # T s below the pivot rows; empty for s = None
+            raise NoSolution("syndrome not in the image of the selected columns")
+        order = np.arange(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
+        in_pivot = np.zeros(self.cols, dtype=bool)
+        in_pivot[pivots] = True
+        free = order[~in_pivot[order]]
+        rows = np.zeros((free.size + 1, self.cols), dtype=np.uint8)
+        rows[np.arange(free.size), free] = 1
+        rows[:-1, pivots] = reduced[:rank, free].T
+        if s is not None:
+            rows[-1, pivots] = reduced[:rank, self.cols]
+        return pivots, free, rows
+
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
-        res = self.eliminate()
-        pivots = list(res.pivot_columns)
-        is_free = np.ones(self.cols, dtype=bool)
-        is_free[pivots] = False
-        free = np.nonzero(is_free)[0]
-        if free.size == 0:
-            return F2Matrix(0, self.cols)
-        basis = np.zeros((free.size, self.cols), dtype=np.uint8)
-        basis[np.arange(free.size), free] = 1
-        basis[:, pivots] = res.reduced.to_dense()[: len(pivots), free].T
-        return F2Matrix.from_dense(basis)
+        return F2Matrix.from_dense(self.coset()[2][:-1])
 
     def solve_columns(self, cols: Sequence[int], s: np.ndarray) -> np.ndarray:
-        """Solve M x = s with x supported on ``cols``; dense result.
-
-        Raises NoSolution if the restricted system is inconsistent.
-        """
-        s = np.asarray(s, dtype=np.uint8) & 1
-        if s.shape != (self.rows,):
-            raise ValueError("syndrome length does not match row count")
-        if self.cols in np.asarray(cols):  # the column of s; eliminate checks the rest
-            raise ValueError("columns must be distinct integers in range(cols)")
-        res = self.with_column(s).eliminate(cols)  # only cols take pivots; s ends as T s
-        rhs = res.reduced.to_dense()[:, self.cols]
-        r = len(res.pivot_columns)
-        if np.any(rhs[r:]):
-            raise NoSolution("syndrome not in the image of the selected columns")
-        x = np.zeros(self.cols, dtype=np.uint8)
-        # free columns of the restricted system are pinned to zero
-        x[list(res.pivot_columns)] = rhs[:r]
-        return x
+        """Solve M x = s with x supported on ``cols``, dense; NoSolution if none is."""
+        return self.coset(s, cols)[2][-1].copy()  # a view would pin all the rows
 
 
 @dataclass(frozen=True)
@@ -342,18 +348,6 @@ def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
         hi = min(lo + block, 1 << kappa)
         picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
         yield (picks.astype(np.uint8) @ dense + offset) & 1
-
-
-def block_diag(blocks: Sequence[F2Matrix]) -> F2Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.rows, c : c + b.cols] = b.to_dense()
-        r += b.rows
-        c += b.cols
-    return F2Matrix.from_dense(out)
 
 
 # -- MacKay alist format -------------------------------------------------

@@ -22,7 +22,7 @@ from qecbench.classical import (
 )
 from qecbench.decoders import (
     BpConfig,
-    _osd_candidates,
+    _osd_blocks,
     bp_decode,
     exhaustive_mld,
     exhaustive_mwd,
@@ -211,8 +211,9 @@ def test_every_reprocessing_candidate_is_valid_and_w0_is_osd0():
         s = h.matvec(e)
         soft = rng.normal(size=16)
         for w in (0, 1, 2):
-            for _, cand in _osd_candidates(h, s, soft, w):
-                assert np.array_equal(h.matvec(cand), s)
+            for block, _ in _osd_blocks(h, s, soft, w):
+                for cand in block:
+                    assert np.array_equal(h.matvec(cand), s)
         assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
     assert time.perf_counter() - start < 10.0
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,10 @@ def test_read_config(tmp_path):
     missing.write_text("code = hamming\n")
     with pytest.raises(ValueError):
         read_config(missing)
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text(path.read_text() + "trials = 200\n")
+    with pytest.raises(ValueError, match=re.escape(f"{repeated}:9: repeated key 'trials'")):
+        read_config(repeated)
 
 
 PINNED = [

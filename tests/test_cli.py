@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -110,6 +111,27 @@ def test_foliate_writes_graph_json(tmp_path, capsys):
     assert {"vertices", "edges", "detectors", "logical_supports"} <= doc.keys()
     assert len(doc["vertices"]) == 14
     assert "14 vertices" in text
+
+
+def test_foliate_reduces_the_adjacency_twice(tmp_path, capsys, monkeypatch):
+    # once for the logical supports and once for the detectors; the
+    # summary line counts the detectors in the document written
+    shapes = []
+    kernel_basis = F2Matrix.kernel_basis
+
+    def counted(self):
+        shapes.append((self.rows, self.cols))
+        return kernel_basis(self)
+
+    monkeypatch.setattr(F2Matrix, "kernel_basis", counted)
+    out = tmp_path / "fol.json"
+    code, text, _ = run(capsys, "foliate", "surface", "3", "--layers", "3",
+                        "--out", str(out))
+    assert code == 0
+    assert text.startswith("57 vertices, 86 edges, 18 detectors, 1 logical supports")
+    assert shapes.count((57, 57)) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e5e751fc9aec472981eb1a80ea53d33ab217fe907e30692add4ef1a71f58d1f1")
 
 
 def test_foliate_rejects_non_css(capsys):
@@ -385,6 +407,16 @@ def test_benchmark_negative_seed_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "benchmark", str(cfg), "--seed", "-1")
     assert code == 1 and not out
     assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+
+
+def test_benchmark_repeated_config_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG + "seed = 4\n")  # BENCH_CFG sets seed = 3
+    lineno = len(BENCH_CFG.splitlines()) + 1
+    code, out, err = run(capsys, "benchmark", str(cfg))
+    assert code == 1 and not out
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{cfg}:{lineno}: repeated key 'seed'" in err
 
 
 def test_benchmark_json_output(tmp_path, capsys):

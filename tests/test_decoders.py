@@ -20,12 +20,12 @@ from qecbench.decoders import (
     osd0,
     osd_w,
     success,
-    _osd_candidates,
+    _osd_blocks,
     _osd_prepare,
     _others,
     _patterns,
 )
-from qecbench.errors import CapacityExceeded, Unsatisfiable
+from qecbench.errors import CapacityExceeded, NoSolution, Unsatisfiable
 from qecbench.f2 import F2Matrix
 from qecbench.noise import (
     Prior,
@@ -488,9 +488,10 @@ def test_every_reprocessing_candidate_satisfies_syndrome():
         s = h.matvec(e)
         soft = rng.normal(size=16)
         seen = 0
-        for _, c in _osd_candidates(h, s, soft, 2):
-            assert np.array_equal(h.matvec(c), s)
-            seen += 1
+        for block, _ in _osd_blocks(h, s, soft, 2):
+            for c in block:
+                assert np.array_equal(h.matvec(c), s)
+                seen += 1
         assert seen == 1 + 16 - h.rank() + math.comb(16 - h.rank(), 2)
 
 
@@ -591,7 +592,7 @@ def test_osd_w_zero_equals_osd0(instance):
     # osd_w returns osd0 at order 0; the block sweep it skips has that
     # solution as its only candidate
     h, s, soft, _ = instance
-    (_, swept), = _osd_candidates(h, s, soft, 0)
+    ((swept,), _), = _osd_blocks(h, s, soft, 0)
     assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
     assert np.array_equal(osd0(h, s, soft), swept)
 
@@ -624,11 +625,119 @@ def test_osd_prepare_rows_lay_out_the_solution_coset(instance):
     assert np.array_equal(kernel[:, free], np.eye(free.size, dtype=np.uint8))
     assert np.array_equal(h.matvec(solution), s)
     assert not np.delete(solution, pivots).any()
-    # equal soft values rank the columns in index order, which is the
-    # order kernel_basis and solve_columns eliminate in
-    _, _, plain = _osd_prepare(h, s, np.zeros(h.cols))
-    assert np.array_equal(plain[:-1], h.kernel_basis().to_dense())
-    assert np.array_equal(plain[-1], h.solve_columns(range(h.cols), s))
+    assert _outcome(lambda: _osd_prepare(h, s, soft)) == _outcome(
+        lambda: _separate_osd_prepare(h, s, soft))
+
+
+# The three layouts as they stood before F2Matrix.coset served them all,
+# kept here so the shared method is checked against code it did not write.
+
+
+def _separate_kernel_basis(m):
+    res = m.eliminate()
+    pivots = list(res.pivot_columns)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.nonzero(is_free)[0]
+    if free.size == 0:
+        return F2Matrix(0, m.cols)
+    basis = np.zeros((free.size, m.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = res.reduced.to_dense()[: len(pivots), free].T
+    return F2Matrix.from_dense(basis)
+
+
+def _separate_solve_columns(m, cols, s):
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (m.rows,):
+        raise ValueError("syndrome length does not match row count")
+    if m.cols in np.asarray(cols):
+        raise ValueError("columns must be distinct integers in range(cols)")
+    res = m.with_column(s).eliminate(cols)
+    rhs = res.reduced.to_dense()[:, m.cols]
+    r = len(res.pivot_columns)
+    if np.any(rhs[r:]):
+        raise NoSolution("syndrome not in the image of the selected columns")
+    x = np.zeros(m.cols, dtype=np.uint8)
+    x[list(res.pivot_columns)] = rhs[:r]
+    return x
+
+
+def _separate_osd_prepare(h, s, soft):
+    s = np.asarray(s, dtype=np.uint8) & 1
+    soft = np.asarray(soft, dtype=np.float64)
+    if soft.shape != (h.cols,):
+        raise ValueError("soft information length does not match column count")
+    if s.shape != (h.rows,):
+        raise ValueError("syndrome length does not match row count")
+    if np.isnan(soft).any():
+        raise ValueError("soft information contains NaN")
+    order = np.argsort(soft, kind="stable")
+    elim = h.with_column(s).eliminate(order)
+    pivots = np.array(elim.pivot_columns, dtype=np.int64)
+    rank = pivots.size
+    reduced = elim.reduced.to_dense()
+    if reduced[rank:, h.cols].any():
+        raise Unsatisfiable("syndrome lies outside the image of H")
+    in_pivot = np.zeros(h.cols, dtype=bool)
+    in_pivot[pivots] = True
+    free = order[~in_pivot[order]]
+    rows = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
+    rows[np.arange(free.size), free] = 1
+    rows[:, pivots] = reduced[:rank][:, np.append(free, h.cols)].T
+    return pivots, free, rows
+
+
+def _outcome(call):
+    """The exception type call() raises, or its arrays as (dtype, shape, bytes)."""
+    try:
+        out = call()
+    except (NoSolution, Unsatisfiable) as err:
+        return type(err)
+    arrays_out = out if isinstance(out, tuple) else (out,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays_out]
+
+
+@st.composite
+def coset_instances(draw):
+    """(H, s, cols, soft) across the word boundaries of H and [H | s]:
+    0-row, 0-column and rank-deficient H, permuted and restricted column
+    lists (the empty one included), and s consistent on cols, consistent
+    on H only, or drawn at random."""
+    c = draw(st.sampled_from([0, 1, 7, 63, 64, 65, 128, 129]))
+    r = draw(st.integers(0, 6))
+    dense = draw(arrays(np.uint8, (r, c), elements=st.integers(0, 1)))
+    if r >= 2 and draw(st.booleans()):
+        dense[-1] = dense[0] ^ dense[1]  # a dependent row
+    h = F2Matrix.from_dense(dense)
+    cols = draw(st.permutations(range(c)))[: draw(st.integers(0, c))]
+    e = draw(arrays(np.uint8, c, elements=st.integers(0, 1)))
+    s = draw(st.sampled_from([
+        h.matvec(e * np.isin(np.arange(c), cols)),
+        h.matvec(e),
+        draw(arrays(np.uint8, r, elements=st.integers(0, 1))),
+    ]))
+    soft = draw(arrays(np.float64, c, elements=st.integers(-2, 2).map(float)
+                       | st.floats(-5, 5) | st.sampled_from([np.inf, -np.inf])))
+    return h, s, cols, soft
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_instances())
+@example((F2Matrix.from_dense([[1, 1], [1, 1]]), np.array([1, 0], dtype=np.uint8),
+          [1, 0], np.zeros(2)))  # inconsistent on every column list
+@example((F2Matrix(2, 0), np.array([0, 1], dtype=np.uint8), [], np.zeros(0)))
+@example((F2Matrix(0, 3), np.zeros(0, dtype=np.uint8), [2], np.zeros(3)))
+def test_coset_callers_match_the_separate_layouts(instance):
+    h, s, cols, soft = instance
+    assert h.kernel_basis() == _separate_kernel_basis(h)
+    for listed in (cols, np.array(cols, dtype=np.int64), range(h.cols)):
+        solved = _outcome(lambda: h.solve_columns(listed, s))
+        assert solved == _outcome(lambda: _separate_solve_columns(h, listed, s))
+        assert solved is NoSolution or isinstance(solved, list)
+    osd = _outcome(lambda: _osd_prepare(h, s, soft))
+    assert osd == _outcome(lambda: _separate_osd_prepare(h, s, soft))
+    assert osd is Unsatisfiable or isinstance(osd, list)
 
 
 def test_each_decode_call_eliminates_once(monkeypatch):
@@ -646,6 +755,8 @@ def test_each_decode_call_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(F2Matrix, "eliminate", counted)
     decoders = {
+        "kernel_basis": lambda: problem.h.kernel_basis(),
+        "solve_columns": lambda: problem.h.solve_columns(range(problem.h.cols), s),
         "mld": lambda: exhaustive_mld(problem, s),
         "mwd": lambda: exhaustive_mwd(problem, s),
         "osd0": lambda: osd0(problem.h, s, soft),

@@ -7,7 +7,6 @@ from qecbench.errors import NoRightInverse, NoSolution
 from qecbench.f2 import (
     F2Matrix,
     SparseRows,
-    block_diag,
     from_alist,
     hstack,
     independent_rows,
@@ -267,9 +266,6 @@ def test_stacking():
     b = F2Matrix.from_dense([[1, 1], [1, 0]])
     assert hstack([a, b]).cols == 4
     assert vstack([a, b]).rows == 4
-    d = block_diag([a, b])
-    assert (d.rows, d.cols) == (4, 4)
-    assert d[0, 0] == 1 and d[2, 2] == 1 and d[0, 2] == 0
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (4, 1), (4, 63), (4, 64), (4, 65), (2, 128)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qecbench.descriptors import save_foliation
 from qecbench.errors import NoSolution, NotAbelian, StateError
-from qecbench.f2 import F2Matrix, block_diag, vstack
+from qecbench.f2 import F2Matrix, hstack, vstack
 from qecbench.graphstate import (
     FoliatedState,
     Tableau,
@@ -488,6 +488,12 @@ def test_signs_match_a_state_vector(a, pyrng):
     assert t.deterministic_outcome(m) == want
 
 
+def css_stabilizers(hx, hz):
+    """[[hx, 0], [0, hz]]: the CSS checks as symplectic (x | z) rows."""
+    return vstack([hstack([hx, F2Matrix(hx.rows, hz.cols)]),
+                   hstack([F2Matrix(hz.rows, hx.cols), hz])])
+
+
 def code_tableau(code):
     """Tableau of a stabilizer code with its logical pairs tracked."""
     stabs = [code.generator(i) for i in range(code.h.rows)]
@@ -500,7 +506,7 @@ TABLEAUX = {
     "partial": lambda: Tableau([pauli("XII")], [pauli("IXI"), pauli("IZI")]),
     "five qubit": lambda: code_tableau(five_qubit_code()),
     "surface 3": lambda: code_tableau(stabilizer_code(
-        block_diag([surface_code(3).hx, surface_code(3).hz]))),
+        css_stabilizers(surface_code(3).hx, surface_code(3).hz))),
 }
 
 
