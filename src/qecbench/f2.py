@@ -79,9 +79,6 @@ class F2Matrix:
     def identity(cls, n: int) -> "F2Matrix":
         return cls.from_dense(np.eye(n, dtype=np.uint8))
 
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(self.rows, self.cols, self._words.copy())
-
     def with_column(self, v: np.ndarray) -> "F2Matrix":
         """[M | v] for a 0/1 vector v of length rows, written into a copy of the words."""
         words = np.zeros((self.rows, _n_words(self.cols + 1)), dtype=np.uint64)

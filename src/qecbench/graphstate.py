@@ -327,6 +327,7 @@ class FoliatedState:
     parity: tuple[str, ...]           # "primal" | "dual"
     logical_supports: tuple[frozenset, ...]
     adjacency: F2Matrix
+    kernel: F2Matrix                  # basis of ker(adjacency): pure-X products
 
     def predicted_parity(self, support) -> int:
         """Sign of the pure-X stabilizer product over a vertex set.
@@ -391,7 +392,8 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
     for u, v in edges:
         adj[u, v] = adj[v, u] = 1
     adjacency = F2Matrix.from_dense(adj)
-    supports = _logical_supports(code, adjacency, offsets[0], n)
+    kernel = adjacency.kernel_basis()
+    supports = _logical_supports(code, kernel, offsets[0], n)
     return FoliatedState(
         code=code,
         layers=layers,
@@ -402,12 +404,12 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
         parity=tuple(parities),
         logical_supports=supports,
         adjacency=adjacency,
+        kernel=kernel,
     )
 
 
-def _logical_supports(code, adjacency, first_base, n):
+def _logical_supports(code, kernel, first_base, n):
     """Kernel elements restricting to each X-logical on the first layer."""
-    kernel = adjacency.kernel_basis()
     if kernel.rows == 0:
         return ()
     restricted = kernel.to_dense()[:, first_base : first_base + n]
@@ -431,8 +433,7 @@ def detectors(state: FoliatedState) -> list[frozenset]:
     outcomes fixed by the state; the logical supports span the part
     that carries encoded information, the rest are checks.
     """
-    kernel = state.adjacency.kernel_basis()
-    n = state.n_vertices
+    kernel, n = state.kernel, state.n_vertices
     logicals = F2Matrix.from_dense(
         np.reshape([_indicator(s, n) for s in state.logical_supports], (-1, n)))
     dense = kernel.to_dense()

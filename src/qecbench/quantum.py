@@ -3,9 +3,10 @@
 Codes are held as binary symplectic check matrices (one row per
 generator, redundant rows allowed).  Logical representatives come
 from the centralizer of the stabilizer group modulo the group itself
-and are arranged in anticommuting X/Z pairs.  Distance is found by
-exhaustive search over low-weight Paulis, guarded by qubit count and
-weight.  Commutation and products go through ``pauli``.
+and are arranged in anticommuting X/Z pairs; k is read off their
+count.  Distance is found by one exhaustive search over low-weight
+Paulis, guarded by qubit count and weight, which the pure-type CSS
+search shares.  Commutation and products go through ``pauli``.
 """
 
 from __future__ import annotations
@@ -70,17 +71,13 @@ def stabilizer_code(generators) -> StabilizerCode:
         if product(rows[dep == 1], 0)[1] != 0:
             raise NotAbelian("-identity lies in the span of the generators")
 
-    k = n - h.rank()
-    return StabilizerCode(h=h, n=n, k=k, logicals=_logical_pairs(h, n, k))
+    reps = _coset_reps(swap_halves(h), h)  # centralizer mod stabilizer
+    return StabilizerCode(h=h, n=n, k=reps.rows // 2, logicals=_logical_pairs(reps))
 
 
-def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
-    """Centralizer mod stabilizer, arranged as X/Z anticommuting pairs."""
-    if k == 0:
-        return F2Matrix(0, 2 * n)
-    centralizer = swap_halves(h).kernel_basis()
-    rem = centralizer.to_dense()[independent_rows(h, centralizer)]
-    assert len(rem) == 2 * k
+def _logical_pairs(reps: F2Matrix) -> F2Matrix:
+    """The rows of reps re-arranged as X/Z anticommuting pairs."""
+    rem = reps.to_dense()
     xs, zs = [], []
     while len(rem):
         u, rem = rem[0], rem[1:]
@@ -91,7 +88,7 @@ def _logical_pairs(h: F2Matrix, n: int, k: int) -> F2Matrix:
         rem = rem ^ symplectic_product(rem, u)[:, None] * w
         xs.append(u)
         zs.append(w)
-    return F2Matrix.from_dense(np.stack(xs + zs))
+    return F2Matrix.from_dense(np.reshape(xs + zs, (reps.rows, reps.cols)))
 
 
 # -- CSS codes -------------------------------------------------------------
@@ -123,24 +120,20 @@ def css_code(hx: F2Matrix, hz: F2Matrix) -> CssCode:
         raise ValueError("Hx and Hz act on different qubit counts")
     if not (hx @ hz.T).is_zero():
         raise NotCss("Hx Hz^T != 0")
-    n = hx.cols
-    k = n - hx.rank() - hz.rank()
-    lx = _coset_reps(hz, hx, k)  # commute with Z checks, mod X stabilizers
-    lz = _coset_reps(hx, hz, k)
-    if k:
+    lx = _coset_reps(hz, hx)  # commute with Z checks, mod X stabilizers
+    lz = _coset_reps(hx, hz)
+    if lx.rows:
         # re-pair so the logical bases are mutually dual
         pairing = lx @ lz.T  # k x k, invertible by nondegeneracy
         lz = pairing.right_inverse().T @ lz
     return CssCode(hx=hx, hz=hz, lx=lx, lz=lz)
 
 
-def _coset_reps(h_commute: F2Matrix, h_mod: F2Matrix, k: int) -> F2Matrix:
-    if k == 0:
-        return F2Matrix(0, h_commute.cols)
+def _coset_reps(h_commute: F2Matrix, h_mod: F2Matrix) -> F2Matrix:
+    """Rows of ker(h_commute) that extend rowspace(h_mod) to all of it:
+    a basis of the quotient, so their count is k."""
     kernel = h_commute.kernel_basis()
-    picks = independent_rows(h_mod, kernel)
-    assert len(picks) == k
-    return F2Matrix.from_dense(kernel.to_dense()[picks])
+    return F2Matrix.from_dense(kernel.to_dense()[independent_rows(h_mod, kernel)])
 
 
 # -- distance ---------------------------------------------------------------
@@ -159,18 +152,11 @@ def distance(code: StabilizerCode, max_weight: int = 3) -> float:
             f"distance search limited to n <= {DISTANCE_QUBIT_GUARD}, "
             f"weight <= {DISTANCE_WEIGHT_GUARD}"
         )
-    h, logicals, n = code.h.to_dense(), code.logicals.to_dense(), code.n
-    for w in range(1, max_weight + 1):
-        # one row per choice of X, Z or Y on each qubit of the support
-        types = np.array(list(itertools.product((1, 2, 3), repeat=w)), np.uint8)
-        for support in itertools.combinations(range(n), w):
-            v = np.zeros((len(types), 2 * n), dtype=np.uint8)
-            v[:, support] = types & 1
-            v[:, np.add(support, n)] = types >> 1
-            commuting = v[~symplectic_product(v, h).any(axis=1)]
-            if symplectic_product(commuting, logicals).any():
-                return w
-    raise DistanceUnknown(max_weight)
+    d = _lightest_logical(code.h.to_dense(), code.logicals.to_dense(), code.n,
+                          max_weight, (1, 2, 3))
+    if d is None:
+        raise DistanceUnknown(max_weight)
+    return d
 
 
 def css_distance(css: CssCode, max_weight: int | None = None) -> float:
@@ -180,24 +166,35 @@ def css_distance(css: CssCode, max_weight: int | None = None) -> float:
     if css.n > 24:
         raise CapacityExceeded("pure-type distance search limited to n <= 24")
     cap = max_weight if max_weight is not None else css.n
-    dx = _pure_distance(css.hz, css.hx, css.n, cap)
-    dz = _pure_distance(css.hx, css.hz, css.n, cap)
+    # [[hx, 0], [0, hz]] and [[lx, 0], [0, lz]] as symplectic rows; for v
+    # in ker(hz), v lies outside rowspace(hx) = ker(hx)^perp exactly when
+    # lz v != 0, since ker(hx) = rowspace(hz) + span(lz)
+    hx, hz, lx, lz = (m.to_dense() for m in (css.hx, css.hz, css.lx, css.lz))
+    checks = np.block([[hx, 0 * hx], [0 * hz, hz]])
+    logicals = np.block([[lx, 0 * lx], [0 * lz, lz]])
+    dx = _lightest_logical(checks, logicals, css.n, cap, (1,))
+    dz = _lightest_logical(checks, logicals, css.n, cap, (2,))
     if dx is None or dz is None:
         raise DistanceUnknown(cap)
     return min(dx, dz)
 
 
-def _pure_distance(h_commute, h_mod, n, max_weight):
-    hc = h_commute.to_dense().astype(np.int64)
-    # rowspace(h_mod) is the orthogonal complement of ker(h_mod)
-    dual = h_mod.kernel_basis()
+def _lightest_logical(checks, logicals, n, max_weight, letters):
+    """Least weight <= max_weight of a Pauli with letters from ``letters``
+    (1 X, 2 Z, 3 Y) on its support that commutes with every check row
+    and not with some logical row; None when there is none."""
     for w in range(1, max_weight + 1):
-        for support in itertools.combinations(range(n), w):
-            v = np.zeros(n, dtype=np.uint8)
-            v[list(support)] = 1
-            if hc.size and (hc @ v % 2).any():
-                continue
-            if dual.matvec(v).any():
+        # one row per support and choice of letter on each of its qubits,
+        # a block of supports (a few thousand rows) at a time
+        types = np.array(list(itertools.product(letters, repeat=w)), np.uint8)
+        supports = itertools.combinations(range(n), w)
+        while block := list(itertools.islice(supports, 1 + 4096 // len(types))):
+            cols = np.repeat(block, len(types), axis=0)
+            v = np.zeros((len(cols), 2 * n), dtype=np.uint8)
+            np.put_along_axis(v, cols, np.tile(types & 1, (len(block), 1)), axis=1)
+            np.put_along_axis(v, cols + n, np.tile(types >> 1, (len(block), 1)), axis=1)
+            commuting = v[~symplectic_product(v, checks).any(axis=1)]
+            if symplectic_product(commuting, logicals).any():
                 return w
     return None
 

@@ -113,9 +113,9 @@ def test_foliate_writes_graph_json(tmp_path, capsys):
     assert "14 vertices" in text
 
 
-def test_foliate_reduces_the_adjacency_twice(tmp_path, capsys, monkeypatch):
-    # once for the logical supports and once for the detectors; the
-    # summary line counts the detectors in the document written
+def test_foliate_reduces_the_adjacency_once(tmp_path, capsys, monkeypatch):
+    # the logical supports and the detectors share the kernel foliate
+    # keeps; the summary line counts the detectors in the document written
     shapes = []
     kernel_basis = F2Matrix.kernel_basis
 
@@ -129,7 +129,7 @@ def test_foliate_reduces_the_adjacency_twice(tmp_path, capsys, monkeypatch):
                         "--out", str(out))
     assert code == 0
     assert text.startswith("57 vertices, 86 edges, 18 detectors, 1 logical supports")
-    assert shapes.count((57, 57)) == 2
+    assert shapes.count((57, 57)) == 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "e5e751fc9aec472981eb1a80ea53d33ab217fe907e30692add4ef1a71f58d1f1")
 

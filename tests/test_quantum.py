@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from qecbench.errors import (
 )
 from qecbench.descriptors import load, save_css_code, save_stabilizer_code
 from qecbench.bench import build_code
+from qecbench.classical import linear_code
 from qecbench.f2 import F2Matrix, hstack, independent_rows, vstack
+from qecbench.homology import hypergraph_product
 from qecbench.pauli import PauliOperator, swap_halves, symplectic_product
 from qecbench.quantum import (
     CssCode,
@@ -203,3 +206,192 @@ def test_random_css_structure(bits):
     if css.k:
         pairing = (css.lx @ css.lz.T).to_dense()
         assert np.array_equal(pairing, np.eye(css.k, dtype=np.uint8))
+
+
+def test_constructors_and_distances_rerun_no_reduction(monkeypatch):
+    # k is read off the coset representatives and nontriviality off the
+    # paired logicals, so no rank pass and no second kernel is needed
+    calls = []
+
+    def counting(name, method):
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in ("rank", "eliminate", "kernel_basis"):
+        monkeypatch.setattr(F2Matrix, name, counting(name, getattr(F2Matrix, name)))
+    css = build_code("surface 3")
+    # two repetition kernels, then per side a kernel and a quotient, and
+    # one right inverse to pair lx with lz
+    assert calls.count("eliminate") == 7
+    five = five_qubit_code()
+    stabilizer_code(css_stabilizers(css.hx, css.hz))
+    assert (five.k, "rank" in calls) == (1, False)
+    calls.clear()
+    assert css_distance(css) == 3
+    assert calls == []
+
+
+# -- the constructors and searches as they stood before k was read off the
+# representatives; the differential test below pins the new code to them
+
+
+def old_coset_reps(h_commute, h_mod, k):
+    if k == 0:
+        return F2Matrix(0, h_commute.cols)
+    kernel = h_commute.kernel_basis()
+    picks = independent_rows(h_mod, kernel)
+    assert len(picks) == k
+    return F2Matrix.from_dense(kernel.to_dense()[picks])
+
+
+def old_css_code(hx, hz):
+    k = hx.cols - hx.rank() - hz.rank()
+    lx, lz = old_coset_reps(hz, hx, k), old_coset_reps(hx, hz, k)
+    if k:
+        lz = (lx @ lz.T).right_inverse().T @ lz
+    return k, lx, lz
+
+
+def old_logical_pairs(h, n, k):
+    if k == 0:
+        return F2Matrix(0, 2 * n)
+    centralizer = swap_halves(h).kernel_basis()
+    rem = centralizer.to_dense()[independent_rows(h, centralizer)]
+    assert len(rem) == 2 * k
+    xs, zs = [], []
+    while len(rem):
+        u, rem = rem[0], rem[1:]
+        j = int(np.argmax(symplectic_product(rem, u)))
+        w, rem = rem[j], np.delete(rem, j, axis=0)
+        rem = rem ^ symplectic_product(rem, w)[:, None] * u
+        rem = rem ^ symplectic_product(rem, u)[:, None] * w
+        xs.append(u)
+        zs.append(w)
+    return F2Matrix.from_dense(np.stack(xs + zs))
+
+
+def old_distance(h, logicals, n, k, max_weight):
+    if k == 0:
+        return math.inf
+    if n > 20 or max_weight > 6:
+        raise CapacityExceeded("guard")
+    h, logicals = h.to_dense(), logicals.to_dense()
+    for w in range(1, max_weight + 1):
+        types = np.array(list(itertools.product((1, 2, 3), repeat=w)), np.uint8)
+        for support in itertools.combinations(range(n), w):
+            v = np.zeros((len(types), 2 * n), dtype=np.uint8)
+            v[:, support] = types & 1
+            v[:, np.add(support, n)] = types >> 1
+            commuting = v[~symplectic_product(v, h).any(axis=1)]
+            if symplectic_product(commuting, logicals).any():
+                return w
+    raise DistanceUnknown(max_weight)
+
+
+def old_pure_distance(h_commute, h_mod, n, max_weight):
+    hc = h_commute.to_dense().astype(np.int64)
+    dual = h_mod.kernel_basis()
+    for w in range(1, max_weight + 1):
+        for support in itertools.combinations(range(n), w):
+            v = np.zeros(n, dtype=np.uint8)
+            v[list(support)] = 1
+            if hc.size and (hc @ v % 2).any():
+                continue
+            if dual.matvec(v).any():
+                return w
+    return None
+
+
+def old_css_distance(hx, hz, k, max_weight):
+    n = hx.cols
+    if k == 0:
+        return math.inf
+    if n > 24:
+        raise CapacityExceeded("guard")
+    cap = max_weight if max_weight is not None else n
+    dx = old_pure_distance(hz, hx, n, cap)
+    dz = old_pure_distance(hx, hz, n, cap)
+    if dx is None or dz is None:
+        raise DistanceUnknown(cap)
+    return min(dx, dz)
+
+
+def outcome(search, *args):
+    """What a distance search returns, or the type and argument it raises."""
+    try:
+        return search(*args)
+    except (CapacityExceeded, DistanceUnknown) as err:
+        return type(err), getattr(err, "max_weight", None)
+
+
+@st.composite
+def covering_checks(draw, rows, cols):
+    """A random check matrix in which every row and every column has a 1,
+    so neither its code nor its transpose code has distance 1."""
+    r, c = draw(rows), draw(cols)
+    bits = draw(arrays(np.uint8, (r, c), elements=st.integers(0, 1)))
+    bits[draw(arrays(np.intp, c, elements=st.integers(0, r - 1))), np.arange(c)] = 1
+    bits[np.arange(r), draw(arrays(np.intp, r, elements=st.integers(0, c - 1)))] = 1
+    return F2Matrix.from_dense(bits)
+
+
+@st.composite
+def css_pairs(draw):
+    """Orthogonal (hx, hz): random rows of a kernel with a redundant row,
+    the whole kernel (k = 0), or a hypergraph product of small codes."""
+    kind = draw(st.sampled_from(["kernel", "k=0", "hgp"]))
+    if kind == "hgp":
+        # more columns than rows in a and fewer in b, so that k >= 1
+        a, b = (draw(covering_checks(st.integers(1, 2), st.integers(3, 3)))
+                for _ in range(2))
+        code = hypergraph_product(linear_code(a), linear_code(b.T))
+        return code.hx, code.hz
+    hx = draw(covering_checks(st.integers(1, 4), st.integers(2, 9)))
+    kernel = hx.kernel_basis()
+    if kind == "k=0" or kernel.rows == 0:
+        return hx, kernel
+    picks = draw(arrays(np.uint8, (draw(st.integers(1, kernel.rows + 1)), kernel.rows),
+                        elements=st.integers(0, 1)))
+    hz = (F2Matrix.from_dense(picks) @ kernel).to_dense()
+    hx = hx.to_dense()
+    # a redundant row on one side: the sum of two rows already there
+    if draw(st.booleans()):
+        hz = np.vstack([hz, hz[0] ^ hz[-1]])
+    else:
+        hx = np.vstack([hx, hx[0] ^ hx[-1]])
+    return F2Matrix.from_dense(hx), F2Matrix.from_dense(hz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(css_pairs(), st.integers(0, 255), st.integers(1, 7), st.booleans())
+def test_codes_and_distances_match_the_rank_pass_code(pair, clifford, weight, cap):
+    hx, hz = pair
+    n = hx.cols
+    css = css_code(hx, hz)
+    k, lx, lz = old_css_code(hx, hz)
+    assert (css.k, css.lx, css.lz) == (k, lx, lz)  # equal shapes and packed words
+    max_weight = weight if cap else None
+    assert outcome(css_distance, css, max_weight) == outcome(
+        old_css_distance, hx, hz, k, max_weight)
+
+    # the stabilizer form, also after a local Clifford per qubit that
+    # mixes the X and Z letters (it maps each dependency of the X rows,
+    # and of the Z rows, to a product of +I); a stabilizer state when k = 0
+    h = css_stabilizers(hx, hz).to_dense()
+    if clifford % 2:
+        mix = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]],
+                        [[1, 0], [1, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 0]]])
+        ops = mix[np.random.default_rng(clifford).integers(6, size=n)]
+        x, z = h[:, :n], h[:, n:]
+        h = np.hstack([x * ops[:, 0, 0] ^ z * ops[:, 1, 0],
+                       x * ops[:, 0, 1] ^ z * ops[:, 1, 1]]).astype(np.uint8)
+    h = F2Matrix.from_dense(h)
+    code = stabilizer_code(h)
+    k = n - h.rank()
+    logicals = old_logical_pairs(h, n, k)
+    assert (code.k, code.logicals) == (k, logicals)
+    weight = min(weight, 3) if weight < 7 else weight  # 7 trips the weight guard
+    assert outcome(distance, code, weight) == outcome(
+        old_distance, h, logicals, n, k, weight)
