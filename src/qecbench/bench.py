@@ -4,10 +4,12 @@ A benchmark sweeps physical rates, draws one error per trial from a
 per-trial RNG stream, decodes, and scores with the degeneracy-aware
 success predicate.  Results carry Wilson 95% intervals so rare-event
 points near zero failures stay honest.  Everything downstream of the
-seed is deterministic: trial t at rate index r always uses
-SeedSequence(seed, spawn_key=(r, t)), and trials run in order on the
-calling thread.  A syndrome repeated at a rate point is decoded once
-(decoders.memo), but every trial still calls the decoder entry points.
+seed is deterministic: trial t at rate index r always draws from the
+Philox stream keyed by SeedSequence(seed, spawn_key=(r, t)), and trials
+run in order on the calling thread.  The keys are computed a block of
+trials at a time, and one Philox per thread is reset to each.  A
+syndrome repeated at a rate point is decoded once (decoders.memo), but
+every trial still calls the decoder entry points.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import io
 import json
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -144,8 +147,8 @@ class BenchmarkConfig:
             raise ValueError("trials and seed must be integers")
         if self.seed < 0:  # SeedSequence's own error names no field
             raise ValueError("seed must be >= 0")
-        if self.trials < 1:
-            raise ValueError("need at least one trial per rate")
+        if not 1 <= self.trials < 2**32:  # a trial's spawn-key word is one uint32
+            raise ValueError("trials must be in [1, 2**32)")
         rates = tuple(float(r) for r in self.rates)
         if not rates:
             raise ValueError("need at least one physical rate")
@@ -192,9 +195,62 @@ def wilson_interval(failures: int, trials: int, z: float = WILSON_Z):
 # -- trial execution -----------------------------------------------------------
 
 
+_BLOCK = 1024  # trials whose Philox keys are hashed together
+
+
+def _hash(v: np.ndarray, init: int, mult: int, skip: int = 0) -> np.ndarray:
+    """SeedSequence's hashmix of row i < 4 of v, its constant init * mult**(skip + i)."""
+    c = np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(skip, skip + 5)],
+                 dtype=np.uint32)[:, None]
+    v = (v ^ c[:-1]) * c[1:]
+    return v ^ v >> np.uint32(16)
+
+
+def _block_keys(seed: int, rate_index: int, block: int) -> np.ndarray:
+    """Philox keys of a block of trials t, one row each: numpy's (after O'Neill's
+    seed_seq) SeedSequence(seed, spawn_key=(rate_index, t)).generate_state(2, np.uint64)
+    with t as a vector.  t is the last entropy word, so the pool of spawn_key
+    (rate_index,) holds the words before it (the seed's, padded to 4, and r),
+    4 hashmixes each."""
+    pool = np.random.SeedSequence(seed, spawn_key=(rate_index,)).pool[:, None]
+    t = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
+    steps = 4 * (max(-(-seed.bit_length() // 32), 4) + 1)
+    h = _hash(t, 0x43B0D7E5, 0x931E8875, steps)  # INIT_A, MULT_A
+    v = np.uint32(0xCA01F9DD) * pool - np.uint32(0x4973F715) * h  # MIX_MULT_L, MIX_MULT_R
+    v = _hash(v ^ v >> np.uint32(16), 0x8B51F9DD, 0x58F38DED).astype(np.uint64)  # INIT_B, MULT_B
+    return (v[0::2] | v[1::2] << np.uint64(32)).T  # uint32 pairs read little-endian
+
+
+class _Streams(threading.local):
+    """Per thread: one reused Philox, the state it is reset to, one block's keys."""
+
+    def __init__(self):
+        self.generator = self.block = None  # importing the module builds no Philox
+        self.key = {"counter": [0] * 4, "key": None}  # the state setter reads lists fast
+        self.state = {"bit_generator": "Philox", "state": self.key, "buffer": [0] * 4,
+                      "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+_streams = _Streams()
+
+
 def _trial_rng(seed: int, rate_index: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(rate_index, trial))
-    return np.random.Generator(np.random.Philox(ss))
+    """The stream of Generator(Philox(SeedSequence(seed, spawn_key=(rate_index, trial)))).
+
+    This thread's one Philox is reset to the trial's key, counter 0 and an
+    empty buffer, so the Generator is valid only until the next
+    _trial_rng call on this thread.  trial and rate_index must be < 2**32.
+    """
+    s = _streams
+    block = (int(seed), rate_index, trial // _BLOCK)
+    if s.block != block:
+        if s.generator is None:
+            s.generator = np.random.Generator(np.random.Philox(0))
+        # an array, not lists of ints, keeps the peak RSS of a run unchanged
+        s.block, s.keys = block, _block_keys(*block)
+    s.key["key"] = s.keys[trial % _BLOCK].tolist()
+    s.generator.bit_generator.state = s.state
+    return s.generator
 
 
 def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,

@@ -78,6 +78,11 @@ def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
     return op(prefix, suffix[..., ::-1], out=prefix)
 
 
+def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
+    """a.clip(-clamp, clamp, out=a), bit for bit, without ndarray.clip's Python wrapper."""
+    return np.minimum(np.maximum(a, -clamp, out=a), clamp, out=a)
+
+
 @np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
 def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
     """Flooding BP on the Tanner graph of the problem's check matrix.
@@ -124,12 +129,12 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
             np.copysign(1.0, msg_v2c, out=signs, where=real)
             msg_c2v = sign * signs.prod(axis=1, keepdims=True) * signs
             msg_c2v *= ext_min
-        msg_c2v.clip(-clamp, clamp, out=msg_c2v)
+        _clip(msg_c2v, clamp)
 
         # bincount adds each column's messages one at a time in row-major
         # edge order, so every sum is fixed to the bit by the graph alone
         posterior = lam + np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
-        np.subtract(posterior[pad_col], msg_c2v, out=msg_v2c).clip(-clamp, clamp, out=msg_v2c)
+        _clip(np.subtract(posterior[pad_col], msg_c2v, out=msg_v2c), clamp)
 
         # converged must describe the correction we return, so re-test
         # every round: without early stopping a later sweep may undo an

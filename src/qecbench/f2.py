@@ -138,17 +138,6 @@ class F2Matrix:
         acc = np.bitwise_and(self._words, vw[None, :])
         return (np.bitwise_count(acc).sum(axis=1) & 1).astype(np.uint8)
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Return v @ M (v a row vector) by XORing the selected rows."""
-        v = np.asarray(v, dtype=np.uint8) & 1
-        if v.shape != (self.rows,):
-            raise ValueError(f"expected vector of length {self.rows}, got {v.shape}")
-        sel = np.nonzero(v)[0]
-        if sel.size == 0:
-            return np.zeros(self.cols, dtype=np.uint8)
-        w = np.bitwise_xor.reduce(self._words[sel], axis=0)
-        return _unpack(w[None, :], self.cols)[0]
-
     # -- elimination ---------------------------------------------------
 
     def eliminate(self, column_order: Sequence[int] | None = None) -> "EliminationResult":

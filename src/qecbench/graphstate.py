@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRightInverse, NoSolution, NotAbelian, StateError
+from .errors import NoRightInverse, NotAbelian, StateError
 from .f2 import F2Matrix, independent_rows
 from .pauli import PauliOperator, product, swap_halves, symplectic_product
 from .quantum import CssCode
@@ -409,20 +409,19 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
 
 
 def _logical_supports(code, kernel, first_base, n):
-    """Kernel elements restricting to each X-logical on the first layer."""
+    """Kernel elements restricting to each X-logical on the first layer,
+    from one elimination of the restricted system with every logical
+    appended; a logical whose column is nonzero below the rank has none."""
     if kernel.rows == 0:
         return ()
-    restricted = kernel.to_dense()[:, first_base : first_base + n]
-    system = F2Matrix.from_dense(restricted.T)
-    supports = []
-    for j in range(code.k):
-        try:
-            combo = system.solve_columns(range(kernel.rows), code.lx.row_dense(j))
-        except NoSolution:
-            continue
-        vec = kernel.rmatvec(combo)
-        supports.append(frozenset(int(v) for v in np.nonzero(vec)[0]))
-    return tuple(supports)
+    dense, m = kernel.to_dense(), kernel.rows
+    system = np.hstack([dense[:, first_base : first_base + n].T, code.lx.to_dense().T])
+    res = F2Matrix.from_dense(system).eliminate(range(m))
+    rank, reduced = len(res.pivot_columns), res.reduced.to_dense()[:, m:]
+    combos = np.zeros((code.k, m), dtype=np.int64)
+    combos[:, list(res.pivot_columns)] = reduced[:rank].T  # solutions zero off the pivots
+    solved = ~reduced[rank:].any(axis=0)
+    return tuple(frozenset(np.flatnonzero(v).tolist()) for v in combos[solved] @ dense & 1)
 
 
 def detectors(state: FoliatedState) -> list[frozenset]:

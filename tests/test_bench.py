@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qecbench import bench, decoders
 from qecbench.bench import (
@@ -353,10 +355,8 @@ def without_seconds(result) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in csv_text(result).splitlines()]
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
-def test_memo_leaves_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
-    """run_benchmark with the memo gives the rows of the uncached path."""
+def row_runs(tmp_path):
+    """(code, noise, decoder) over every noise kind and decoder."""
     path = tmp_path / "p.json"
     save_problem(depolarizing_problem(css_code(*four_two_two_checks()), 0.1, "xzy"), path)
     runs = [("hamming", "bsc", d) for d in ("bp", "bp+osd 2", "mwd", "mld")]
@@ -364,7 +364,14 @@ def test_memo_leaves_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
     runs += [("surface 2", "xzy", d) for d in ("mld", "bp+osd 2")]
     runs += [("surface 3", "split-xz", d) for d in ("bp", "bp+osd 0")]
     runs += [("surface 2", "split-xz", "mwd")]
-    for code, noise, decoder in runs:
+    return runs
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+def test_memo_leaves_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
+    """run_benchmark with the memo gives the rows of the uncached path."""
+    for code, noise, decoder in row_runs(tmp_path):
         cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.03, 0.1),
                               trials=80, seed=seed, bp=BpConfig(variant=variant))
         cached = without_seconds(run_benchmark(cfg))
@@ -488,3 +495,113 @@ def test_every_trial_reaches_the_scored_entry_point(monkeypatch, code, noise, de
                           trials=150, seed=1)
     run_benchmark(cfg)
     assert len(calls) == 2 * 150 * problems
+
+
+# -- trial streams -------------------------------------------------------------
+
+
+def fresh_trial_rng(seed, rate_index, trial):
+    """The replaced _trial_rng: a new SeedSequence, Philox and Generator per trial."""
+    ss = np.random.SeedSequence(seed, spawn_key=(rate_index, trial))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+B = bench._BLOCK
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**130 + 5,
+                np.int64(2**40 + 7), np.uint64(2**64 - 1), np.uint64(3)]
+
+
+def draws(rng, n):
+    return rng.random(n).tobytes() + rng.integers(0, 3, n).tobytes()
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.sampled_from(STREAM_SEEDS), st.sampled_from([0, 1, 7]),
+                          st.sampled_from([0, B - 1, B, B + 1, 5 * B + 3])),
+                min_size=1, max_size=8),
+       st.integers(1, 40))
+def test_trial_streams_match_a_fresh_seed_sequence(calls, n):
+    """Each call restarts the trial's stream, also after a jump back to an
+    earlier block or a repeat of the same trial."""
+    for seed, rate_index, trial in calls:
+        assert (draws(bench._trial_rng(seed, rate_index, trial), n)
+                == draws(fresh_trial_rng(seed, rate_index, trial), n))
+
+
+@pytest.mark.parametrize("seed,rate_index,block", [(0, 0, 0), (2**130 + 5, 7, 3),
+                                                   (np.uint64(2**63 + 1), 1, 1)])
+def test_block_keys_are_the_seed_sequence_keys(seed, rate_index, block):
+    keys = bench._block_keys(int(seed), rate_index, block)
+    want = [np.random.SeedSequence(seed, spawn_key=(rate_index, t)).generate_state(2, np.uint64)
+            for t in range(block * B, (block + 1) * B)]
+    assert keys.dtype == np.uint64 and keys.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+def test_block_streams_leave_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
+    """run_benchmark gives the rows of a fresh SeedSequence per trial."""
+    for code, noise, decoder in row_runs(tmp_path):
+        # hamming crosses a block boundary at both rates
+        trials = B + 20 if code == "hamming" else 80
+        cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.03, 0.1),
+                              trials=trials, seed=seed, bp=BpConfig(variant=variant))
+        blocked = without_seconds(run_benchmark(cfg))
+        monkeypatch.setattr(bench, "_trial_rng", fresh_trial_rng)
+        fresh = without_seconds(run_benchmark(cfg))
+        monkeypatch.undo()
+        assert blocked == fresh, (code, noise, decoder)
+
+
+def test_threads_keep_their_own_streams(monkeypatch):
+    """Two run_benchmark calls at once on two threads give their serial rows,
+    with every draw made after both threads have taken their trial's stream."""
+    cfgs = [BenchmarkConfig(code="hamming", noise="bsc", decoder="bp", rates=(0.05, 0.1),
+                            trials=B + 200, seed=3),
+            BenchmarkConfig(code="repetition 5", noise="bsc", decoder="bp+osd 1",
+                            rates=(0.02, 0.1), trials=B + 200, seed=11)]
+    serial = [without_seconds(run_benchmark(cfg)) for cfg in cfgs]
+    meet, sample_bsc = threading.Barrier(2, timeout=10), bench.sample_bsc
+
+    def sample_in_step(prior, rng):
+        try:
+            meet.wait()
+        except threading.BrokenBarrierError:  # the other thread has finished
+            pass
+        return sample_bsc(prior, rng)
+
+    def worker(i):
+        try:
+            rows[i] = without_seconds(run_benchmark(cfgs[i]))
+        finally:
+            meet.abort()
+
+    monkeypatch.setattr(bench, "sample_bsc", sample_in_step)
+    rows = [None, None]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert rows == serial
+
+
+def test_trials_must_fit_one_spawn_key_word():
+    good = dict(code="hamming", noise="bsc", decoder="bp", rates=(0.1,))
+    for trials in (2**32 - 1, np.uint64(2**32 - 1)):
+        BenchmarkConfig(**good, trials=trials)
+    for trials in (2**32, np.uint64(2**32), 2**64):
+        with pytest.raises(ValueError, match="trials"):
+            BenchmarkConfig(**good, trials=trials)
+
+
+def test_wide_and_numpy_seeds_keep_their_streams(monkeypatch):
+    base = dict(code="surface 2", noise="xzy", decoder="mld", rates=(0.05, 0.1), trials=60)
+    rows = without_seconds(run_benchmark(BenchmarkConfig(**base, seed=3)))
+    for seed in (np.int64(3), np.uint64(3)):
+        assert without_seconds(run_benchmark(BenchmarkConfig(**base, seed=seed))) == rows
+    wide = BenchmarkConfig(**base, seed=2**130 + 5)
+    blocked = without_seconds(run_benchmark(wide))
+    monkeypatch.setattr(bench, "_trial_rng", fresh_trial_rng)
+    assert without_seconds(run_benchmark(wide)) == blocked

@@ -71,11 +71,11 @@ def test_encoding_matrix_roundtrip(h):
     assert (enc.v @ enc.v_inv) == F2Matrix.identity(code.n)
     rng = np.random.default_rng(code.n + 5 * code.k)
     word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
-    coords = enc.v_inv.rmatvec(word)
+    coords = enc.v_inv.T.matvec(word)
     logical, synd = coords[: code.k], coords[code.k :]
     assert np.array_equal(synd, syndrome(code, word))
     # recombination reproduces the word
-    assert np.array_equal(enc.v.rmatvec(np.concatenate([logical, synd])), word)
+    assert np.array_equal(enc.v.T.matvec(np.concatenate([logical, synd])), word)
 
 
 def test_no_checks_encoding():

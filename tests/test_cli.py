@@ -409,6 +409,14 @@ def test_benchmark_negative_seed_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "seed" in err and "Traceback" not in err
 
 
+def test_benchmark_trials_beyond_one_spawn_key_word_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(BENCH_CFG.replace("trials = 150", f"trials = {2**32}"))
+    code, out, err = run(capsys, "benchmark", str(cfg))
+    assert code == 1 and not out
+    assert err.startswith("error:") and "trials" in err and "Traceback" not in err
+
+
 def test_benchmark_repeated_config_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(BENCH_CFG + "seed = 4\n")  # BENCH_CFG sets seed = 3

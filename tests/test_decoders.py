@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from qecbench.bench import build_code
 from qecbench.classical import hamming74
+from qecbench import decoders
 from qecbench.decoders import (
     BpConfig,
     DecodeResult,
@@ -22,6 +23,7 @@ from qecbench.decoders import (
     success,
     _osd_blocks,
     _osd_prepare,
+    _clip,
     _others,
     _patterns,
 )
@@ -225,6 +227,40 @@ def test_others_product_matches_brute_force(rows):
     # +-1 and powers of two multiply exactly in any order; 1.0 is the padding
     assert np.array_equal(_others(rows, np.multiply, 1.0),
                           _brute_others(rows, np.prod, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, _row_shapes, elements=st.one_of(
+           st.sampled_from([np.inf, -np.inf, 0.0, -0.0, np.nan, 30.0, -30.0, 1e300, -1e-300]),
+           st.floats(-100.0, 100.0))),
+       st.sampled_from([0.5, 20.0, 30.0]))
+def test_clip_matches_ndarray_clip_bit_for_bit(a, clamp):
+    want = a.clip(-clamp, clamp)
+    got = a.copy()
+    assert _clip(got, clamp) is got
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_messages_unchanged_by_the_clip_ufuncs(monkeypatch, variant, early_stop):
+    """bp_decode with ndarray.clip in place of _clip returns the same bits."""
+    code = build_code("surface 5")
+    problems = [depolarizing_problem(code, p, "split-xz")[0] for p in (0.03, 0.1)]
+    cfg = BpConfig(variant=variant, early_stop=early_stop, max_iterations=12)
+
+    def sweep():
+        out = []
+        for seed, problem in itertools.product(range(25), problems):
+            e = (np.random.default_rng(seed).random(problem.h.cols) < 0.08).astype(np.uint8)
+            res = bp_decode(problem, problem.tanner.parity(e), cfg)
+            out.append((res.correction.tobytes(), res.converged, res.iterations_used,
+                        res.posterior_llr.tobytes()))
+        return out
+
+    fast = sweep()
+    monkeypatch.setattr(decoders, "_clip", lambda a, clamp: a.clip(-clamp, clamp, out=a))
+    assert sweep() == fast
 
 
 def test_bp_rejects_wrong_syndrome_length():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecbench import graphstate
+from qecbench.bench import build_code
 from qecbench.descriptors import save_foliation
 from qecbench.errors import NoSolution, NotAbelian, StateError
 from qecbench.f2 import F2Matrix, hstack, vstack
@@ -663,6 +665,57 @@ def test_detectors_and_logicals_complete_the_kernel():
         picked = F2Matrix.from_dense(picked)
         assert picked.rank() == kernel.rows  # independent
         assert vstack([picked, kernel]).rank() == kernel.rows  # span the kernel
+
+
+def per_logical_supports(code, kernel, first_base, n):
+    """The replaced _logical_supports: one solve_columns per X-logical."""
+    if kernel.rows == 0:
+        return ()
+    restricted = kernel.to_dense()[:, first_base : first_base + n]
+    system = F2Matrix.from_dense(restricted.T)
+    supports = []
+    for j in range(code.k):
+        try:
+            combo = system.solve_columns(range(kernel.rows), code.lx.row_dense(j))
+        except NoSolution:
+            continue
+        vec = kernel.T.matvec(combo)
+        supports.append(frozenset(int(v) for v in np.nonzero(vec)[0]))
+    return tuple(supports)
+
+
+FOLIATED_SPECS = ["surface 2", "surface 3", "surface 4", "hgp hamming transpose hamming",
+                  "hgp repetition 3 repetition 4"]
+
+
+@pytest.mark.parametrize("spec", FOLIATED_SPECS)
+def test_logical_supports_match_one_solve_per_logical(spec):
+    """One elimination with every logical appended gives the supports of
+    the per-logical loop, solvable or not, at every layer offset."""
+    code = build_code(spec)
+    for layers in (1, 2, 3):
+        f = foliate(code, layers)
+        assert f.logical_supports == per_logical_supports(code, f.kernel, 0, code.n)
+        for base in range(0, f.n_vertices - code.n + 1, 5):
+            assert (graphstate._logical_supports(code, f.kernel, base, code.n)
+                    == per_logical_supports(code, f.kernel, base, code.n))
+
+
+def test_foliate_eliminates_twice(monkeypatch):
+    """The adjacency kernel and the logical supports take one elimination each."""
+    code = build_code("hgp hamming transpose hamming")
+    assert code.k == 16
+    calls = []
+    eliminate = F2Matrix.eliminate
+
+    def counting(self, *args, **kwargs):
+        calls.append((self.rows, self.cols))
+        return eliminate(self, *args, **kwargs)
+
+    monkeypatch.setattr(F2Matrix, "eliminate", counting)
+    f = foliate(code, 3)
+    assert len(f.logical_supports) == 16
+    assert len(calls) == 2
 
 
 def test_surface_code_foliation_size():

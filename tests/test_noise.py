@@ -118,7 +118,7 @@ def test_classical_problem_logicals_track_information_bits(word_int):
     code = hamming74()
     problem = classical_problem(code, 0.1)
     e = np.array([(word_int >> i) & 1 for i in range(7)], dtype=np.uint8)
-    logical = encoding_matrix(code).v_inv.rmatvec(e)[: code.k]
+    logical = encoding_matrix(code).v_inv.T.matvec(e)[: code.k]
     assert np.array_equal(problem.l.matvec(e), logical)
 
 
