@@ -6,8 +6,9 @@ success predicate.  Results carry Wilson 95% intervals so rare-event
 points near zero failures stay honest.  Everything downstream of the
 seed is deterministic: trial t at rate index r always draws from the
 Philox stream keyed by SeedSequence(seed, spawn_key=(r, t)), and trials
-run in order on the calling thread.  The keys are computed a block of
-trials at a time, and one Philox per thread is reset to each.  A
+run in order on the calling thread.  A block of _BLOCK trials is sampled
+at once: one Philox per thread is reset to each of the block's keys, and
+array operations turn its raw words into a fresh Generator's draws.  A
 syndrome repeated at a rate point is decoded once (decoders.memo), but
 every trial still calls the decoder entry points.
 """
@@ -42,8 +43,9 @@ from .noise import (
     decoding_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
-    sample_bsc,
-    sample_depolarizing,
+    flips,
+    pauli_flips,
+    sample_depolarizing,  # unused here; mcbench's tracer wraps this name
     uniform_prior,
 )
 from .quantum import CssCode, five_qubit_code
@@ -195,7 +197,7 @@ def wilson_interval(failures: int, trials: int, z: float = WILSON_Z):
 # -- trial execution -----------------------------------------------------------
 
 
-_BLOCK = 1024  # trials whose Philox keys are hashed together
+_BLOCK = 128  # trials whose Philox keys are hashed and whose faults are drawn together
 
 
 def _hash(v: np.ndarray, init: int, mult: int, skip: int = 0) -> np.ndarray:
@@ -225,7 +227,7 @@ class _Streams(threading.local):
     """Per thread: one reused Philox, the state it is reset to, one block's keys."""
 
     def __init__(self):
-        self.generator = self.block = None  # importing the module builds no Philox
+        self.bits = self.block = None  # importing the module builds no Philox
         self.key = {"counter": [0] * 4, "key": None}  # the state setter reads lists fast
         self.state = {"bit_generator": "Philox", "state": self.key, "buffer": [0] * 4,
                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -234,23 +236,44 @@ class _Streams(threading.local):
 _streams = _Streams()
 
 
-def _trial_rng(seed: int, rate_index: int, trial: int) -> np.random.Generator:
-    """The stream of Generator(Philox(SeedSequence(seed, spawn_key=(rate_index, trial)))).
-
-    This thread's one Philox is reset to the trial's key, counter 0 and an
-    empty buffer, so the Generator is valid only until the next
-    _trial_rng call on this thread.  trial and rate_index must be < 2**32.
-    """
+def _trial_rng(seed: int, rate_index: int, trial: int) -> tuple[np.ndarray, int]:
+    """(keys, row): trial's row in the Philox keys of its block of _BLOCK trials t,
+    those of SeedSequence(seed, spawn_key=(rate_index, t)).  A block's trials share
+    one keys array, and so one _block_draws.  trial and rate_index must be < 2**32."""
     s = _streams
     block = (int(seed), rate_index, trial // _BLOCK)
     if s.block != block:
-        if s.generator is None:
-            s.generator = np.random.Generator(np.random.Philox(0))
-        # an array, not lists of ints, keeps the peak RSS of a run unchanged
         s.block, s.keys = block, _block_keys(*block)
-    s.key["key"] = s.keys[trial % _BLOCK].tolist()
-    s.generator.bit_generator.state = s.state
-    return s.generator
+    return s.keys, trial % _BLOCK
+
+
+_LEMIRE_MIN = 1  # integers(0, 3) redraws h if 3 h mod 2**32 < (2**32 - 3) % 3 = 1: if h < 1
+
+
+def _block_draws(keys: np.ndarray, n: int, kinds: bool):
+    """(u, kind): per row of keys, what Generator(Philox(key=row)) draws with
+    random(n) and then, if kinds, integers(0, 3, n) (else kind is None).  This
+    thread's one Philox is reset to each key for its raw words w, converted as
+    numpy does: (w >> 11) * 2**-53, and (h * 3) >> 32 over halves h, low first.
+    """
+    s = _streams
+    if s.bits is None:
+        s.bits = np.random.Philox(0)
+    width = n + (n + 1) // 2 if kinds else n
+    raw = np.empty((len(keys), width), "<u8")  # little-endian, so "<u4" halves go low first
+    for row, key in zip(raw, keys.tolist()):
+        s.key["key"] = key
+        s.bits.state = s.state
+        row[:] = s.bits.random_raw(width)
+    u = (raw[:, :n] >> np.uint64(11)) * 2.0**-53
+    if not kinds:
+        return u, None
+    h = raw[:, n:].view("<u4")[:, :n]
+    kind = np.add(h > 0x55555555, h > 0xAAAAAAAA, dtype=np.uint8)  # (h * 3) >> 32, by bounds
+    for row in np.flatnonzero((h < _LEMIRE_MIN).any(axis=1)):  # about n / 2**32 per row
+        g = np.random.Generator(np.random.Philox(key=keys[row]))
+        u[row], kind[row] = g.random(n), g.integers(0, 3, n)
+    return u, kind
 
 
 def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
@@ -274,7 +297,8 @@ def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
 
 
 def _noise(code, noise: str, rate: float):
-    """Returns (problems, rng -> one fault vector per problem)."""
+    """Returns (problems, keys -> (row -> one fault vector per problem)): the
+    faults of a block of trials are drawn together, and each trial reads its row."""
     if noise == "bsc":
         if not isinstance(code, LinearCode):
             raise ValueError("bsc noise expects a classical code")
@@ -285,20 +309,26 @@ def _noise(code, noise: str, rate: float):
         problem = decoding_problem(code.h, code.l, uniform_prior(code.h.cols, rate))
     elif not isinstance(code, CssCode):
         raise ValueError("depolarizing noise expects a CSS code")
-    elif noise == "xzy":
-        return ((depolarizing_problem(code, rate, "xzy"),), lambda rng: (
-            depolarizing_fault_vector(sample_depolarizing(code.n, rate, rng)),))
     else:
-        def split(rng):
-            err = sample_depolarizing(code.n, rate, rng)
-            return err.z, err.x  # the Z-fault problem comes first
+        def pauli(keys):
+            x, z = pauli_flips(*_block_draws(keys, code.n, True), rate)
+            if noise == "split-xz":
+                return lambda row: (z[row], x[row])  # the Z-fault problem comes first
+            # a call per trial: mcbench reads each trial's fault vector from it
+            return lambda row: (depolarizing_fault_vector(x[row], z[row]),)
 
-        return depolarizing_problem(code, rate, "split-xz"), split
-    return (problem,), lambda rng: (sample_bsc(problem.prior, rng),)
+        problems = depolarizing_problem(code, rate, noise)
+        return (problems if noise == "split-xz" else (problems,)), pauli
+
+    def bsc(keys):
+        f = flips(_block_draws(keys, problem.h.cols, False)[0], problem.prior.p)
+        return lambda row: (f[row],)
+
+    return (problem,), bsc
 
 
 def _make_trial(code, cfg: BenchmarkConfig, rate: float):
-    """Returns (rng -> (failed, iterations)) for one rate point."""
+    """Returns ((keys, row) -> (failed, iterations)) for one rate point."""
     kind, order = parse_decoder(cfg.decoder)
     problems, sample = _noise(code, cfg.noise, rate)
 
@@ -311,16 +341,21 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
             winner = exhaustive_mld(problem, s_and_class[:problem.h.rows])
             return bool(np.array_equal(winner, s_and_class[problem.h.rows:])), 0
         s = problem.tanner.parity(e)
-        if s.any():
+        if np.count_nonzero(s):
             c, _, iters = decode(problem, s, kind, order, cfg.bp)
         else:
             c, iters = np.zeros(problem.h.cols, dtype=np.uint8), 0
         return success(c, e, problem).success, iters
 
-    def trial(rng):
+    block = [None, None]  # the keys drawn last and their row -> fault vectors
+
+    def trial(stream):
+        keys, row = stream
+        if block[0] is not keys:
+            block[:] = keys, sample(keys)
         # no short cut after a failure: iterations count every problem
         failed, iterations = False, 0
-        for problem, e in zip(problems, sample(rng)):
+        for problem, e in zip(problems, block[1](row)):
             ok, iters = run(problem, e)
             failed, iterations = failed or not ok, iterations + iters
         return failed, iterations

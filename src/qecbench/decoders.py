@@ -322,6 +322,6 @@ def success(correction: np.ndarray, error: np.ndarray,
     if c.shape != e.shape or c.shape != (problem.h.cols,):
         raise ValueError("correction/error lengths do not match the problem")
     parity = problem.tanner_hl.parity(c ^ e)  # H(c+e) over L(c+e)
-    valid = not parity[:problem.h.rows].any()
-    ok = valid and not parity[problem.h.rows:].any()
+    valid = not np.count_nonzero(parity[:problem.h.rows])
+    ok = valid and not np.count_nonzero(parity[problem.h.rows:])
     return SuccessReport(valid=valid, success=ok)

@@ -96,23 +96,31 @@ def decoding_problem(h: F2Matrix, l: F2Matrix, prior: Prior) -> DecodingProblem:
 # -- bit-level channels ------------------------------------------------------
 
 
+def flips(u: np.ndarray, p) -> np.ndarray:
+    """Bernoulli(p) flips, as uint8, from uniforms u over (..., n) arrays."""
+    return (u < p).view(np.uint8)
+
+
 def sample_bsc(prior: Prior, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli(p_i) flip pattern."""
-    return (rng.random(len(prior)) < prior.p).astype(np.uint8)
+    return flips(rng.random(len(prior)), prior.p)
 
 
 # -- depolarizing channel ----------------------------------------------------
+
+
+def pauli_flips(u: np.ndarray, kind: np.ndarray, p: float):
+    """(x, z) uint8 bits over (..., n) arrays: a qubit is hit where u < p,
+    with X, Z or Y for kind 0, 1 or 2."""
+    hit = u < p
+    return (hit & (kind != 1)).view(np.uint8), (hit & (kind != 0)).view(np.uint8)
 
 
 def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliOperator:
     """Per qubit: identity with prob 1-p, else X, Y, or Z uniformly."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("need 0 <= p <= 1")
-    hit = rng.random(n) < p
-    kind = rng.integers(0, 3, n)  # 0 -> X, 1 -> Z, 2 -> Y
-    x = (hit & (kind != 1)).astype(np.uint8)
-    z = (hit & (kind != 0)).astype(np.uint8)
-    return PauliOperator(x, z, 0)
+    return PauliOperator(*pauli_flips(rng.random(n), rng.integers(0, 3, n), p), 0)
 
 
 def depolarizing_problem(code: CssCode, p: float, mode: str = "xzy"):
@@ -147,10 +155,11 @@ def depolarizing_problem(code: CssCode, p: float, mode: str = "xzy"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def depolarizing_fault_vector(error: PauliOperator) -> np.ndarray:
-    """Indicator over the X/Z/Y fault columns of the "xzy" layout."""
-    x, z = error.x, error.z
-    return np.concatenate([x & ~z, z & ~x, x & z]).astype(np.uint8)
+def depolarizing_fault_vector(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Indicator over the X/Z/Y fault columns of the "xzy" layout, from the
+    uint8 x and z bits of a Pauli error."""
+    y = x & z
+    return np.concatenate([x ^ y, z ^ y, y])
 
 
 def classical_problem(code: LinearCode, p: float) -> DecodingProblem:

@@ -33,6 +33,8 @@ from qecbench.noise import (
     decoding_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
+    sample_bsc,
+    sample_depolarizing,
     uniform_prior,
 )
 from qecbench.quantum import StabilizerCode, css_code, four_two_two_checks
@@ -180,7 +182,7 @@ def exact_failure_probability(code, p):
     for pattern in itertools.product("IXZY", repeat=code.n):
         prob = math.prod(weights[c] for c in pattern)
         err = PauliOperator.from_string("".join(pattern))
-        f = depolarizing_fault_vector(err)
+        f = depolarizing_fault_vector(err.x, err.z)
         s = problem.h.matvec(f)
         key = s.tobytes()
         if key not in cache:
@@ -501,9 +503,43 @@ def test_every_trial_reaches_the_scored_entry_point(monkeypatch, code, noise, de
 
 
 def fresh_trial_rng(seed, rate_index, trial):
-    """The replaced _trial_rng: a new SeedSequence, Philox and Generator per trial."""
+    """A new SeedSequence, Philox and Generator: the stream of one trial."""
     ss = np.random.SeedSequence(seed, spawn_key=(rate_index, trial))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def per_trial_noise(code, noise, rate):
+    """_noise as it was before block draws: (problems, rng -> one fault vector
+    per problem), sampled with sample_bsc or sample_depolarizing."""
+    if noise == "bsc":
+        problem = classical_problem(code, rate)
+    elif noise == "generic":
+        problem = decoding_problem(code.h, code.l, uniform_prior(code.h.cols, rate))
+    elif noise == "xzy":
+        def xzy(rng):
+            err = sample_depolarizing(code.n, rate, rng)
+            x, z = err.x, err.z
+            return (np.concatenate([x & ~z, z & ~x, x & z]).astype(np.uint8),)
+
+        return (depolarizing_problem(code, rate, "xzy"),), xzy
+    else:
+        def split(rng):
+            err = sample_depolarizing(code.n, rate, rng)
+            return err.z, err.x
+
+        return depolarizing_problem(code, rate, "split-xz"), split
+    return (problem,), lambda rng: (sample_bsc(problem.prior, rng),)
+
+
+def per_trial_path(monkeypatch):
+    """Make run_benchmark draw each trial's faults from its own fresh Generator."""
+    def noise(code, kind, rate):
+        problems, sample = per_trial_noise(code, kind, rate)
+        return problems, lambda rng: lambda row: sample(rng)
+
+    monkeypatch.setattr(bench, "_trial_rng",
+                        lambda seed, r, t: (fresh_trial_rng(seed, r, t), None))
+    monkeypatch.setattr(bench, "_noise", noise)
 
 
 B = bench._BLOCK
@@ -515,17 +551,56 @@ def draws(rng, n):
     return rng.random(n).tobytes() + rng.integers(0, 3, n).tobytes()
 
 
+def block_draws(stream, n):
+    keys, row = stream
+    u, kind = bench._block_draws(keys, n, True)
+    return u[row].tobytes() + kind[row].astype(np.int64).tobytes()
+
+
 @settings(max_examples=80)
 @given(st.lists(st.tuples(st.sampled_from(STREAM_SEEDS), st.sampled_from([0, 1, 7]),
                           st.sampled_from([0, B - 1, B, B + 1, 5 * B + 3])),
                 min_size=1, max_size=8),
        st.integers(1, 40))
 def test_trial_streams_match_a_fresh_seed_sequence(calls, n):
-    """Each call restarts the trial's stream, also after a jump back to an
-    earlier block or a repeat of the same trial."""
+    """Each call gives the trial's row of its block, also after a jump back to
+    an earlier block or a repeat of the same trial."""
     for seed, rate_index, trial in calls:
-        assert (draws(bench._trial_rng(seed, rate_index, trial), n)
+        assert (block_draws(bench._trial_rng(seed, rate_index, trial), n)
                 == draws(fresh_trial_rng(seed, rate_index, trial), n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_SEEDS), st.sampled_from([0, 1, 7]), st.integers(0, 2),
+       st.integers(1, 300), st.booleans())
+def test_block_draws_are_a_fresh_generators_draws(seed, rate_index, block, n, kinds):
+    """Row t of a block's uniforms and kinds is random(n) then integers(0, 3, n)
+    of trial t's own Generator, for every row from one block edge to the next."""
+    keys, _ = bench._trial_rng(seed, rate_index, block * B)
+    u, kind = bench._block_draws(keys, n, kinds)
+    assert u.shape == (B, n) and (kind is None) == (not kinds)
+    for row in range(B):
+        rng = fresh_trial_rng(seed, rate_index, block * B + row)
+        assert u[row].tobytes() == rng.random(n).tobytes()
+        if kinds:
+            assert np.array_equal(kind[row], rng.integers(0, 3, n))
+
+
+def test_only_a_zero_half_is_rejected():
+    """Lemire's method for integers(0, 3) redraws a half h when 3 h mod 2**32
+    is below (2**32 - 3) % 3, which holds for h = 0 alone."""
+    assert bench._LEMIRE_MIN == (2**32 - 3) % 3 == 1
+    assert [3 * h % 2**32 < 1 for h in (0, 1, 2**32 // 3, 2**32 - 1)] == [True] + [False] * 3
+
+
+@pytest.mark.parametrize("n", [1, 6, 41])
+def test_rejected_rows_are_redrawn_unchanged(monkeypatch, n):
+    """Rows sent through the fallback Generator keep the block's draws."""
+    keys, _ = bench._trial_rng(3, 1, B)
+    want = bench._block_draws(keys, n, True)
+    monkeypatch.setattr(bench, "_LEMIRE_MIN", 2**30)  # a quarter of the halves
+    got = bench._block_draws(keys, n, True)
+    assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("seed,rate_index,block", [(0, 0, 0), (2**130 + 5, 7, 3),
@@ -537,17 +612,31 @@ def test_block_keys_are_the_seed_sequence_keys(seed, rate_index, block):
     assert keys.dtype == np.uint64 and keys.tobytes() == np.array(want).tobytes()
 
 
+def test_a_short_rate_point_hashes_one_block(monkeypatch):
+    calls, block_keys = [], bench._block_keys
+
+    def counted(*args):
+        calls.append(args)
+        return block_keys(*args)
+
+    monkeypatch.setattr(bench, "_block_keys", counted)
+    monkeypatch.setattr(bench._streams, "block", None)  # forget the block hashed last
+    run_benchmark(BenchmarkConfig(code="surface 3", noise="split-xz", decoder="bp",
+                                  rates=(0.05,), trials=100, seed=1))
+    assert calls == [(1, 0, 0)]
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
 def test_block_streams_leave_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
-    """run_benchmark gives the rows of a fresh SeedSequence per trial."""
+    """run_benchmark gives the rows of per-trial sampling on a fresh Generator."""
     for code, noise, decoder in row_runs(tmp_path):
-        # hamming crosses a block boundary at both rates
-        trials = B + 20 if code == "hamming" else 80
+        # hamming and surface 2 cross a block boundary at both rates
+        trials = B + 20 if code in ("hamming", "surface 2") else 80
         cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.03, 0.1),
                               trials=trials, seed=seed, bp=BpConfig(variant=variant))
         blocked = without_seconds(run_benchmark(cfg))
-        monkeypatch.setattr(bench, "_trial_rng", fresh_trial_rng)
+        per_trial_path(monkeypatch)
         fresh = without_seconds(run_benchmark(cfg))
         monkeypatch.undo()
         assert blocked == fresh, (code, noise, decoder)
@@ -555,20 +644,20 @@ def test_block_streams_leave_every_row_unchanged(tmp_path, monkeypatch, seed, va
 
 def test_threads_keep_their_own_streams(monkeypatch):
     """Two run_benchmark calls at once on two threads give their serial rows,
-    with every draw made after both threads have taken their trial's stream."""
+    with every block drawn while the other thread is drawing one too."""
     cfgs = [BenchmarkConfig(code="hamming", noise="bsc", decoder="bp", rates=(0.05, 0.1),
                             trials=B + 200, seed=3),
             BenchmarkConfig(code="repetition 5", noise="bsc", decoder="bp+osd 1",
                             rates=(0.02, 0.1), trials=B + 200, seed=11)]
     serial = [without_seconds(run_benchmark(cfg)) for cfg in cfgs]
-    meet, sample_bsc = threading.Barrier(2, timeout=10), bench.sample_bsc
+    meet, draw = threading.Barrier(2, timeout=10), bench._block_draws
 
-    def sample_in_step(prior, rng):
+    def draw_in_step(keys, n, kinds):
         try:
             meet.wait()
         except threading.BrokenBarrierError:  # the other thread has finished
             pass
-        return sample_bsc(prior, rng)
+        return draw(keys, n, kinds)
 
     def worker(i):
         try:
@@ -576,7 +665,7 @@ def test_threads_keep_their_own_streams(monkeypatch):
         finally:
             meet.abort()
 
-    monkeypatch.setattr(bench, "sample_bsc", sample_in_step)
+    monkeypatch.setattr(bench, "_block_draws", draw_in_step)
     rows = [None, None]
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
     for t in threads:
@@ -597,11 +686,11 @@ def test_trials_must_fit_one_spawn_key_word():
 
 
 def test_wide_and_numpy_seeds_keep_their_streams(monkeypatch):
-    base = dict(code="surface 2", noise="xzy", decoder="mld", rates=(0.05, 0.1), trials=60)
+    base = dict(code="surface 2", noise="xzy", decoder="mld", rates=(0.05, 0.1), trials=B + 60)
     rows = without_seconds(run_benchmark(BenchmarkConfig(**base, seed=3)))
     for seed in (np.int64(3), np.uint64(3)):
         assert without_seconds(run_benchmark(BenchmarkConfig(**base, seed=seed))) == rows
     wide = BenchmarkConfig(**base, seed=2**130 + 5)
     blocked = without_seconds(run_benchmark(wide))
-    monkeypatch.setattr(bench, "_trial_rng", fresh_trial_rng)
+    per_trial_path(monkeypatch)
     assert without_seconds(run_benchmark(wide)) == blocked

@@ -14,6 +14,7 @@ from qecbench import decoders
 from qecbench.decoders import (
     BpConfig,
     DecodeResult,
+    SuccessReport,
     bp_decode,
     bp_osd,
     exhaustive_mld,
@@ -981,6 +982,31 @@ def test_success_predicate_cases():
     residual = np.array([0, 0, 0, 1], dtype=np.uint8)
     invalid = success((e + residual) % 2, e, z_faults)
     assert not invalid.valid and not invalid.success
+
+
+def test_success_reports_match_dense_products():
+    """success gives SuccessReport(H r = 0, H r = 0 and L r = 0) of plain bools
+    for the residual r = c + e, on every kind of outcome."""
+    z_faults, x_faults = depolarizing_problem(build_code("surface 3"), 0.1, mode="split-xz")
+    rng = np.random.default_rng(5)
+    seen = set()
+    for problem in (z_faults, x_faults):
+        h, l = problem.h.to_dense(), problem.l.to_dense()
+        kernel = problem.h.kernel_basis().to_dense()
+        for _ in range(200):
+            e = (rng.random(problem.h.cols) < 0.1).astype(np.uint8)
+            if rng.random() < 0.5:  # H r = 0: a stabilizer, or a logical times one
+                r = rng.integers(0, 2, len(kernel)) @ kernel % 2
+            else:
+                r = rng.random(problem.h.cols) < 0.05
+            c = e ^ r.astype(np.uint8)
+            r = r.astype(np.int64)
+            valid = not (h @ r % 2).any()
+            want = SuccessReport(valid=valid, success=valid and not (l @ r % 2).any())
+            report = success(c, e, problem)
+            assert report == want and type(report.valid) is type(report.success) is bool
+            seen.add((want.valid, want.success))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 @settings(max_examples=40, deadline=None)

@@ -90,7 +90,7 @@ def test_xzy_syndrome_matches_pauli_commutation():
     problem = depolarizing_problem(code, 0.3)
     for _ in range(25):
         err = sample_depolarizing(code.n, 0.5, rng)
-        faults = depolarizing_fault_vector(err)
+        faults = depolarizing_fault_vector(err.x, err.z)
         s = problem.h.matvec(faults)
         expect = np.concatenate(
             [code.hz.matvec(err.x), code.hx.matvec(err.z)]
