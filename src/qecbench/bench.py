@@ -336,10 +336,11 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
         if kind == "mld":
             # class output; the trivial coset need not win at s = 0,
             # so no zero-syndrome shortcut here.  One [H; L] parity
-            # gives the syndrome and the true class L e.
+            # gives the syndrome and the true class L e, uint8 like
+            # exhaustive_mld's class, so equal bytes are equal classes.
             s_and_class = problem.tanner_hl.parity(e)
             winner = exhaustive_mld(problem, s_and_class[:problem.h.rows])
-            return bool(np.array_equal(winner, s_and_class[problem.h.rows:])), 0
+            return winner.tobytes() == s_and_class[problem.h.rows:].tobytes(), 0
         s = problem.tanner.parity(e)
         if np.count_nonzero(s):
             c, _, iters = decode(problem, s, kind, order, cfg.bp)

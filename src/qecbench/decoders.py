@@ -10,7 +10,8 @@ order-w reprocessing sweeps every pattern of at most w remaining
 columns in array blocks: a candidate is the OSD-0 solution XOR each
 chosen column with the pivot bits it couples to, costed by one product
 with |soft|.  Exhaustive MWD/MLD enumerate the whole solution coset
-that OSD walks and serve as oracles for everything else.
+(f2.span_blocks doubles it from the kernel rows; MLD's class bits L e
+ride along as extra columns) and serve as oracles for everything else.
 """
 
 from __future__ import annotations
@@ -235,24 +236,28 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
 # -- exhaustive oracles ------------------------------------------------------
 
 
-def _solution_coset(h: F2Matrix, s: np.ndarray):
-    """Every solution of H e = s in dense blocks: OSD's rows under equal
-    soft values, so pivots are taken in column order."""
-    rows = _osd_prepare(h, s, np.zeros(h.cols))[2]
+def _solution_coset(problem: DecodingProblem, s: np.ndarray, classes: bool = False):
+    """Every solution of H e = s in dense blocks, pivots taken in column order;
+    with classes, each row's class bits L e follow its h.cols error bits."""
+    try:
+        rows = problem.h.coset(s)[2]
+    except NoSolution:
+        raise Unsatisfiable("syndrome lies outside the image of H") from None
+    if classes:
+        rows = np.hstack([rows, rows @ problem.l.to_dense().T & 1])
     return span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
 
 
 def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     """Most probable single error with syndrome s (min soft weight)."""
-    h = problem.h
-    if h.cols > MWD_COLUMN_GUARD:
+    if problem.h.cols > MWD_COLUMN_GUARD:
         raise CapacityExceeded(
             f"MWD enumeration limited to {MWD_COLUMN_GUARD} columns"
         )
     llr = problem.prior.llr
     weights = np.where(np.isinf(llr), 1e18, llr)
     best_key, best = None, None
-    for errors in _solution_coset(h, s):
+    for errors in _solution_coset(problem, s):
         costs = errors @ weights
         idx = int(np.argmin(costs))
         near = np.nonzero(costs == costs[idx])[0]
@@ -271,23 +276,21 @@ def exhaustive_mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
 
 
 def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
-    h, l = problem.h, problem.l
-    if h.cols > MLD_COLUMN_GUARD:
+    cols, k = problem.h.cols, problem.l.rows
+    if cols > MLD_COLUMN_GUARD:
         raise CapacityExceeded(
             f"MLD enumeration limited to {MLD_COLUMN_GUARD} columns"
         )
     base = np.log1p(-problem.prior.p).sum()
     delta = -problem.prior.llr  # log(p) - log1p(-p), bit for bit
     delta = np.where(np.isinf(delta), -1e300, delta)
-    l_dense = l.to_dense().astype(np.uint8)
-    class_bits = np.left_shift(1, np.arange(l.rows, dtype=np.int64))
-    totals = np.zeros(1 << l.rows)
-    for errors in _solution_coset(h, s):
-        probs = np.exp(base + errors @ delta)
-        classes = ((errors @ l_dense.T) & 1) @ class_bits
-        totals += np.bincount(classes, weights=probs, minlength=totals.size)
+    class_bits = np.left_shift(1, np.arange(k, dtype=np.int64))
+    totals = np.zeros(1 << k)
+    for rows in _solution_coset(problem, s, classes=True):
+        probs = np.exp(base + rows[:, :cols] @ delta)
+        totals += np.bincount(rows[:, cols:] @ class_bits, weights=probs, minlength=totals.size)
     winner = int(np.argmax(totals))
-    return ((winner >> np.arange(l.rows)) & 1).astype(np.uint8)
+    return ((winner >> np.arange(k)) & 1).astype(np.uint8)
 
 
 def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:

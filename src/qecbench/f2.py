@@ -321,19 +321,35 @@ def vstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     return F2Matrix.from_dense(np.vstack([b.to_dense() for b in blocks]))
 
 
+def _doubled(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start + span(rows) in counting order: [2^j, 2^(j+1)) is [0, 2^j) XOR rows[j]."""
+    out = np.empty((1 << len(rows), start.size), dtype=np.uint8)
+    out[0] = start
+    for j, row in enumerate(rows):
+        np.bitwise_xor(out[: 1 << j], row, out=out[1 << j : 2 << j])
+    return out
+
+
 def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
                 block: int = 1 << 14):
     """Iterate offset + span(basis rows) in dense uint8 blocks; row i
-    of the concatenation adds the basis rows picked by the bits of i."""
-    kappa = basis.rows
-    dense = basis.to_dense()
-    if offset is None:
-        offset = np.zeros(basis.cols, dtype=np.uint8)
-    shifts = np.arange(kappa, dtype=np.uint64)
-    for lo in range(0, 1 << kappa, block):
-        hi = min(lo + block, 1 << kappa)
-        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
-        yield (picks.astype(np.uint8) @ dense + offset) & 1
+    of the concatenation adds the basis rows picked by the bits of i.
+    Built by doubling, one XOR pass per basis row: the offset and the low
+    m rows (2^m >= block, or all rows) span one table, the high rows
+    another, and rows [c 2^m, (c+1) 2^m) are the low table XOR high row c.
+    Blocks within the first 2^m rows are read-only views of the table."""
+    dense, zero = basis.to_dense(), np.zeros(basis.cols, dtype=np.uint8)
+    m = min(basis.rows, (block - 1).bit_length())
+    low = _doubled(dense[:m], zero if offset is None else np.asarray(offset) & 1)
+    low.flags.writeable = False
+    high, size = _doubled(dense[m:], zero), 1 << m
+    for lo in range(0, 1 << basis.rows, block):
+        c, a = divmod(lo, size)
+        b = a + min(block, (1 << basis.rows) - lo)
+        if b <= size:
+            yield low[a:b] if c == 0 else low[a:b] ^ high[c]
+        else:  # only a block that is no power of two runs into the next table
+            yield np.concatenate([low[a:] ^ high[c], low[: b - size] ^ high[c + 1]])
 
 
 # -- MacKay alist format -------------------------------------------------

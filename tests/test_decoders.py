@@ -959,6 +959,122 @@ def test_degeneracy_separates_mld_from_mwd():
     assert seen_difference
 
 
+def _reference_span_blocks(basis, offset):
+    """The picks-product span_blocks that the doubling build replaced, at
+    its default block of 2^14 rows."""
+    kappa, dense = basis.rows, basis.to_dense()
+    shifts = np.arange(kappa, dtype=np.uint64)
+    for lo in range(0, 1 << kappa, 1 << 14):
+        hi = min(lo + (1 << 14), 1 << kappa)
+        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
+        yield (picks.astype(np.uint8) @ dense + offset) & 1
+
+
+def _reference_coset(h, s):
+    rows = _osd_prepare(h, s, np.zeros(h.cols))[2]
+    return _reference_span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
+
+
+def _reference_mwd(problem, s):
+    """exhaustive_mwd before the doubling build, kept verbatim."""
+    h = problem.h
+    if h.cols > decoders.MWD_COLUMN_GUARD:
+        raise CapacityExceeded("MWD guard")
+    llr = problem.prior.llr
+    weights = np.where(np.isinf(llr), 1e18, llr)
+    best_key, best = None, None
+    for errors in _reference_coset(h, s):
+        costs = errors @ weights
+        idx = int(np.argmin(costs))
+        near = np.nonzero(costs == costs[idx])[0]
+        for i in near:
+            e = errors[i].astype(np.uint8)
+            key = (float(costs[i]), int(e.sum()), e.tobytes())
+            if best_key is None or key < best_key:
+                best_key, best = key, e
+    return best
+
+
+def _reference_mld(problem, s):
+    """exhaustive_mld before the doubling build, kept verbatim (no memo)."""
+    h, l = problem.h, problem.l
+    if h.cols > decoders.MLD_COLUMN_GUARD:
+        raise CapacityExceeded("MLD guard")
+    s = np.asarray(s, dtype=np.uint8) & 1
+    base = np.log1p(-problem.prior.p).sum()
+    delta = -problem.prior.llr
+    delta = np.where(np.isinf(delta), -1e300, delta)
+    l_dense = l.to_dense().astype(np.uint8)
+    class_bits = np.left_shift(1, np.arange(l.rows, dtype=np.int64))
+    totals = np.zeros(1 << l.rows)
+    for errors in _reference_coset(h, s):
+        probs = np.exp(base + errors @ delta)
+        classes = ((errors @ l_dense.T) & 1) @ class_bits
+        totals += np.bincount(classes, weights=probs, minlength=totals.size)
+    winner = int(np.argmax(totals))
+    return ((winner >> np.arange(l.rows)) & 1).astype(np.uint8)
+
+
+def _oracle_outcome(decode, problem, s):
+    try:
+        out = decode(problem, s)
+    except (CapacityExceeded, Unsatisfiable, ValueError) as exc:
+        return type(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("rows, cols, k, zero_row", [
+    (4, 15, 2, False),  # the size of the surface 2 xzy problem
+    (3, 20, 2, False),  # kappa 17: the coset crosses the 2^14-row block
+    (5, 12, 3, True),   # an all-zero check row: half the syndromes are unsatisfiable
+    (3, 8, 0, False),   # no logicals: MLD's class is empty
+    (5, 21, 1, False),  # past MLD's column guard, inside MWD's
+    (1, 25, 1, False),  # past both guards
+])
+def test_oracles_match_the_picks_product_reference(rows, cols, k, zero_row):
+    """Same classes, corrections and raises as the oracles before the
+    doubling build, on generic problems with uneven priors."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    h = (rng.random((rows, cols)) < 0.4).astype(np.uint8)
+    if zero_row:
+        h[rng.integers(rows)] = 0
+    problem = decoding_problem(F2Matrix.from_dense(h),
+                               F2Matrix.from_dense(rng.integers(0, 2, (k, cols))),
+                               Prior(rng.uniform(0.01, 0.45, cols)))
+    syndromes = [rng.integers(0, 2, rows).astype(np.uint8) for _ in range(4)]
+    syndromes += [np.zeros(rows, dtype=np.uint8), np.zeros(rows + 1, dtype=np.uint8)]
+    seen = set()
+    for s in syndromes:
+        for new, old in ((exhaustive_mld, _reference_mld), (exhaustive_mwd, _reference_mwd)):
+            outcome = _oracle_outcome(new, problem, s)
+            assert outcome == _oracle_outcome(old, problem, s)
+            seen.add(outcome if isinstance(outcome, type) else "answer")
+    if cols <= decoders.MWD_COLUMN_GUARD:
+        assert {"answer", ValueError} <= seen
+    if zero_row:
+        assert Unsatisfiable in seen
+    assert (CapacityExceeded in seen) == (cols > decoders.MLD_COLUMN_GUARD)
+
+
+@pytest.mark.parametrize("rows, cols, k", [(4, 15, 2), (3, 20, 2), (5, 12, 3), (3, 8, 0)])
+def test_solution_coset_rows_carry_their_class_bits(rows, cols, k):
+    """The doubled blocks are the reference blocks with L e appended, and
+    their error columns give MLD's float products bit for bit."""
+    rng = np.random.default_rng(cols)
+    problem = decoding_problem(F2Matrix.from_dense(rng.integers(0, 2, (rows, cols))),
+                               F2Matrix.from_dense(rng.integers(0, 2, (k, cols))),
+                               Prior(rng.uniform(0.01, 0.45, cols)))
+    delta = -problem.prior.llr
+    s = problem.h.matvec(rng.integers(0, 2, cols))
+    new = list(decoders._solution_coset(problem, s, classes=True))
+    old = list(_reference_coset(problem.h, s))
+    assert len(new) == len(old)
+    for rows_, errors in zip(new, old):
+        assert np.array_equal(rows_[:, :cols], errors)
+        assert np.array_equal(rows_[:, cols:], errors @ problem.l.to_dense().T & 1)
+        assert (rows_[:, :cols] @ delta).tobytes() == (errors @ delta).tobytes()
+
+
 # -- success predicate -------------------------------------------------------
 
 

@@ -328,3 +328,32 @@ def test_span_blocks_counts_through_offset_plus_span(m, seed):
         assert np.array_equal(row, (picks @ dense + offset) % 2)
     plain = np.concatenate(list(span_blocks(m)))
     assert np.array_equal(plain, rows ^ offset)
+
+
+def _reference_span_blocks(basis, offset=None, block=1 << 14):
+    """The picks-product span_blocks that the doubling build replaced, kept
+    verbatim as the reference."""
+    kappa = basis.rows
+    dense = basis.to_dense()
+    if offset is None:
+        offset = np.zeros(basis.cols, dtype=np.uint8)
+    shifts = np.arange(kappa, dtype=np.uint64)
+    for lo in range(0, 1 << kappa, block):
+        hi = min(lo + block, 1 << kappa)
+        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
+        yield (picks.astype(np.uint8) @ dense + offset) & 1
+
+
+@pytest.mark.parametrize("kappa", range(17))
+def test_span_blocks_match_the_picks_product_block_by_block(kappa):
+    rng = np.random.default_rng(kappa)
+    m = F2Matrix.from_dense(rng.integers(0, 2, (kappa, kappa % 7 * 3)))
+    offset = rng.integers(0, 2, m.cols).astype(np.uint8)
+    for block in (1, 4, 5, 1 << 14):
+        for off in (None, offset):
+            new = list(span_blocks(m, off, block))
+            old = list(_reference_span_blocks(m, off, block))
+            assert len(new) == len(old)
+            for a, b in zip(new, old):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
