@@ -45,7 +45,6 @@ from .noise import (
     depolarizing_problem,
     flips,
     pauli_flips,
-    sample_depolarizing,  # unused here; mcbench's tracer wraps this name
     uniform_prior,
 )
 from .quantum import CssCode, five_qubit_code
@@ -158,6 +157,8 @@ class BenchmarkConfig:
             if not 0.0 < r <= 0.5:
                 raise ValueError(f"rate {r} outside (0, 0.5]")
         object.__setattr__(self, "rates", rates)
+        for name in ("trials", "seed"):  # write_json cannot serialise numpy integers
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.noise not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if not self.max_seconds > 0:  # also refuses NaN
@@ -276,6 +277,20 @@ def _block_draws(keys: np.ndarray, n: int, kinds: bool):
     return u, kind
 
 
+def sample_depolarizing(keys: np.ndarray, n: int, rate: float):
+    """(x, z) uint8 bits of depolarizing noise on n qubits, one row per key."""
+    return pauli_flips(*_block_draws(keys, n, True), rate)
+
+
+def sample_trials(noise: str, n: int, rate: float, seed: int, trials: int):
+    """Yield the faults of run_benchmark's trials 0..trials-1 at rate index 0, one
+    block of up to _BLOCK rows at a time: bsc flips, else depolarizing (x, z)."""
+    for block in range(-(-trials // _BLOCK)):
+        keys = _block_keys(int(seed), 0, block)[:trials - block * _BLOCK]
+        yield (flips(_block_draws(keys, n, False)[0], rate) if noise == "bsc"
+               else sample_depolarizing(keys, n, rate))
+
+
 def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
            bp_cfg: BpConfig):
     """Correct syndrome s: returns (correction, converged, iterations).
@@ -311,7 +326,7 @@ def _noise(code, noise: str, rate: float):
         raise ValueError("depolarizing noise expects a CSS code")
     else:
         def pauli(keys):
-            x, z = pauli_flips(*_block_draws(keys, code.n, True), rate)
+            x, z = sample_depolarizing(keys, code.n, rate)
             if noise == "split-xz":
                 return lambda row: (z[row], x[row])  # the Z-fault problem comes first
             # a call per trial: mcbench reads each trial's fault vector from it

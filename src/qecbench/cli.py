@@ -3,7 +3,7 @@
 Five subcommands cover the workbench surface: ``build-code`` writes
 check matrices that the ``problem PATH`` spec reads back, ``foliate``
 exports measurement graphs with their detector sets, ``sample`` draws
-noise realizations, ``decode`` answers a one-shot request and
+the faults of benchmark trials, ``decode`` answers a one-shot request and
 ``benchmark`` sweeps physical rates from a config file.  Exit status
 is 0 on success, 1 on usage or input errors and 2 when a capacity
 guard trips or a syndrome is unsatisfiable.
@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (build_code, csv_text, decode, parse_decoder, read_config,
-                    run_benchmark, write_json)
+                    run_benchmark, sample_trials, write_json)
 from .classical import LinearCode
 from .decoders import BpConfig, exhaustive_mld
 from .descriptors import load, save_css_code, save_foliation, save_stabilizer_code
 from .errors import CapacityExceeded, NoSolution, QecError, Unsatisfiable
 from .f2 import to_alist, vstack
 from .graphstate import foliate
-from .noise import DecodingProblem, sample_bsc, sample_depolarizing, uniform_prior
+from .noise import DecodingProblem
+from .pauli import PauliOperator
 from .quantum import CssCode, StabilizerCode
 
 
@@ -96,19 +97,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     code = build_code(" ".join(args.spec))
     if not 0.0 < args.rate <= 0.5:
         raise ValueError("rate must lie in (0, 0.5]")
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    if args.noise == "bsc":
-        if not isinstance(code, LinearCode):
-            raise ValueError("bsc sampling needs a classical code")
-        prior = uniform_prior(code.n, args.rate)
-        draws = [_bits_to_string(sample_bsc(prior, rng)) for _ in range(args.trials)]
-    else:
-        if not isinstance(code, CssCode):
-            raise ValueError("xzy sampling needs a CSS code")
-        draws = [sample_depolarizing(code.n, args.rate, rng).to_string()
-                 for _ in range(args.trials)]
+    if not 1 <= args.trials < 2**32:  # a trial's spawn-key word is one uint32
+        raise ValueError("trials must be in [1, 2**32)")
+    bsc = args.noise == "bsc"
+    if not isinstance(code, LinearCode if bsc else CssCode):
+        raise ValueError(f"{args.noise} sampling needs a {'classical' if bsc else 'CSS'} code")
+    blocks = sample_trials(args.noise, code.n, args.rate, args.seed, args.trials)
+    draws = ([_bits_to_string(f) for b in blocks for f in b] if bsc else
+             [PauliOperator(x, z).to_string() for b in blocks for x, z in zip(*b)])
     doc = {"code": " ".join(args.spec), "noise": args.noise, "rate": args.rate,
            "trials": args.trials, "seed": args.seed, "draws": draws}
     _emit(json.dumps(doc, indent=1) + "\n", args.out)
@@ -220,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="graph JSON path")
     p.set_defaults(func=_cmd_foliate)
 
-    p = sub.add_parser("sample", help="draw noise realizations")
+    p = sub.add_parser("sample", help="draw the faults of benchmark trials")
     p.add_argument("spec", nargs="+", help="code spec")
     p.add_argument("--noise", choices=("bsc", "xzy"), required=True)
     p.add_argument("--rate", type=float, required=True)

@@ -50,6 +50,7 @@ class BpConfig:
         n = self.max_iterations
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("max_iterations must be an integer >= 1")
+        object.__setattr__(self, "max_iterations", int(n))  # JSON-serialisable
         # NaN fails both tests; an infinite clamp lets inf - inf reach BP
         if not 0 < self.llr_clamp < math.inf:
             raise ValueError("llr_clamp must be positive and finite")

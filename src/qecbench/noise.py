@@ -16,7 +16,6 @@ import numpy as np
 
 from .classical import LinearCode, encoding_matrix
 from .f2 import F2Matrix, SparseRows, hstack, vstack
-from .pauli import PauliOperator
 from .quantum import CssCode
 
 
@@ -101,11 +100,6 @@ def flips(u: np.ndarray, p) -> np.ndarray:
     return (u < p).view(np.uint8)
 
 
-def sample_bsc(prior: Prior, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli(p_i) flip pattern."""
-    return flips(rng.random(len(prior)), prior.p)
-
-
 # -- depolarizing channel ----------------------------------------------------
 
 
@@ -114,13 +108,6 @@ def pauli_flips(u: np.ndarray, kind: np.ndarray, p: float):
     with X, Z or Y for kind 0, 1 or 2."""
     hit = u < p
     return (hit & (kind != 1)).view(np.uint8), (hit & (kind != 0)).view(np.uint8)
-
-
-def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliOperator:
-    """Per qubit: identity with prob 1-p, else X, Y, or Z uniformly."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("need 0 <= p <= 1")
-    return PauliOperator(*pauli_flips(rng.random(n), rng.integers(0, 3, n), p), 0)
 
 
 def depolarizing_problem(code: CssCode, p: float, mode: str = "xzy"):

@@ -33,10 +33,11 @@ from qecbench.noise import (
     decoding_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
-    sample_bsc,
-    sample_depolarizing,
+    flips,
+    pauli_flips,
     uniform_prior,
 )
+from qecbench.pauli import PauliOperator
 from qecbench.quantum import StabilizerCode, css_code, four_two_two_checks
 
 
@@ -243,6 +244,26 @@ def test_csv_and_json_outputs(tmp_path):
     assert doc["config"]["code"] == "hamming"
     assert doc["config"]["max_seconds"] is None
     assert doc["records"][0]["failures"] == res.records[0].failures
+
+
+def test_numpy_integer_settings_round_trip_through_json(tmp_path):
+    """numpy trials, seed and max_iterations are kept as Python ints, so
+    write_json serialises them and the file reads back as the int run's."""
+    base = dict(code="hamming", noise="bsc", decoder="bp", rates=(0.04,))
+    docs = []
+    for trials, seed, iters in ((60, 2, 8), (np.int64(60), np.uint64(2), np.int32(8))):
+        cfg = BenchmarkConfig(**base, trials=trials, seed=seed,
+                              bp=BpConfig(max_iterations=iters))
+        assert type(cfg.trials) is type(cfg.seed) is type(cfg.bp.max_iterations) is int
+        path = tmp_path / f"{len(docs)}.json"
+        write_json(run_benchmark(cfg), path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        for record in doc["records"]:
+            del record["wall_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[1]["config"]["bp"]["max_iterations"] == 8
 
 
 def test_read_config(tmp_path):
@@ -506,6 +527,17 @@ def fresh_trial_rng(seed, rate_index, trial):
     """A new SeedSequence, Philox and Generator: the stream of one trial."""
     ss = np.random.SeedSequence(seed, spawn_key=(rate_index, trial))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def sample_bsc(prior, rng):
+    """Independent Bernoulli(p_i) flip pattern: the per-trial bsc sampler."""
+    return flips(rng.random(len(prior)), prior.p)
+
+
+def sample_depolarizing(n, p, rng):
+    """Per qubit: identity with prob 1-p, else X, Y, or Z uniformly: the
+    per-trial depolarizing sampler."""
+    return PauliOperator(*pauli_flips(rng.random(n), rng.integers(0, 3, n), p), 0)
 
 
 def per_trial_noise(code, noise, rate):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qecbench import bench
+from qecbench.bench import BenchmarkConfig, run_benchmark
 from qecbench.cli import cli_main
 from qecbench.descriptors import save_problem
 from qecbench.f2 import F2Matrix, from_alist, write_alist
@@ -18,6 +20,7 @@ from qecbench.noise import (
     depolarizing_problem,
     uniform_prior,
 )
+from qecbench.pauli import PauliOperator
 from qecbench.quantum import css_code, four_two_two_checks
 from qecbench.bench import build_code
 
@@ -179,6 +182,45 @@ def test_sample_noise_code_mismatch(capsys):
                        "--rate", "0.1", "--trials", "1")
     assert code == 1
     assert "classical" in err
+
+
+@pytest.mark.parametrize("trials", ["0", str(2**32)])
+def test_sample_trials_must_fit_one_spawn_key_word(capsys, trials):
+    code, out, err = run(capsys, "sample", "repetition", "3", "--noise", "bsc",
+                         "--rate", "0.1", "--trials", trials)
+    assert (code, out) == (1, "")
+    assert "trials must be in [1, 2**32)" in err
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("spec,noise,decoder,rate", [("repetition 6", "bsc", "bp", 0.2),
+                                                     ("surface 2", "xzy", "mld", 0.1)])
+def test_sample_replays_the_benchmark_trials(monkeypatch, capsys, seed, spec, noise,
+                                             decoder, rate):
+    """Draw t of sample is the fault that run_benchmark scores in trial t at
+    rate index 0, for the same seed and rate."""
+    target = "success" if noise == "bsc" else "depolarizing_fault_vector"
+    scored, wrapped = [], getattr(bench, target)
+
+    def captured(*args):
+        # success(c, e, problem); depolarizing_fault_vector(x, z)
+        scored.append(args[1] if noise == "bsc" else args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(bench, target, captured)
+    run_benchmark(BenchmarkConfig(code=spec, noise=noise, decoder=decoder,
+                                  rates=(rate, 0.3), trials=300, seed=seed))
+    code, out, _ = run(capsys, "sample", *spec.split(), "--noise", noise, "--rate",
+                       str(rate), "--trials", "300", "--seed", str(seed))
+    assert code == 0
+    draws = json.loads(out)["draws"]
+    assert len(draws) == 300 and len(scored) == 600  # both rate points, in order
+    for draw, fault in zip(draws, scored):
+        if noise == "bsc":
+            assert draw == "".join(map(str, fault))
+        else:
+            err = PauliOperator.from_string(draw)
+            assert np.array_equal(err.x, fault[0]) and np.array_equal(err.z, fault[1])
 
 
 def write_request(tmp_path, problem, **fields):

@@ -68,3 +68,13 @@ def test_xzy_draws_one_fault_vector_per_trial(mcbench):
     tracer.run(cfg)
     calls = tracer.captures["noise.fault_vector"]
     assert [trial for trial, _, _ in calls] == list(range(300))
+
+
+def test_each_depolarizing_block_draw_is_a_noise_sample_span(mcbench):
+    """noise.sample times sample_depolarizing, called once per block of trials."""
+    _, spans = mcbench
+    cfg = BenchmarkConfig(code="surface 5", noise="split-xz", decoder="bp", rates=(0.01,),
+                          trials=130, seed=1)
+    tracer = spans.Tracer()
+    tracer.run(cfg)
+    assert [name for name, *_ in tracer.spans].count("noise.sample") == 2

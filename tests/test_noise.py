@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qecbench.bench import sample_trials
 from qecbench.classical import encoding_matrix, hamming74, linear_code
 from qecbench.descriptors import load, save_problem
 from qecbench.f2 import F2Matrix, SparseRows
@@ -13,8 +14,6 @@ from qecbench.noise import (
     classical_problem,
     depolarizing_fault_vector,
     depolarizing_problem,
-    sample_bsc,
-    sample_depolarizing,
     uniform_prior,
 )
 from qecbench.quantum import css_code, four_two_two_checks
@@ -37,33 +36,29 @@ def test_prior_llr_endpoints():
 
 
 def test_bsc_p_zero_never_flips():
-    rng = np.random.default_rng(7)
-    sample = sample_bsc(uniform_prior(64, 0.0), rng)
-    assert not sample.any()
+    sample, = sample_trials("bsc", 64, 0.0, 7, 128)
+    assert sample.shape == (128, 64) and not sample.any()
 
 
 def test_bsc_empirical_rate():
-    rng = np.random.default_rng(11)
-    n = 100_000
-    flips = int(sample_bsc(uniform_prior(n, 0.1), rng).sum())
+    n = 100_000  # 100 trials of 1,000 bits: one block
+    flips = sum(int(block.sum()) for block in sample_trials("bsc", 1_000, 0.1, 11, 100))
     sigma = math.sqrt(n * 0.1 * 0.9)
     assert abs(flips - n * 0.1) < 3 * sigma
 
 
 def test_depolarizing_p_zero_is_identity():
-    rng = np.random.default_rng(1)
-    assert sample_depolarizing(10, 0.0, rng).weight() == 0
+    (x, z), = sample_trials("xzy", 10, 0.0, 1, 128)
+    assert x.shape == z.shape == (128, 10) and not x.any() and not z.any()
 
 
 def test_depolarizing_uniform_over_xyz():
-    rng = np.random.default_rng(17)
-    counts = {"X": 0, "Y": 0, "Z": 0}
-    trials = 100_000
-    draws = sample_depolarizing(trials, 1.0, rng)
-    for xb, zb in zip(draws.x, draws.z):
-        counts[{(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(xb, zb)]] += 1
+    trials = 100_000  # qubits: 100 trials of 1,000, one block
+    (x, z), = sample_trials("xzy", 1_000, 1.0, 17, 100)
+    counts = [np.count_nonzero(x & ~z), np.count_nonzero(z & ~x), np.count_nonzero(x & z)]
+    assert sum(counts) == trials
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
-    for c in counts.values():
+    for c in counts:
         assert abs(c / trials - 1 / 3) < 3 * sigma
 
 
@@ -86,19 +81,18 @@ def test_xzy_y_column_is_x_plus_z():
 
 def test_xzy_syndrome_matches_pauli_commutation():
     code = surface_code(2)
-    rng = np.random.default_rng(29)
     problem = depolarizing_problem(code, 0.3)
-    for _ in range(25):
-        err = sample_depolarizing(code.n, 0.5, rng)
-        faults = depolarizing_fault_vector(err.x, err.z)
+    (xs, zs), = sample_trials("xzy", code.n, 0.5, 29, 25)
+    for x, z in zip(xs, zs):
+        faults = depolarizing_fault_vector(x, z)
         s = problem.h.matvec(faults)
         expect = np.concatenate(
-            [code.hz.matvec(err.x), code.hx.matvec(err.z)]
+            [code.hz.matvec(x), code.hx.matvec(z)]
         )
         assert np.array_equal(s, expect)
         flips = problem.l.matvec(faults)
         expect_l = np.concatenate(
-            [code.lx.matvec(err.z), code.lz.matvec(err.x)]
+            [code.lx.matvec(z), code.lz.matvec(x)]
         )
         assert np.array_equal(flips, expect_l)
 
