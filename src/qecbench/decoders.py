@@ -6,12 +6,13 @@ minimum (min-sum) with the syndrome folded in as a sign; both take the
 value over a check's other edges from one prefix/suffix scan, so
 degree-1 checks and saturated messages need no division or sort.  OSD
 re-solves the syndrome on the most-reliable independent column set;
-order-w reprocessing sweeps every pattern of at most w remaining
-columns in array blocks: a candidate is the OSD-0 solution XOR each
-chosen column with the pivot bits it couples to, costed by one product
-with |soft|.  Exhaustive MWD/MLD enumerate the whole solution coset
-(f2.span_blocks doubles it from the kernel rows; MLD's class bits L e
-ride along as extra columns) and serve as oracles for everything else.
+order-w reprocessing extends each prefix (the OSD-0 solution XOR the
+kernel rows of at most w - 1 remaining columns) by every later kernel
+row, scores a block of extensions by one matrix product against |soft|,
+and builds only those within a rounding bound of the best.  Exhaustive
+MWD/MLD enumerate the whole solution coset (f2.span_blocks doubles it
+from the kernel rows; MLD's class bits L e ride along as extra columns)
+and serve as oracles for everything else.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .noise import DecodingProblem
 MWD_COLUMN_GUARD = 24
 MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
-OSD_BLOCK = 512  # candidates scored per array step of osd_w
+OSD_BLOCK = 512  # index patterns per block of _patterns
+OSD_STEP = 1 << 15  # floats per array in one scoring step of osd_w
 MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
 MEMO_BYTES = 1 << 24  # nor once a problem's stored keys and answers reach this
 
@@ -172,54 +174,83 @@ def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return _osd_prepare(h, s, soft)[2][-1].copy()  # a view would pin all the rows
 
 
-def _patterns(f: int, w: int):
+def _patterns(f: int, w: int, block: int = OSD_BLOCK):
     """Subsets of range(f) of at most w elements, in the order of
-    itertools.combinations, as (<= OSD_BLOCK, weight) index blocks."""
+    itertools.combinations, as (<= block, weight) index blocks."""
     yield np.zeros((1, 0), dtype=np.intp)
     for weight in range(1, min(w, f) + 1):
         combos = itertools.combinations(range(f), weight)
         while (flat := np.fromiter(itertools.chain.from_iterable(
-                itertools.islice(combos, OSD_BLOCK)), np.intp)).size:
+                itertools.islice(combos, block)), np.intp)).size:
             yield flat.reshape(-1, weight)
 
 
-def _osd_blocks(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int):
-    """Yield every order-w candidate in blocks (corrections, approximate soft weights)."""
-    _, free, flips = _osd_prepare(h, s, soft)
-    total = sum(math.comb(free.size, i) for i in range(0, w + 1))
-    if total > OSD_CANDIDATE_GUARD:
-        raise CapacityExceeded(
-            f"{total} reprocessing candidates exceed {OSD_CANDIDATE_GUARD}"
-        )
-    reliability = np.abs(np.asarray(soft, dtype=np.float64))
-    infinite = np.isinf(reliability)
-    finite = np.where(infinite, 0.0, reliability)  # 0 * inf would be NaN in the sum
-    for idx in _patterns(free.size, w):
-        c = np.repeat(flips[-1:], len(idx), axis=0)
+def _xor_weights(x: np.ndarray, k: np.ndarray, weights: np.ndarray):
+    """weights @ (x[b] ^ k[j]) for every row pair, as weights @ (x[b] + k[j]
+    - 2 (x[b] & k[j])) with one matrix product, and weights @ (x[b] + k[j])."""
+    kw = k.astype(np.float64)
+    kw *= weights  # faster than k * weights, which casts k inside the loop
+    both = (x @ weights)[:, None] + kw.sum(axis=1)
+    return both - 2 * (x @ kw.T), both
+
+
+def _osd_steps(flips: np.ndarray, reliability: np.ndarray, w: int):
+    """The order-w candidates other than the OSD-0 solution flips[-1], as
+    steps (x, k, new, cost, both): prefix x[b] (flips[-1] XOR the kernel
+    rows of at most w - 1 free columns) XOR kernel row k[j] of a later
+    column where new[b, j], costing cost[b, j] by _xor_weights (inf if it
+    touches an infinite |soft|).  Each array of a step holds about
+    OSD_STEP floats."""
+    kernel, cols = flips[:-1], max(flips.shape[1], 1)
+    infinite = np.isinf(reliability).astype(np.float64)
+    finite = np.where(infinite > 0, 0.0, reliability)  # 0 * inf would be NaN in a sum
+    rows = max(1, min(OSD_BLOCK, OSD_STEP // cols))
+    for idx in _patterns(len(kernel), w - 1, rows) if w else ():
+        x = np.repeat(flips[-1:], len(idx), axis=0)
         for j in idx.T:
-            c ^= flips[j]
-        cost = np.einsum("ij,j->i", c, finite)  # no float64 copy of c, unlike c @ finite
-        cost[c[:, infinite].any(axis=1)] = np.inf
-        yield c, cost
+            x ^= kernel[j]
+        xf, last = x.astype(np.float64), idx[:, -1:] if idx.size else np.full((1, 1), -1)
+        for lo in range(0, len(kernel), rows):
+            k = kernel[lo:lo + rows]
+            cost, both = _xor_weights(xf, k, finite)
+            if infinite.any():  # integer counts, so exact
+                cost[_xor_weights(xf, k, infinite)[0] > 0] = np.inf
+            yield x, k, np.arange(lo, lo + len(k)) > last, cost, both
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN sums are kept, see below
 def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
-    """Order-w reprocessing: best candidate by soft weight.
+    """Order-w reprocessing: the least of the OSD-0 solution XOR the kernel
+    rows of at most w free columns, by soft weight, Hamming weight, bytes.
 
-    Candidates are scored OSD_BLOCK at a time by one product with
-    |soft|, which rounds in another order than the exact soft weight;
-    the rows within an h.cols-term rounding error of a block's minimum
-    are ranked exactly by soft weight, then Hamming weight, then bytes,
-    so the result is unique.  NaN soft raises ValueError; +-inf is legal.
+    Each cost is three dot products of n = h.cols non-negative terms,
+    within 2n 2^-53 (cost(x) + cost(k)) of the soft weight, and the exact
+    key's sum is within n 2^-53 (cost(x) + cost(k)) of it too.  So a
+    candidate is built and keyed only if cost - slack, with slack (3n + 8)
+    2^-53 (cost(x) + cost(k)), is at most the OSD-0 key and every cost +
+    slack so far: the exact key-minimum over all sum C(f, <= w) candidates
+    always is.  NaN soft raises ValueError; +-inf is legal.
     """
     if w < 0:
         raise ValueError("need w >= 0")
     if w == 0:  # the sweep's only candidate is the osd0 solution
         return osd0(h, s, soft)
+    _, free, flips = _osd_prepare(h, s, soft)
+    total = sum(math.comb(free.size, i) for i in range(min(w, free.size) + 1))
+    if total > OSD_CANDIDATE_GUARD:
+        raise CapacityExceeded(
+            f"{total} reprocessing candidates exceed {OSD_CANDIDATE_GUARD}"
+        )
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
-    near = (c for block, cost in _osd_blocks(h, s, soft, w)
-            for c in block[cost <= cost.min() * (1 + h.cols * 2.0**-50)])
-    return min(near, key=lambda c: (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()))
+    key = lambda c: (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes())
+    best = flips[-1]
+    bound, tolerance = key(best)[0], (3 * h.cols + 8) * 2.0**-53
+    for x, k, new, cost, both in _osd_steps(flips, reliability, w):
+        slack = both * tolerance  # overflow leaves NaN, which fmin skips and ~> keeps
+        bound = np.fmin.reduce((cost + slack)[new], initial=bound)
+        near = np.nonzero(new & ~(cost - slack > bound))
+        best = min(itertools.chain([best], (x[b] ^ k[j] for b, j in zip(*near))), key=key)
+    return best.copy()  # a view would pin all of flips
 
 
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),

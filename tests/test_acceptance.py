@@ -22,7 +22,8 @@ from qecbench.classical import (
 )
 from qecbench.decoders import (
     BpConfig,
-    _osd_blocks,
+    _osd_prepare,
+    _osd_steps,
     bp_decode,
     exhaustive_mld,
     exhaustive_mwd,
@@ -211,9 +212,11 @@ def test_every_reprocessing_candidate_is_valid_and_w0_is_osd0():
         s = h.matvec(e)
         soft = rng.normal(size=16)
         for w in (0, 1, 2):
-            for block, _ in _osd_blocks(h, s, soft, w):
-                for cand in block:
-                    assert np.array_equal(h.matvec(cand), s)
+            _, _, flips = _osd_prepare(h, s, soft)
+            assert np.array_equal(h.matvec(flips[-1]), s)
+            for x, k, new, _, _ in _osd_steps(flips, np.abs(soft), w):
+                for b, j in zip(*np.nonzero(new)):
+                    assert np.array_equal(h.matvec(x[b] ^ k[j]), s)
         assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
     assert time.perf_counter() - start < 10.0
 

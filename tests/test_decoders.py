@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qecbench.bench import build_code
+from qecbench.bench import BenchmarkConfig, build_code, run_benchmark
 from qecbench.classical import hamming74
 from qecbench import decoders
 from qecbench.decoders import (
@@ -22,8 +24,8 @@ from qecbench.decoders import (
     osd0,
     osd_w,
     success,
-    _osd_blocks,
     _osd_prepare,
+    _osd_steps,
     _clip,
     _others,
     _patterns,
@@ -517,6 +519,16 @@ def test_osd0_unsatisfiable():
         osd0(h, np.array([1, 0], dtype=np.uint8), np.zeros(2))
 
 
+def _sweep(h, s, soft, w):
+    """Every candidate the order-w sweep scores: the OSD-0 solution, then
+    each new prefix-row and kernel-row pair of each step XORed."""
+    _, _, flips = _osd_prepare(h, s, soft)
+    yield flips[-1]
+    for x, k, new, _, _ in _osd_steps(flips, np.abs(soft), w):
+        for b, j in zip(*np.nonzero(new)):
+            yield x[b] ^ k[j]
+
+
 def test_every_reprocessing_candidate_satisfies_syndrome():
     rng = np.random.default_rng(43)
     for _ in range(10):
@@ -525,10 +537,9 @@ def test_every_reprocessing_candidate_satisfies_syndrome():
         s = h.matvec(e)
         soft = rng.normal(size=16)
         seen = 0
-        for block, _ in _osd_blocks(h, s, soft, 2):
-            for c in block:
-                assert np.array_equal(h.matvec(c), s)
-                seen += 1
+        for c in _sweep(h, s, soft, 2):
+            assert np.array_equal(h.matvec(c), s)
+            seen += 1
         assert seen == 1 + 16 - h.rank() + math.comb(16 - h.rank(), 2)
 
 
@@ -629,9 +640,166 @@ def test_osd_w_zero_equals_osd0(instance):
     # osd_w returns osd0 at order 0; the block sweep it skips has that
     # solution as its only candidate
     h, s, soft, _ = instance
-    ((swept,), _), = _osd_blocks(h, s, soft, 0)
+    swept, = _sweep(h, s, soft, 0)
     assert np.array_equal(osd_w(h, s, soft, 0), osd0(h, s, soft))
     assert np.array_equal(osd0(h, s, soft), swept)
+
+
+# -- the order-w sweep against the parent's candidate blocks -----------------
+
+
+def _parent_patterns(f: int, w: int):
+    """Subsets of range(f) of at most w elements, in the order of
+    itertools.combinations, as (<= OSD_BLOCK, weight) index blocks."""
+    yield np.zeros((1, 0), dtype=np.intp)
+    for weight in range(1, min(w, f) + 1):
+        combos = itertools.combinations(range(f), weight)
+        while (flat := np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, 512)), np.intp)).size:
+            yield flat.reshape(-1, weight)
+
+
+def _parent_osd_blocks(h, s, soft, w):
+    """Yield every order-w candidate in blocks (corrections, approximate soft weights)."""
+    _, free, flips = _osd_prepare(h, s, soft)
+    total = sum(math.comb(free.size, i) for i in range(0, w + 1))
+    if total > decoders.OSD_CANDIDATE_GUARD:
+        raise CapacityExceeded(
+            f"{total} reprocessing candidates exceed {decoders.OSD_CANDIDATE_GUARD}"
+        )
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    infinite = np.isinf(reliability)
+    finite = np.where(infinite, 0.0, reliability)  # 0 * inf would be NaN in the sum
+    for idx in _parent_patterns(free.size, w):
+        c = np.repeat(flips[-1:], len(idx), axis=0)
+        for j in idx.T:
+            c ^= flips[j]
+        cost = np.einsum("ij,j->i", c, finite)  # no float64 copy of c, unlike c @ finite
+        cost[c[:, infinite].any(axis=1)] = np.inf
+        yield c, cost
+
+
+def _parent_osd_w(h, s, soft, w):
+    """The parent's osd_w: every candidate built, OSD_BLOCK at a time."""
+    if w < 0:
+        raise ValueError("need w >= 0")
+    if w == 0:  # the sweep's only candidate is the osd0 solution
+        return osd0(h, s, soft)
+    reliability = np.abs(np.asarray(soft, dtype=np.float64))
+    near = (c for block, cost in _parent_osd_blocks(h, s, soft, w)
+            for c in block[cost <= cost.min() * (1 + h.cols * 2.0**-50)])
+    return min(near, key=lambda c: (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()))
+
+
+def _assert_same_as_parent(h, s, soft, w):
+    try:
+        with np.errstate(over="ignore"):  # the parent warns where huge soft sums overflow
+            expected = _parent_osd_w(h, s, soft, w)
+    except CapacityExceeded:
+        with pytest.raises(CapacityExceeded):
+            osd_w(h, s, soft, w)
+        return
+    got = osd_w(h, s, soft, w)
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+@pytest.fixture(scope="module")
+def surface9_osd_inputs():
+    """(h, s, soft) of every osd_w call bp_osd makes on surface 9, split-xz,
+    p = 0.05, in 40 trials at each of seeds 3 and 11."""
+    inputs = []
+    osd = decoders.osd_w
+
+    def recorded(h, s, soft, w):
+        inputs.append((h, np.array(s), np.array(soft)))
+        return osd(h, s, soft, w)
+
+    with mock.patch.object(decoders, "osd_w", recorded):
+        for seed in (3, 11):
+            run_benchmark(BenchmarkConfig(code="surface 9", noise="split-xz", decoder="bp+osd 1",
+                                          rates=(0.05,), trials=40, seed=seed))
+    return inputs
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_osd_w_matches_the_parent_on_surface9_bp_osd_inputs(surface9_osd_inputs, w):
+    assert len(surface9_osd_inputs) >= 20
+    for h, s, soft in surface9_osd_inputs:
+        _assert_same_as_parent(h, s, soft, w)
+
+
+@st.composite
+def sweep_instances(draw):
+    """Satisfiable (H, s, soft, w, step) from a seeded generator: integer soft
+    (exact ties), zeros, +-inf, all-infinite soft, and OSD_STEP values whose
+    scoring steps split the prefixes and the kernel rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 14))
+    h = F2Matrix.from_dense(rng.integers(0, 2, (r, c), dtype=np.uint8))
+    soft = {
+        "integer": lambda: rng.integers(-3, 4, c).astype(float),
+        "zeros": lambda: np.zeros(c),
+        "normal": lambda: rng.normal(size=c),
+        "some infinite": lambda: np.where(rng.random(c) < 0.3, np.inf, rng.integers(-2, 3, c))
+        * rng.choice([-1.0, 1.0], c),
+        "all infinite": lambda: rng.choice([-np.inf, np.inf], c),
+        "huge": lambda: rng.normal(size=c) * 5e307,  # sums past float64's range
+    }[draw(st.sampled_from(["integer", "zeros", "normal", "some infinite", "all infinite",
+                            "huge"]))]()
+    step = draw(st.sampled_from([decoders.OSD_STEP, 1, 2 * c, 5 * c]))
+    return h, h.matvec(rng.integers(0, 2, c, dtype=np.uint8)), soft, draw(st.integers(1, 3)), step
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_instances())
+def test_osd_w_matches_the_parent_across_step_sizes(instance):
+    h, s, soft, w, step = instance
+    with mock.patch.object(decoders, "OSD_STEP", step):
+        _assert_same_as_parent(h, s, soft, w)
+
+
+@pytest.mark.parametrize("soft_kind", ["normal", "integer", "some infinite"])
+@pytest.mark.parametrize("shape", [(1, 601), (3, 520)])
+@pytest.mark.parametrize("w", [1, 2])
+def test_osd_w_matches_the_parent_past_one_pattern_block(soft_kind, shape, w):
+    # f > OSD_BLOCK free columns, so both the prefixes and the kernel rows
+    # take several scoring steps at the default OSD_STEP
+    rng = np.random.default_rng(shape[1])
+    h = F2Matrix.from_dense(rng.integers(0, 2, shape, dtype=np.uint8) | (shape[0] == 1))
+    assert h.cols - h.rank() > decoders.OSD_BLOCK
+    soft = {
+        "normal": rng.normal(size=h.cols),
+        "integer": rng.integers(-9, 10, h.cols).astype(float),
+        "some infinite": np.where(rng.random(h.cols) < 0.1, -np.inf, rng.normal(size=h.cols)),
+    }[soft_kind]
+    _assert_same_as_parent(h, h.matvec(rng.integers(0, 2, h.cols, dtype=np.uint8)), soft, w)
+
+
+def test_osd_w_past_the_free_column_count_costs_nothing_more():
+    h = F2Matrix.from_dense(np.random.default_rng(5).integers(0, 2, (4, 12), dtype=np.uint8))
+    s = h.matvec(np.eye(12, dtype=np.uint8)[3])
+    soft = np.random.default_rng(6).normal(size=12)
+    start = time.perf_counter()
+    assert np.array_equal(osd_w(h, s, soft, 10**12), osd_w(h, s, soft, 12 - h.rank()))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_osd_w_without_columns_returns_the_empty_correction():
+    h = F2Matrix.from_dense(np.zeros((2, 0), dtype=np.uint8))
+    assert osd_w(h, np.zeros(2, dtype=np.uint8), np.zeros(0), 2).shape == (0,)
+
+
+def test_osd_w_order_two_stays_within_twice_the_candidate_blocks():
+    # the parent, building each block of 512 candidates, peaked at 1.34 MB here
+    h = F2Matrix.from_dense(np.ones((1, 601), dtype=np.uint8))
+    s, soft = np.array([1], dtype=np.uint8), np.random.default_rng(601).normal(size=601)
+    tracemalloc.start()
+    try:
+        osd_w(h, s, soft, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1_340_000
 
 
 @st.composite
