@@ -1,10 +1,11 @@
 """Linear algebra over GF(2) on bit-packed matrices.
 
-Rows are stored as little-endian 64-bit words, so row operations
-(the workhorse of elimination, syndrome computation and decoding)
-are word-wise XORs.  Shape-changing assembly (kron, stacking,
-transpose) goes through a dense 0/1 view, which is cheap at the
-matrix sizes used here.
+Rows are stored as little-endian 64-bit words, so syndrome
+computation is word-wise.  Elimination turns each row into one Python
+int and finds a pivot's rows by their lowest set bit, so each pivot
+XORs only the rows that hold its column.  Shape-changing assembly
+(kron, stacking, transpose) goes through a dense 0/1 view, which is
+cheap at the matrix sizes used here.
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -153,35 +154,79 @@ class F2Matrix:
         nonzero row.
         """
         if column_order is None:
-            order = range(self.cols)
+            order = list(range(self.cols))
         else:
             listed = np.asarray(column_order)  # [] comes out as float64
             order = listed.tolist()
-            if (listed.size and listed.dtype.kind not in "iu" or len(set(order)) != len(order)
-                    or not set(order).issubset(range(self.cols))
+            if (listed.size and (listed.dtype.kind not in "iu" or min(order) < 0
+                                 or max(order) >= self.cols)
+                    or len(set(order)) != len(order)
                     or not isinstance(column_order, np.ndarray)
                     and {bool, np.bool_} & set(map(type, column_order))):
                 raise ValueError("columns must be distinct integers in range(cols)")
-        m = self._words.copy()
+        # Each row becomes one int: listed column order[i] at bit i and the
+        # unlisted columns above them, in their order.  When the order is
+        # 0..n-1 (every call that builds a code) that is the packed layout.
+        n, perm = len(order), None
+        if order != list(range(n)):  # so column_order was given
+            rest = np.ones(self.cols, dtype=bool)
+            rest[listed] = False
+            perm = np.concatenate([listed.astype(np.intp, copy=False), np.flatnonzero(rest)])
+            raw = _pack(self.to_dense()[:, perm]).tobytes()
+        else:
+            raw = self._words.tobytes()
+        nbytes = self._words.shape[1] * 8
+        rows = [int.from_bytes(raw[q : q + nbytes], "little")
+                for q in range(0, len(raw), nbytes)] if nbytes else [0] * self.rows
+        # Forward elimination keeps the rows from position r clear of the listed
+        # bits passed, so low[i] holds the ids of the rows holding bit i; swaps
+        # move positions only (at[position] = id, pos[id] = position).
+        low: dict[int, list[int]] = {}
+        for q, v in enumerate(rows):
+            i = (v & -v).bit_length() - 1
+            if 0 <= i < n:
+                low.setdefault(i, []).append(q)
+        at, pos = list(range(self.rows)), list(range(self.rows))
         pivots: list[int] = []
         r = 0
-        for col in order:
-            if r == self.rows:  # also keeps argmax off an empty slice
+        for i in range(n):
+            if not low:
                 break
-            w, b = divmod(col, _WORD)
-            bits = m[:, w] & np.uint64(1 << b)
-            # every set entry equals the mask, so argmax is the first row from r with the bit
-            p = r + bits[r:].argmax()
-            if not bits[p]:
+            hits = low.pop(i, None)
+            if hits is None:
                 continue
-            row = m[p].copy()
-            m[p], m[r] = m[r], row
-            bits[p], bits[r] = bits[r], 0
-            np.bitwise_xor.at(m, bits.nonzero()[0], row)
-            pivots.append(col)
+            q = min(hits, key=pos.__getitem__)  # the first row from r that holds bit i
+            p, other = pos[q], at[r]
+            at[r], at[p], pos[q], pos[other] = q, other, r, p
+            row = rows[q]
+            for t in hits:
+                if t != q:
+                    rows[t] = v = rows[t] ^ row
+                    j = (v & -v).bit_length() - 1
+                    if 0 <= j < n:
+                        low.setdefault(j, []).append(t)
+            pivots.append(i)
             r += 1
+        # R depends only on the rows chosen, so back substitution is one pass
+        # from the last pivot row up, clearing later pivots with finished rows.
+        rows = [rows[q] for q in at]
+        above, row_of = 0, {}
+        for k in range(r - 1, -1, -1):
+            x = rows[k] & above
+            while x:
+                j = x.bit_length() - 1
+                rows[k] ^= rows[row_of[j]]
+                x ^= 1 << j
+            above |= 1 << pivots[k]
+            row_of[pivots[k]] = k
+        m = np.frombuffer(bytearray(b"".join(v.to_bytes(nbytes, "little") for v in rows)),
+                          dtype=np.uint64).reshape(self._words.shape)
+        if perm is not None:
+            dense = np.empty((self.rows, self.cols), dtype=np.uint8)
+            dense[:, perm] = _unpack(m, self.cols)
+            m = _pack(dense)
         return EliminationResult(
-            pivot_columns=tuple(pivots),
+            pivot_columns=tuple(order[i] for i in pivots),
             reduced=F2Matrix(self.rows, self.cols, m),
         )
 

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qecbench import decoders
+from qecbench.bench import BenchmarkConfig, run_benchmark
 from qecbench.errors import NoRightInverse, NoSolution
 from qecbench.f2 import (
     F2Matrix,
@@ -166,6 +170,86 @@ def test_eliminate_matches_the_reference_loop(rows, cols, density, dependent, or
     pivots, words = _reference_eliminate(m, column_order)
     assert res.pivot_columns == pivots
     assert np.array_equal(res.reduced._words, words)
+
+
+def _argmax_eliminate(self, column_order=None):
+    """The argmax + bitwise_xor.at loop that F2Matrix.eliminate ran before
+    its rows became Python ints, kept verbatim as a second reference:
+    (pivot columns, reduced words)."""
+    if column_order is None:
+        order = range(self.cols)
+    else:
+        order = np.asarray(column_order).tolist()
+    m = self._words.copy()
+    pivots: list[int] = []
+    r = 0
+    for col in order:
+        if r == self.rows:  # also keeps argmax off an empty slice
+            break
+        w, b = divmod(col, 64)
+        bits = m[:, w] & np.uint64(1 << b)
+        # every set entry equals the mask, so argmax is the first row from r with the bit
+        p = r + bits[r:].argmax()
+        if not bits[p]:
+            continue
+        row = m[p].copy()
+        m[p], m[r] = m[r], row
+        bits[p], bits[r] = bits[r], 0
+        np.bitwise_xor.at(m, bits.nonzero()[0], row)
+        pivots.append(col)
+        r += 1
+    return tuple(pivots), m
+
+
+def _assert_same_as_argmax_loop(m, column_order):
+    res = m.eliminate(column_order)
+    pivots, words = _argmax_eliminate(m, column_order)
+    assert res.pivot_columns == pivots
+    assert res.reduced._words.shape == words.shape
+    assert np.array_equal(res.reduced._words, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 150), cols=st.sampled_from([0, 1, 63, 64, 65, 128, 129, 192]),
+       density=st.sampled_from([0.02, 0.1, 0.5, 0.9]),
+       order=st.sampled_from(["all", "permutation", "prefix", "leading", "empty"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_eliminate_matches_the_argmax_loop_on_dependent_rows(rows, cols, density, order, seed):
+    """Rank at most rows/2, so at least half the rows are sums of others:
+    same pivots and the same words on every row, dependent rows included."""
+    rng = np.random.default_rng(seed)
+    basis = rng.random((rng.integers(0, rows // 2 + 1), cols)) < density
+    mix = rng.random((rows, basis.shape[0])) < 0.5
+    m = F2Matrix.from_dense((mix.astype(np.int64) @ basis) & 1)
+    column_order = {"all": None, "permutation": rng.permutation(cols),
+                    "prefix": list(rng.permutation(cols)[:rng.integers(0, cols + 1)]),
+                    "leading": range(rng.integers(0, cols + 1)), "empty": []}[order]
+    _assert_same_as_argmax_loop(m, column_order)
+
+
+@pytest.fixture(scope="module")
+def surface9_osd_eliminations():
+    """([H | s], argsort(soft, kind="stable")) of every OSD-0 elimination
+    bp_osd makes on surface 9, split-xz, p = 0.05, in 40 trials at each of
+    seeds 3 and 11."""
+    inputs = []
+    prepare = decoders._osd_prepare
+
+    def recorded(h, s, soft):
+        inputs.append((h.with_column(s), np.argsort(soft, kind="stable")))
+        return prepare(h, s, soft)
+
+    with mock.patch.object(decoders, "_osd_prepare", recorded):
+        for seed in (3, 11):
+            run_benchmark(BenchmarkConfig(code="surface 9", noise="split-xz", decoder="bp+osd 0",
+                                          rates=(0.05,), trials=40, seed=seed))
+    return inputs
+
+
+def test_eliminate_matches_the_argmax_loop_on_surface9_osd_inputs(surface9_osd_eliminations):
+    assert len(surface9_osd_eliminations) >= 20
+    for m, order in surface9_osd_eliminations:
+        _assert_same_as_argmax_loop(m, order)
 
 
 def test_eliminate_respects_column_order():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -206,6 +207,28 @@ def test_random_css_structure(bits):
     if css.k:
         pairing = (css.lx @ css.lz.T).to_dense()
         assert np.array_equal(pairing, np.eye(css.k, dtype=np.uint8))
+
+
+# sha256 (first 16 hex digits) of the dense 0/1 bytes of each matrix, as
+# built when elimination ran as a numpy argmax + bitwise_xor.at loop
+CODE_DIGESTS = {
+    "surface 2": {"hx": "efd2f3f41fa6b629", "hz": "1c4986046ee13a5f",
+                  "lx": "b3844634762d8e07", "lz": "9c9d8c6a5bdfdf83"},
+    "surface 5": {"hx": "f4b323918bc0f535", "hz": "621b357f56687e56",
+                  "lx": "ffcf7999f9d1a228", "lz": "5c06e1f69f88918c"},
+    "surface 9": {"hx": "8426b226758999dc", "hz": "0f03f1e9ab8c7218",
+                  "lx": "9209866620aa7f77", "lz": "db0adaae6ea85d4e"},
+    "hgp hamming transpose hamming": {"hx": "da53d992a0c48d9b", "hz": "bca2038f022c9e58",
+                                      "lx": "e1861d4a70199cd4", "lz": "f12d6e0dc0a16834"},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CODE_DIGESTS))
+def test_code_construction_is_pinned(spec):
+    css = build_code(spec)
+    digests = {name: hashlib.sha256(getattr(css, name).to_dense().tobytes()).hexdigest()[:16]
+               for name in ("hx", "hz", "lx", "lz")}
+    assert digests == CODE_DIGESTS[spec]
 
 
 def test_constructors_and_distances_rerun_no_reduction(monkeypatch):
