@@ -1,11 +1,10 @@
-"""Linear algebra over GF(2) on bit-packed matrices.
+"""Linear algebra over GF(2) on dense 0/1 matrices.
 
-Rows are stored as little-endian 64-bit words, so syndrome
-computation is word-wise.  Elimination turns each row into one Python
-int and finds a pivot's rows by their lowest set bit, so each pivot
-XORs only the rows that hold its column.  Shape-changing assembly
-(kron, stacking, transpose) goes through a dense 0/1 view, which is
-cheap at the matrix sizes used here.
+Each matrix holds one read-only (rows, cols) uint8 array of 0s and 1s,
+so stacking, slicing and products are plain numpy: a product is an
+exact float sum on BLAS, reduced to its low bit.  Elimination turns each row
+into one Python int and finds a pivot's rows by their lowest set bit,
+so each pivot XORs only the rows that hold its column.
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -20,81 +19,43 @@ import numpy as np
 
 from .errors import NoRightInverse, NoSolution
 
-_WORD = 64
-
-
-def _n_words(cols: int) -> int:
-    return (cols + _WORD - 1) // _WORD
-
-
-def _pack(dense: np.ndarray) -> np.ndarray:
-    """Pack a dense 0/1 array of shape (rows, cols) into uint64 words."""
-    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8) & 1)
-    rows, cols = dense.shape
-    words = _n_words(cols)
-    if words == 0:
-        return np.zeros((rows, 0), dtype=np.uint64)
-    padded = np.zeros((rows, words * _WORD), dtype=np.uint8)
-    padded[:, :cols] = dense
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
-    rows = words.shape[0]
-    if cols == 0:
-        return np.zeros((rows, 0), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :cols]
-
-
-def _pack_vec(v: np.ndarray, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.uint8).reshape(1, -1)
-    if v.shape[1] != cols:
-        raise ValueError(f"expected vector of length {cols}, got {v.shape[1]}")
-    return _pack(v)[0]
-
 
 class F2Matrix:
-    """Matrix over GF(2); the backbone of every code and decoder here."""
+    """Matrix over GF(2); the backbone of every code and decoder here.
 
-    __slots__ = ("rows", "cols", "_words")
+    A value: its 0/1 array is read-only, and the views hand out copies."""
 
-    def __init__(self, rows: int, cols: int, _words: np.ndarray | None = None):
+    __slots__ = ("rows", "cols", "_bits")
+
+    def __init__(self, rows: int, cols: int, _bits: np.ndarray | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        if _words is None:
-            _words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        self._words = _words
+        if _bits is None:
+            _bits = np.zeros((rows, cols), dtype=np.uint8)
+        _bits.flags.writeable = False
+        self._bits = _bits
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_dense(cls, array: Iterable) -> "F2Matrix":
-        dense = np.atleast_2d(np.asarray(array, dtype=np.uint8))
-        rows, cols = dense.shape
-        return cls(rows, cols, _pack(dense))
+        """The matrix of the low bit of each entry."""
+        bits = np.atleast_2d(np.asarray(array, dtype=np.uint8)) & 1
+        return cls(*bits.shape, bits)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
-
-    def with_column(self, v: np.ndarray) -> "F2Matrix":
-        """[M | v] for a 0/1 vector v of length rows, written into a copy of the words."""
-        words = np.zeros((self.rows, _n_words(self.cols + 1)), dtype=np.uint64)
-        words[:, : self._words.shape[1]] = self._words
-        w, b = divmod(self.cols, _WORD)
-        words[:, w] |= (np.asarray(v, dtype=np.uint64) & 1) << np.uint64(b)
-        return F2Matrix(self.rows, self.cols + 1, words)
+        return cls(n, n, np.eye(n, dtype=np.uint8))
 
     # -- views ---------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        return _unpack(self._words, self.cols)
+        return self._bits.copy()
 
     def row_dense(self, i: int) -> np.ndarray:
-        return _unpack(self._words[i : i + 1], self.cols)[0]
+        return self._bits[i].copy()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Matrix):
@@ -102,42 +63,38 @@ class F2Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and bool(np.array_equal(self._words, other._words))
+            and bool(np.array_equal(self._bits, other._bits))
         )
 
     def __hash__(self) -> int:  # content hash; matrices are treated as values
-        return hash((self.rows, self.cols, self._words.tobytes()))
+        return hash((self.rows, self.cols, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
 
     @property
     def T(self) -> "F2Matrix":
-        return F2Matrix.from_dense(self.to_dense().T)
+        return F2Matrix(self.cols, self.rows, self._bits.T)
 
     def is_zero(self) -> bool:
-        return not self._words.any()
+        return not self._bits.any()
 
     # -- products ------------------------------------------------------
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = np.zeros((self.rows, other._words.shape[1]), dtype=np.uint64)
-        dense = self.to_dense()
-        for i in range(self.rows):
-            sel = np.nonzero(dense[i])[0]
-            if sel.size:
-                out[i] = np.bitwise_xor.reduce(other._words[sel], axis=0)
-        return F2Matrix(self.rows, other.cols, out)
+        # BLAS sums 0/1 products exactly while they stay below 2^24 (float32)
+        exact = np.float32 if self.cols < 1 << 24 else np.float64
+        total = np.matmul(self._bits, other._bits, dtype=exact)
+        return F2Matrix(self.rows, other.cols, (total.astype(np.int64) & 1).astype(np.uint8))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Return M @ v over GF(2) as a dense uint8 vector."""
-        vw = _pack_vec(v, self.cols)
-        if vw.size == 0:
-            return np.zeros(self.rows, dtype=np.uint8)
-        acc = np.bitwise_and(self._words, vw[None, :])
-        return (np.bitwise_count(acc).sum(axis=1) & 1).astype(np.uint8)
+        """Return M @ v over GF(2) as a dense uint8 vector, from the low bit of each entry of v."""
+        v = np.asarray(v, dtype=np.uint8).reshape(-1)
+        if v.size != self.cols:
+            raise ValueError(f"expected vector of length {self.cols}, got {v.size}")
+        return np.bitwise_xor.reduce(self._bits & (v & 1), axis=1)
 
     # -- elimination ---------------------------------------------------
 
@@ -166,16 +123,15 @@ class F2Matrix:
                 raise ValueError("columns must be distinct integers in range(cols)")
         # Each row becomes one int: listed column order[i] at bit i and the
         # unlisted columns above them, in their order.  When the order is
-        # 0..n-1 (every call that builds a code) that is the packed layout.
-        n, perm = len(order), None
+        # 0..n-1 (every call that builds a code) no column moves.
+        n, perm, bits = len(order), None, self._bits
         if order != list(range(n)):  # so column_order was given
             rest = np.ones(self.cols, dtype=bool)
             rest[listed] = False
             perm = np.concatenate([listed.astype(np.intp, copy=False), np.flatnonzero(rest)])
-            raw = _pack(self.to_dense()[:, perm]).tobytes()
-        else:
-            raw = self._words.tobytes()
-        nbytes = self._words.shape[1] * 8
+            bits = bits[:, perm]
+        raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        nbytes = (self.cols + 7) // 8
         rows = [int.from_bytes(raw[q : q + nbytes], "little")
                 for q in range(0, len(raw), nbytes)] if nbytes else [0] * self.rows
         # Forward elimination keeps the rows from position r clear of the listed
@@ -219,15 +175,15 @@ class F2Matrix:
                 x ^= 1 << j
             above |= 1 << pivots[k]
             row_of[pivots[k]] = k
-        m = np.frombuffer(bytearray(b"".join(v.to_bytes(nbytes, "little") for v in rows)),
-                          dtype=np.uint64).reshape(self._words.shape)
-        if perm is not None:
-            dense = np.empty((self.rows, self.cols), dtype=np.uint8)
-            dense[:, perm] = _unpack(m, self.cols)
-            m = _pack(dense)
+        packed = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in rows),
+                               dtype=np.uint8).reshape(self.rows, nbytes)
+        out = np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
+        if perm is not None:  # column k of the int rows is column perm[k]
+            out, moved = np.empty_like(out), out
+            out[:, perm] = moved
         return EliminationResult(
             pivot_columns=tuple(order[i] for i in pivots),
-            reduced=F2Matrix(self.rows, self.cols, m),
+            reduced=F2Matrix(self.rows, self.cols, out),
         )
 
     def rank(self) -> int:
@@ -239,8 +195,8 @@ class F2Matrix:
         if len(res.pivot_columns) < self.rows:
             raise NoRightInverse(f"rank {len(res.pivot_columns)} < {self.rows} rows")
         out = np.zeros((self.cols, self.rows), dtype=np.uint8)
-        out[list(res.pivot_columns)] = res.reduced.to_dense()[:, self.cols :]
-        return F2Matrix.from_dense(out)
+        out[list(res.pivot_columns)] = res.reduced._bits[:, self.cols :]
+        return F2Matrix(self.cols, self.rows, out)
 
     def coset(self, s: np.ndarray | None = None, cols: Sequence[int] | None = None):
         """Lay out the solutions of M x = s supported on ``cols``, eliminating once.
@@ -261,11 +217,11 @@ class F2Matrix:
                 cols = range(self.cols)
             elif self.cols in np.asarray(cols):  # the column of s; eliminate checks the rest
                 raise ValueError("columns must be distinct integers in range(cols)")
-            m = self.with_column(s)  # only cols take pivots; s ends as T s
+            m = hstack([self, F2Matrix(self.rows, 1, s[:, None])])  # s ends as T s
         res = m.eliminate(cols)
         pivots = np.array(res.pivot_columns, dtype=np.intp)
         rank = pivots.size
-        reduced = res.reduced.to_dense()
+        reduced = res.reduced._bits
         if reduced[rank:, self.cols:].any():  # T s below the pivot rows; empty for s = None
             raise NoSolution("syndrome not in the image of the selected columns")
         order = np.arange(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
@@ -314,7 +270,7 @@ class SparseRows:
 
     def __init__(self, m: F2Matrix):
         self.shape = (m.rows, m.cols)
-        self.row, self.col = np.nonzero(m.to_dense())
+        self.row, self.col = np.nonzero(m._bits)
         degree = np.bincount(self.row, minlength=m.rows)
         self.real = np.arange(degree.max(initial=0)) < degree[:, None]
         self.pad_col = np.full(self.real.shape, m.cols)
@@ -349,21 +305,21 @@ class SparseRows:
 
 
 def kron(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    return F2Matrix.from_dense(np.kron(a.to_dense(), b.to_dense()))
+    return F2Matrix(a.rows * b.rows, a.cols * b.cols, np.kron(a._bits, b._bits))
 
 
 def hstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row count mismatch in hstack")
-    return F2Matrix.from_dense(np.hstack([b.to_dense() for b in blocks]))
+    return F2Matrix(rows, sum(b.cols for b in blocks), np.hstack([b._bits for b in blocks]))
 
 
 def vstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("column count mismatch in vstack")
-    return F2Matrix.from_dense(np.vstack([b.to_dense() for b in blocks]))
+    return F2Matrix(sum(b.rows for b in blocks), cols, np.vstack([b._bits for b in blocks]))
 
 
 def _doubled(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -383,7 +339,7 @@ def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
     m rows (2^m >= block, or all rows) span one table, the high rows
     another, and rows [c 2^m, (c+1) 2^m) are the low table XOR high row c.
     Blocks within the first 2^m rows are read-only views of the table."""
-    dense, zero = basis.to_dense(), np.zeros(basis.cols, dtype=np.uint8)
+    dense, zero = basis._bits, np.zeros(basis.cols, dtype=np.uint8)
     m = min(basis.rows, (block - 1).bit_length())
     low = _doubled(dense[:m], zero if offset is None else np.asarray(offset) & 1)
     low.flags.writeable = False
@@ -402,7 +358,7 @@ def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
 
 def to_alist(m: F2Matrix) -> str:
     """Serialize in MacKay's alist format (1-based, zero padded)."""
-    dense = m.to_dense()
+    dense = m._bits
     col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(m.cols)]
     row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(m.rows)]
     max_col = max((len(c) for c in col_lists), default=0)

@@ -31,7 +31,7 @@ from qecbench.decoders import (
     _patterns,
 )
 from qecbench.errors import CapacityExceeded, NoSolution, Unsatisfiable
-from qecbench.f2 import F2Matrix
+from qecbench.f2 import F2Matrix, hstack
 from qecbench.noise import (
     Prior,
     classical_problem,
@@ -858,7 +858,7 @@ def _separate_solve_columns(m, cols, s):
         raise ValueError("syndrome length does not match row count")
     if m.cols in np.asarray(cols):
         raise ValueError("columns must be distinct integers in range(cols)")
-    res = m.with_column(s).eliminate(cols)
+    res = hstack([m, F2Matrix.from_dense(s.reshape(-1, 1))]).eliminate(cols)
     rhs = res.reduced.to_dense()[:, m.cols]
     r = len(res.pivot_columns)
     if np.any(rhs[r:]):
@@ -878,7 +878,7 @@ def _separate_osd_prepare(h, s, soft):
     if np.isnan(soft).any():
         raise ValueError("soft information contains NaN")
     order = np.argsort(soft, kind="stable")
-    elim = h.with_column(s).eliminate(order)
+    elim = hstack([h, F2Matrix.from_dense(s.reshape(-1, 1))]).eliminate(order)
     pivots = np.array(elim.pivot_columns, dtype=np.int64)
     rank = pivots.size
     reduced = elim.reduced.to_dense()

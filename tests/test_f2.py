@@ -121,6 +121,19 @@ def test_eliminate_rejects_malformed_order():
     assert m.eliminate(np.array([1, 0], dtype=np.uint8)).pivot_columns == (1, 0)
 
 
+def _words(m):
+    """m's rows as little-endian uint64 words, the layout F2Matrix stored
+    when the reference loops below ran (a copy of its packing helper)."""
+    dense = np.atleast_2d(np.asarray(m.to_dense(), dtype=np.uint8) & 1)
+    rows, cols = dense.shape
+    words = (cols + 63) // 64
+    if words == 0:
+        return np.zeros((rows, 0), dtype=np.uint64)
+    padded = np.zeros((rows, words * 64), dtype=np.uint8)
+    padded[:, :cols] = dense
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 def _reference_eliminate(self, column_order=None):
     """The elimination loop that F2Matrix.eliminate replaced, kept verbatim
     as the reference: (pivot columns, reduced words)."""
@@ -128,7 +141,7 @@ def _reference_eliminate(self, column_order=None):
         order = range(self.cols)
     else:
         order = np.asarray(column_order).tolist()
-    m = self._words.copy()
+    m = _words(self)
     pivots: list[int] = []
     r = 0
     for col in order:
@@ -169,7 +182,7 @@ def test_eliminate_matches_the_reference_loop(rows, cols, density, dependent, or
     res = m.eliminate(column_order)
     pivots, words = _reference_eliminate(m, column_order)
     assert res.pivot_columns == pivots
-    assert np.array_equal(res.reduced._words, words)
+    assert np.array_equal(_words(res.reduced), words)
 
 
 def _argmax_eliminate(self, column_order=None):
@@ -180,7 +193,7 @@ def _argmax_eliminate(self, column_order=None):
         order = range(self.cols)
     else:
         order = np.asarray(column_order).tolist()
-    m = self._words.copy()
+    m = _words(self)
     pivots: list[int] = []
     r = 0
     for col in order:
@@ -205,8 +218,8 @@ def _assert_same_as_argmax_loop(m, column_order):
     res = m.eliminate(column_order)
     pivots, words = _argmax_eliminate(m, column_order)
     assert res.pivot_columns == pivots
-    assert res.reduced._words.shape == words.shape
-    assert np.array_equal(res.reduced._words, words)
+    assert _words(res.reduced).shape == words.shape
+    assert np.array_equal(_words(res.reduced), words)
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,7 +249,8 @@ def surface9_osd_eliminations():
     prepare = decoders._osd_prepare
 
     def recorded(h, s, soft):
-        inputs.append((h.with_column(s), np.argsort(soft, kind="stable")))
+        column = F2Matrix.from_dense(np.reshape(s, (-1, 1)))
+        inputs.append((hstack([h, column]), np.argsort(soft, kind="stable")))
         return prepare(h, s, soft)
 
     with mock.patch.object(decoders, "_osd_prepare", recorded):
@@ -316,6 +330,38 @@ def test_matvec_matches_dense(m):
     assert np.array_equal(m.matvec(v), ref.astype(np.uint8))
 
 
+def test_matrices_are_values():
+    """Writing into a dense view or into the array it was built from
+    changes neither == nor hash; from_dense keeps the low bit."""
+    source = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+    m = F2Matrix.from_dense(source)
+    same, key = F2Matrix.from_dense(source.copy()), hash(m)
+    source[0] = 0
+    dense, row = m.to_dense(), m.row_dense(1)
+    assert dense.flags.writeable and row.flags.writeable
+    dense[0, 1] = 1
+    row[0] = 1
+    assert m == same and hash(m) == key
+    assert np.array_equal(m.to_dense(), [[1, 0, 1], [0, 1, 1]])
+    assert F2Matrix.from_dense([[2, 3]]) == F2Matrix.from_dense([[0, 1]])
+
+
+@pytest.mark.parametrize("inner", [255, 256, 257, 300, 301])
+def test_products_keep_parity_past_the_uint8_wrap(inner):
+    """An all-ones row times an all-ones column sums ``inner`` ones, past
+    255; a bool product or a sum without its low-bit mask reads wrong."""
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, 2, size=(4, inner), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(inner, 3), dtype=np.uint8)
+    a[0], b[:, 0] = 1, 1
+    ref = (a.astype(np.int64) @ b) % 2
+    product = F2Matrix.from_dense(a) @ F2Matrix.from_dense(b)
+    assert product == F2Matrix.from_dense(ref) and product.to_dense()[0, 0] == inner % 2
+    out = F2Matrix.from_dense(a).matvec(b[:, 0])
+    assert out.dtype == np.uint8 and np.array_equal(out, ref[:, 0])
+    assert np.array_equal(F2Matrix.from_dense(a).matvec(b[:, 0] * 3), ref[:, 0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(0, 6), cols=st.sampled_from([0, 1, 7, 63, 64, 65, 128, 129]),
        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), empty=st.sets(st.integers(0, 5)),
@@ -353,11 +399,14 @@ def test_stacking():
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (4, 1), (4, 63), (4, 64), (4, 65), (2, 128)])
-def test_with_column_matches_hstack(rows, cols):
+def test_hstack_appends_a_column(rows, cols):
+    """[M | v] as coset builds it for a syndrome v, against the dense layout."""
     rng = np.random.default_rng(cols)
-    m = F2Matrix.from_dense(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+    dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
     v = rng.integers(0, 2, size=rows, dtype=np.uint8)
-    assert m.with_column(v) == hstack([m, F2Matrix.from_dense(v.reshape(rows, 1))])
+    out = hstack([F2Matrix.from_dense(dense), F2Matrix.from_dense(v.reshape(rows, 1))])
+    assert (out.rows, out.cols) == (rows, cols + 1)
+    assert np.array_equal(out.to_dense(), np.column_stack([dense, v]))
 
 
 def test_wide_matrix_crosses_word_boundary():

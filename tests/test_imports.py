@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import qecbench
+from qecbench.f2 import F2Matrix
 
 PACKAGE = Path(qecbench.__file__).parent
 
@@ -20,6 +21,17 @@ def private_imports(source: str):
                     yield node.lineno, alias.name
 
 
+# F2Matrix's storage: every slot but its shape
+STORAGE = set(F2Matrix.__slots__) - {"rows", "cols"}
+
+
+def storage_reads(source: str):
+    """Lines that read an attribute named like F2Matrix's storage."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE:
+            yield node.lineno, node.attr
+
+
 def test_no_module_imports_a_private_name_of_another():
     found = [f"{path.name}:{line} imports {name}"
              for path in sorted(PACKAGE.glob("*.py"))
@@ -34,3 +46,19 @@ def test_private_import_detection():
            "from . import __version__\n")
     assert list(private_imports(src)) == [
         (1, "_phase_contrib"), (2, "_pack"), (4, "__version__")]
+
+
+def test_only_f2_reads_the_storage_of_a_matrix():
+    """The layout of F2Matrix stays one module's decision."""
+    found = [f"{path.name}:{line} reads .{name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "f2.py"
+             for line, name in storage_reads(path.read_text())]
+    assert found == []
+
+
+def test_storage_read_detection():
+    (name,) = STORAGE
+    src = (f"m.{name}.copy()\n"
+           f"x = problem.h.{name}[0]\n"
+           "m.to_dense()\n")
+    assert sorted(storage_reads(src)) == [(1, name), (2, name)]
