@@ -8,9 +8,11 @@ seed is deterministic: trial t at rate index r always draws from the
 Philox stream keyed by SeedSequence(seed, spawn_key=(r, t)), and trials
 run in order on the calling thread.  A block of _BLOCK trials is sampled
 at once: one Philox per thread is reset to each of the block's keys, and
-array operations turn its raw words into a fresh Generator's draws.  A
-syndrome repeated at a rate point is decoded once (decoders.memo), but
-every trial still calls the decoder entry points.
+array operations turn its raw words into a fresh Generator's draws, and
+one [H; L] parity per problem over the block's fault rows gives every
+trial's syndrome and logical class.  A syndrome repeated at a rate point
+is decoded once (decoders.memo), but every trial still calls the decoder
+entry points.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .noise import (
     classical_problem,
     decoding_problem,
     depolarizing_fault_vector,
+    depolarizing_fault_vector as _fault_rows,
     depolarizing_problem,
     flips,
     pauli_flips,
@@ -312,8 +315,8 @@ def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
 
 
 def _noise(code, noise: str, rate: float):
-    """Returns (problems, keys -> (row -> one fault vector per problem)): the
-    faults of a block of trials are drawn together, and each trial reads its row."""
+    """Returns (problems, keys -> (faults, row -> fault vectors)): a block of
+    trials draws one (B, cols) faults array per problem, and trials read rows."""
     if noise == "bsc":
         if not isinstance(code, LinearCode):
             raise ValueError("bsc noise expects a classical code")
@@ -327,52 +330,51 @@ def _noise(code, noise: str, rate: float):
     else:
         def pauli(keys):
             x, z = sample_depolarizing(keys, code.n, rate)
-            if noise == "split-xz":
-                return lambda row: (z[row], x[row])  # the Z-fault problem comes first
-            # a call per trial: mcbench reads each trial's fault vector from it
-            return lambda row: (depolarizing_fault_vector(x[row], z[row]),)
+            if noise == "split-xz":  # the Z-fault problem comes first
+                return (z, x), lambda row: (z[row], x[row])
+            # a call per trial too: mcbench reads each trial's fault vector from
+            # it, so the block's rows come from a binding that it does not wrap
+            return ((_fault_rows(x, z),),
+                    lambda row: (depolarizing_fault_vector(x[row], z[row]),))
 
         problems = depolarizing_problem(code, rate, noise)
         return (problems if noise == "split-xz" else (problems,)), pauli
 
     def bsc(keys):
         f = flips(_block_draws(keys, problem.h.cols, False)[0], problem.prior.p)
-        return lambda row: (f[row],)
+        return (f,), lambda row: (f[row],)
 
     return (problem,), bsc
 
 
 def _make_trial(code, cfg: BenchmarkConfig, rate: float):
-    """Returns ((keys, row) -> (failed, iterations)) for one rate point."""
+    """Returns ((keys, row) -> (failed, iterations)) for one rate point.  One
+    [H; L] parity per problem gives every syndrome and class L e of a block."""
     kind, order = parse_decoder(cfg.decoder)
     problems, sample = _noise(code, cfg.noise, rate)
-
-    def run(problem, e):
-        if kind == "mld":
-            # class output; the trivial coset need not win at s = 0,
-            # so no zero-syndrome shortcut here.  One [H; L] parity
-            # gives the syndrome and the true class L e, uint8 like
-            # exhaustive_mld's class, so equal bytes are equal classes.
-            s_and_class = problem.tanner_hl.parity(e)
-            winner = exhaustive_mld(problem, s_and_class[:problem.h.rows])
-            return winner.tobytes() == s_and_class[problem.h.rows:].tobytes(), 0
-        s = problem.tanner.parity(e)
-        if np.count_nonzero(s):
-            c, _, iters = decode(problem, s, kind, order, cfg.bp)
-        else:
-            c, iters = np.zeros(problem.h.cols, dtype=np.uint8), 0
-        return success(c, e, problem).success, iters
-
-    block = [None, None]  # the keys drawn last and their row -> fault vectors
+    zeros = [np.zeros(p.h.cols, dtype=np.uint8) for p in problems]  # c at s = 0
+    block = [None, None, None]  # the keys drawn last, their parities, row -> fault vectors
 
     def trial(stream):
         keys, row = stream
         if block[0] is not keys:
-            block[:] = keys, sample(keys)
+            faults, vectors = sample(keys)
+            block[:] = keys, [p.tanner_hl.parity(f) for p, f in zip(problems, faults)], vectors
         # no short cut after a failure: iterations count every problem
         failed, iterations = False, 0
-        for problem, e in zip(problems, block[1](row)):
-            ok, iters = run(problem, e)
+        for problem, hl, e, zero in zip(problems, block[1], block[2](row), zeros):
+            s, iters = hl[row, :problem.h.rows], 0
+            if kind == "mld":
+                # class output; the trivial coset need not win at s = 0, so
+                # no zero-syndrome shortcut here.  The class L e is uint8 like
+                # exhaustive_mld's, so equal bytes are equal classes.
+                ok = exhaustive_mld(problem, s).tobytes() == hl[row, problem.h.rows:].tobytes()
+            else:
+                if np.count_nonzero(s):
+                    c, _, iters = decode(problem, s, kind, order, cfg.bp)
+                else:
+                    c = zero
+                ok = success(c, e, problem).success
             failed, iterations = failed or not ok, iterations + iters
         return failed, iterations
 

@@ -12,7 +12,9 @@ row, scores a block of extensions by one matrix product against |soft|,
 and builds only those within a rounding bound of the best.  Exhaustive
 MWD/MLD enumerate the whole solution coset (f2.span_blocks doubles it
 from the kernel rows; MLD's class bits L e ride along as extra columns)
-and serve as oracles for everything else.
+and serve as oracles for everything else.  The kernel's span depends on
+H alone, so each problem builds it once; a syndrome then costs T s and
+one XOR of its particular solution into the span's table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapacityExceeded, NoSolution, Unsatisfiable
-from .f2 import F2Matrix, span_blocks
+from .f2 import F2Matrix, span_blocks, span_tables
 from .noise import DecodingProblem
 
 MWD_COLUMN_GUARD = 24
@@ -270,14 +272,29 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
 
 def _solution_coset(problem: DecodingProblem, s: np.ndarray, classes: bool = False):
     """Every solution of H e = s in dense blocks, pivots taken in column order;
-    with classes, each row's class bits L e follow its h.cols error bits."""
-    try:
-        rows = problem.h.coset(s)[2]
-    except NoSolution:
-        raise Unsatisfiable("syndrome lies outside the image of H") from None
-    if classes:
-        rows = np.hstack([rows, rows @ problem.l.to_dense().T & 1])
-    return span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
+    with classes, each row's class bits L e follow its h.cols error bits.  A
+    problem's first call per layout eliminates [H | I] once, T its reduced I
+    block, and keeps for every s: T's rows below the pivots (s is outside the
+    image of H iff they give an odd sum), solve (solve @ s is the solution
+    that is zero off the pivots, T s on them) and span_tables of the kernel."""
+    h = problem.h
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (h.rows,):
+        raise ValueError("syndrome length does not match row count")
+    if classes not in problem.cosets:
+        pivots, _, rows, t = h.coset_transform(np.eye(h.rows, dtype=np.uint8))
+        solve = np.zeros((h.cols, h.rows), dtype=np.uint8)
+        solve[pivots] = t[:pivots.size]
+        if classes:
+            l = problem.l.to_dense()
+            rows, solve = np.hstack([rows, rows @ l.T & 1]), np.vstack([solve, l @ solve & 1])
+        kernel = F2Matrix.from_dense(rows[:-1])
+        problem.cosets[classes] = t[pivots.size:], solve, kernel, span_tables(kernel)
+    outside, solve, kernel, tables = problem.cosets[classes]
+    # uint8 sums wrap at 256, which keeps their low bit; span_blocks reads only it
+    if (outside @ s & 1).any():
+        raise Unsatisfiable("syndrome lies outside the image of H")
+    return span_blocks(kernel, solve @ s, tables=tables)
 
 
 def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:

@@ -208,32 +208,37 @@ class F2Matrix:
         the last row is the solution that is zero off the pivots (zero for
         s = None).  Raises NoSolution if no solution uses only ``cols``.
         """
-        m = self
         if s is not None:
             s = np.asarray(s, dtype=np.uint8) & 1
             if s.shape != (self.rows,):
                 raise ValueError("syndrome length does not match row count")
-            if cols is None:
-                cols = range(self.cols)
-            elif self.cols in np.asarray(cols):  # the column of s; eliminate checks the rest
+            if cols is not None and self.cols in np.asarray(cols):
+                # the column of s; eliminate checks the rest
                 raise ValueError("columns must be distinct integers in range(cols)")
-            m = hstack([self, F2Matrix(self.rows, 1, s[:, None])])  # s ends as T s
-        res = m.eliminate(cols)
-        pivots = np.array(res.pivot_columns, dtype=np.intp)
-        rank = pivots.size
-        reduced = res.reduced._bits
-        if reduced[rank:, self.cols:].any():  # T s below the pivot rows; empty for s = None
+        pivots, free, rows, ts = self.coset_transform(None if s is None else s[:, None], cols)
+        if ts[pivots.size:].any():  # T s below the pivot rows; empty for s = None
             raise NoSolution("syndrome not in the image of the selected columns")
+        if s is not None:
+            rows[-1, pivots] = ts[:pivots.size, 0]
+        return pivots, free, rows
+
+    def coset_transform(self, rhs: np.ndarray | None = None,
+                        cols: Sequence[int] | None = None):
+        """coset's one elimination, of [M | rhs] for 0/1 columns rhs: returns
+        (pivots, free, rows, T rhs), rows laid out as coset's with a zero last
+        row; T rhs[pivots.size:] is zero in exactly the columns that coset solves."""
+        m = self if rhs is None else hstack([self, F2Matrix(*rhs.shape, rhs)])
+        res = m.eliminate(range(self.cols) if cols is None and rhs is not None else cols)
+        pivots = np.array(res.pivot_columns, dtype=np.intp)
+        reduced = res.reduced._bits
         order = np.arange(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
         in_pivot = np.zeros(self.cols, dtype=bool)
         in_pivot[pivots] = True
         free = order[~in_pivot[order]]
         rows = np.zeros((free.size + 1, self.cols), dtype=np.uint8)
         rows[np.arange(free.size), free] = 1
-        rows[:-1, pivots] = reduced[:rank, free].T
-        if s is not None:
-            rows[-1, pivots] = reduced[:rank, self.cols]
-        return pivots, free, rows
+        rows[:-1, pivots] = reduced[:pivots.size, free].T
+        return pivots, free, rows, reduced[:, self.cols:]
 
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
@@ -283,12 +288,14 @@ class SparseRows:
             a.flags.writeable = False
 
     def parity(self, v: np.ndarray) -> np.ndarray:
-        """M v over GF(2) as uint8, from the low bit of each entry of integer v."""
+        """M v over GF(2) as uint8, from the low bit of each entry of integer v,
+        for each vector along the last axis: (..., cols) -> (..., rows)."""
         v = np.asarray(v)
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"expected vector of length {self.shape[1]}, got {v.shape}")
-        out = np.zeros(self.shape[0], dtype=np.uint8)
-        out[self._rows] = np.bitwise_xor.reduceat(v[self.col], self._starts) & 1
+        if v.shape[-1:] != (self.shape[1],):
+            raise ValueError(f"expected vectors of length {self.shape[1]}, got {v.shape}")
+        out = np.zeros(v.shape[:-1] + (self.shape[0],), dtype=np.uint8)
+        out[..., self._rows] = np.bitwise_xor.reduceat(v[..., self.col], self._starts,
+                                                       axis=-1) & 1
         return out
 
     def parity_test(self, s: np.ndarray):
@@ -331,19 +338,27 @@ def _doubled(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
-                block: int = 1 << 14):
-    """Iterate offset + span(basis rows) in dense uint8 blocks; row i
-    of the concatenation adds the basis rows picked by the bits of i.
-    Built by doubling, one XOR pass per basis row: the offset and the low
-    m rows (2^m >= block, or all rows) span one table, the high rows
-    another, and rows [c 2^m, (c+1) 2^m) are the low table XOR high row c.
-    Blocks within the first 2^m rows are read-only views of the table."""
+def span_tables(basis: F2Matrix, block: int = 1 << 14):
+    """span_blocks' tables for a zero offset: the spans of the low m basis rows
+    (2^m >= block, or all rows) and of the high rows, each by doubling."""
     dense, zero = basis._bits, np.zeros(basis.cols, dtype=np.uint8)
     m = min(basis.rows, (block - 1).bit_length())
-    low = _doubled(dense[:m], zero if offset is None else np.asarray(offset) & 1)
+    return _doubled(dense[:m], zero), _doubled(dense[m:], zero)
+
+
+def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
+                block: int = 1 << 14, tables=None):
+    """Iterate offset + span(basis rows) in dense uint8 blocks; row i
+    of the concatenation adds the basis rows picked by the bits of i.
+    Rows [c 2^m, (c+1) 2^m) are span_tables' low table XOR offset XOR
+    high row c, one XOR pass per basis row to build; tables, if given,
+    are span_tables(basis, block), kept for many offsets.  Blocks within
+    the first 2^m rows are read-only views of the low table."""
+    low, high = span_tables(basis, block) if tables is None else tables
+    if offset is not None:
+        low = low ^ (np.asarray(offset) & 1).astype(np.uint8, copy=False)
     low.flags.writeable = False
-    high, size = _doubled(dense[m:], zero), 1 << m
+    size = len(low)
     for lo in range(0, 1 << basis.rows, block):
         c, a = divmod(lo, size)
         b = a + min(block, (1 << basis.rows) - lo)

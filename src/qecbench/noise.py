@@ -66,7 +66,7 @@ class DecodingProblem:
 
     @cached_property
     def tanner(self) -> SparseRows:
-        """Edge list of H, built on first use: BP's graph and the syndrome kernel."""
+        """Edge list of H, built on first use: BP's graph."""
         return SparseRows(self.h)
 
     @cached_property
@@ -78,6 +78,11 @@ class DecodingProblem:
     def answers(self) -> Answers:
         """Decoder answers by key, filled on first use (decoders.memo)."""
         return Answers()
+
+    @cached_property
+    def cosets(self) -> dict:
+        """Solution-coset spans by layout, built on first use (decoders._solution_coset)."""
+        return {}
 
     def __repr__(self) -> str:
         return (
@@ -144,9 +149,9 @@ def depolarizing_problem(code: CssCode, p: float, mode: str = "xzy"):
 
 def depolarizing_fault_vector(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Indicator over the X/Z/Y fault columns of the "xzy" layout, from the
-    uint8 x and z bits of a Pauli error."""
+    uint8 x and z bits of a Pauli error: (..., n) arrays give (..., 3n)."""
     y = x & z
-    return np.concatenate([x ^ y, z ^ y, y])
+    return np.concatenate([x ^ y, z ^ y, y], axis=-1)
 
 
 def classical_problem(code: LinearCode, p: float) -> DecodingProblem:

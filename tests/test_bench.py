@@ -564,13 +564,19 @@ def per_trial_noise(code, noise, rate):
 
 
 def per_trial_path(monkeypatch):
-    """Make run_benchmark draw each trial's faults from its own fresh Generator."""
+    """Make run_benchmark draw each trial's faults from its own fresh Generator,
+    as a block of one row."""
     def noise(code, kind, rate):
         problems, sample = per_trial_noise(code, kind, rate)
-        return problems, lambda rng: lambda row: sample(rng)
+
+        def block(rng):
+            faults = sample(rng)
+            return [e[None] for e in faults], lambda row: faults
+
+        return problems, block
 
     monkeypatch.setattr(bench, "_trial_rng",
-                        lambda seed, r, t: (fresh_trial_rng(seed, r, t), None))
+                        lambda seed, r, t: (fresh_trial_rng(seed, r, t), 0))
     monkeypatch.setattr(bench, "_noise", noise)
 
 

@@ -1243,6 +1243,91 @@ def test_solution_coset_rows_carry_their_class_bits(rows, cols, k):
         assert (rows_[:, :cols] @ delta).tobytes() == (errors @ delta).tobytes()
 
 
+def _parent_solution_coset(problem, s, classes=False):
+    """_solution_coset before the per-problem span, kept verbatim with the
+    coset and span_blocks bodies it called: one elimination of [H | s] and one
+    doubling from the particular solution per call."""
+    h = problem.h
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (h.rows,):
+        raise ValueError("syndrome length does not match row count")
+    res = hstack([h, F2Matrix(h.rows, 1, s[:, None])]).eliminate(range(h.cols))
+    pivots = np.array(res.pivot_columns, dtype=np.intp)
+    rank, reduced = pivots.size, res.reduced.to_dense()
+    if reduced[rank:, h.cols:].any():
+        raise Unsatisfiable("syndrome lies outside the image of H")
+    in_pivot = np.zeros(h.cols, dtype=bool)
+    in_pivot[pivots] = True
+    free = np.flatnonzero(~in_pivot)
+    rows = np.zeros((free.size + 1, h.cols), dtype=np.uint8)
+    rows[np.arange(free.size), free] = 1
+    rows[:-1, pivots] = reduced[:rank, free].T
+    rows[-1, pivots] = reduced[:rank, h.cols]
+    if classes:
+        rows = np.hstack([rows, rows @ problem.l.to_dense().T & 1])
+
+    def doubled(basis, start):
+        out = np.empty((1 << len(basis), start.size), dtype=np.uint8)
+        out[0] = start
+        for j, row in enumerate(basis):
+            np.bitwise_xor(out[: 1 << j], row, out=out[1 << j : 2 << j])
+        return out
+
+    dense, block = rows[:-1], 1 << 14
+    kappa, m = len(dense), min(len(dense), (block - 1).bit_length())
+    low, high = doubled(dense[:m], rows[-1]), doubled(dense[m:], np.zeros_like(rows[-1]))
+    for lo in range(0, 1 << kappa, block):
+        c, a = divmod(lo, 1 << m)
+        b = a + min(block, (1 << kappa) - lo)
+        yield low[a:b] if c == 0 else low[a:b] ^ high[c]
+
+
+def _coset_outcome(coset, problem, s, classes):
+    try:
+        return [(b.dtype, b.shape, b.tobytes()) for b in coset(problem, s, classes)]
+    except (Unsatisfiable, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kappa", [0, 11, 17])
+def test_solution_coset_matches_the_parent_across_calls(kappa):
+    """One problem's kernel span serves a run of syndromes, with unsatisfiable
+    and malformed ones between them, and both layouts: every block equals the
+    per-call build's byte for byte, and each layout eliminates once."""
+    rng = np.random.default_rng(kappa)
+    if kappa == 11:  # the surface2-xzy-mld problem, with a dependent check row added
+        base = depolarizing_problem(build_code("surface 2"), 0.05)
+        h = base.h.to_dense()
+        h = np.vstack([h, h[0] ^ h[1]])
+        l = base.l.to_dense()
+    else:  # rank 5 of 6 rows, or rank 3 of 4 rows over 20 columns
+        cols = 5 if kappa == 0 else 20
+        h = rng.integers(0, 2, (cols - kappa, cols), dtype=np.uint8)
+        while F2Matrix.from_dense(h).rank() < cols - kappa:
+            h = rng.integers(0, 2, (cols - kappa, cols), dtype=np.uint8)
+        h = np.vstack([h, h[0] ^ h[-1]])
+        l = rng.integers(0, 2, (2, cols), dtype=np.uint8)
+    problem = decoding_problem(F2Matrix.from_dense(h), F2Matrix.from_dense(l),
+                               uniform_prior(h.shape[1], 0.1))
+    assert problem.h.cols - problem.h.rank() == kappa
+    syndromes = [rng.integers(0, 2, len(h), dtype=np.uint8) for _ in range(8)]
+    syndromes[3:3] = [np.zeros(len(h) + 1, dtype=np.uint8), np.zeros(len(h), dtype=np.uint8)]
+    seen, calls, eliminate = set(), [], F2Matrix.eliminate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return eliminate(self, *args, **kwargs)
+
+    with mock.patch.object(F2Matrix, "eliminate", counted):
+        new = [_coset_outcome(decoders._solution_coset, problem, s, classes)
+               for s in syndromes for classes in (True, False)]
+    assert len(calls) == 2
+    for (s, classes), got in zip(itertools.product(syndromes, (True, False)), new):
+        assert got == _coset_outcome(_parent_solution_coset, problem, s, classes)
+        seen.add(got if isinstance(got, type) else len(got))
+    assert seen == {Unsatisfiable, ValueError, max(1, 2**kappa // 2**14)}
+
+
 # -- success predicate -------------------------------------------------------
 
 

@@ -391,6 +391,32 @@ def test_sparse_rows_parity_matches_matvec(rows, cols, density, empty, seed):
         sparse.parity(np.zeros(cols + 1, dtype=np.uint8))
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 6), cols=st.sampled_from([0, 1, 7, 64, 65]),
+       density=st.sampled_from([0.0, 0.3, 1.0]), empty=st.sets(st.integers(0, 5)),
+       batch=st.sampled_from([0, 1, 5, 128]), seed=st.integers(0, 2**32 - 1))
+def test_sparse_rows_parity_takes_a_batch_axis(rows, cols, density, empty, batch, seed):
+    """A (B, cols) batch gives each row's own matvec, also for B = 0 and 1, for
+    empty rows and for entries other than 0/1; a vector is a batch of one."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    dense[[i for i in empty if i < rows]] = 0
+    m = F2Matrix.from_dense(dense)
+    sparse = SparseRows(m)
+    v = rng.integers(0, 256, size=(batch, cols), dtype=np.uint8)
+    out = sparse.parity(v)
+    assert out.dtype == np.uint8 and out.shape == (batch, rows)
+    for got, row in zip(out, v):
+        assert np.array_equal(got, m.matvec(row))
+    if batch:
+        assert np.array_equal(sparse.parity(v[0]), out[0])
+        assert np.array_equal(sparse.parity(v.astype(np.int64) + 2), out)  # low bit only
+        assert np.array_equal(sparse.parity(v.reshape(1, batch, cols)), out[None])
+    for shape in ((batch, cols + 1), (cols + 1,), ()):
+        with pytest.raises(ValueError):
+            sparse.parity(np.zeros(shape, dtype=np.uint8))
+
+
 def test_stacking():
     a = F2Matrix.from_dense([[1, 0], [0, 1]])
     b = F2Matrix.from_dense([[1, 1], [1, 0]])

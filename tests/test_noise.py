@@ -97,6 +97,17 @@ def test_xzy_syndrome_matches_pauli_commutation():
         assert np.array_equal(flips, expect_l)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (1, 5), (128, 5), (3, 4, 7)])
+def test_fault_vector_takes_a_batch_axis(shape):
+    """(..., n) bits give (..., 3n) fault rows, each row that of its own call."""
+    rng = np.random.default_rng(shape[0])
+    x, z = (rng.integers(0, 2, size=shape, dtype=np.uint8) for _ in range(2))
+    rows = depolarizing_fault_vector(x, z)
+    assert rows.dtype == np.uint8 and rows.shape == shape[:-1] + (3 * shape[-1],)
+    for index in np.ndindex(shape[:-1]):
+        assert np.array_equal(rows[index], depolarizing_fault_vector(x[index], z[index]))
+
+
 def test_split_mode_on_surface_three():
     z_faults, x_faults = depolarizing_problem(surface_code(3), 0.1, mode="split-xz")
     assert z_faults.h.cols == 13 and x_faults.h.cols == 13
