@@ -353,16 +353,18 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
     kind, order = parse_decoder(cfg.decoder)
     problems, sample = _noise(code, cfg.noise, rate)
     zeros = [np.zeros(p.h.cols, dtype=np.uint8) for p in problems]  # c at s = 0
-    block = [None, None, None]  # the keys drawn last, their parities, row -> fault vectors
+    block = [None, None, None]  # keys, per problem (parities, s != 0 by row), row -> faults
 
     def trial(stream):
         keys, row = stream
         if block[0] is not keys:
             faults, vectors = sample(keys)
-            block[:] = keys, [p.tanner_hl.parity(f) for p, f in zip(problems, faults)], vectors
+            hls = [p.tanner_hl.parity(f) for p, f in zip(problems, faults)]
+            block[:] = keys, [(hl, hl[:, :p.h.rows].any(axis=1).tolist())
+                              for p, hl in zip(problems, hls)], vectors
         # no short cut after a failure: iterations count every problem
         failed, iterations = False, 0
-        for problem, hl, e, zero in zip(problems, block[1], block[2](row), zeros):
+        for problem, (hl, nonzero), e, zero in zip(problems, block[1], block[2](row), zeros):
             s, iters = hl[row, :problem.h.rows], 0
             if kind == "mld":
                 # class output; the trivial coset need not win at s = 0, so
@@ -370,7 +372,7 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
                 # exhaustive_mld's, so equal bytes are equal classes.
                 ok = exhaustive_mld(problem, s).tobytes() == hl[row, problem.h.rows:].tobytes()
             else:
-                if np.count_nonzero(s):
+                if nonzero[row]:
                     c, _, iters = decode(problem, s, kind, order, cfg.bp)
                 else:
                     c = zero

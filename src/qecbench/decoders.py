@@ -14,7 +14,11 @@ MWD/MLD enumerate the whole solution coset (f2.span_blocks doubles it
 from the kernel rows; MLD's class bits L e ride along as extra columns)
 and serve as oracles for everything else.  The kernel's span depends on
 H alone, so each problem builds it once; a syndrome then costs T s and
-one XOR of its particular solution into the span's table.
+one XOR of its particular solution into the span's table (MLD also
+keeps its weights and the table's class indices per problem).  A BP
+call allocates the scan's scratch once; a round writes the scan's
+identity into the pads by one put and reads convergence off its
+posterior gather.
 """
 
 from __future__ import annotations
@@ -70,18 +74,21 @@ class DecodeResult:
     posterior_llr: np.ndarray
 
 
-def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
+def _others(rows: np.ndarray, op: np.ufunc, fill: float, scratch=None) -> np.ndarray:
     """op over every other slot of the same row, for every slot.
 
     Exclusive prefix and suffix scans along the last axis, joined with
     op; fill is op's identity and pads short rows.  Each scan starts
-    from fill in its first slot, which is exact: op(fill, x) == x.
+    from fill in its first slot, which is exact: op(fill, x) == x.  A
+    caller may pass the three arrays, shaped like rows, that hold the
+    prefix, the suffix and the output, the first two starting with fill.
     """
-    prefix, suffix = np.empty_like(rows), np.empty_like(rows)
-    prefix[..., 0] = suffix[..., 0] = fill
+    if scratch is None:
+        scratch = np.full((3,) + rows.shape, fill, dtype=rows.dtype)
+    prefix, suffix, out = scratch
     op.accumulate(rows[..., :-1], axis=-1, out=prefix[..., 1:])
     op.accumulate(rows[..., :0:-1], axis=-1, out=suffix[..., 1:])
-    return op(prefix, suffix[..., ::-1], out=prefix)
+    return op(prefix, suffix[..., ::-1], out=out)
 
 
 def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
@@ -111,41 +118,49 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
 
     # messages stay in g's padded (rows, dmax) layout: pads hold the scan's
     # identity, and their messages only reach the dummy column cols
-    real, pad_col, flat_col = g.real, g.pad_col, g.pad_col.ravel()
+    pads, pad_col, flat_col = g.pads, g.pad_col, g.pad_col.ravel()
     # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
     sum_product = cfg.variant == "sum-product"
     sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
     msg_v2c = lam[pad_col]
-    scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
-    solves = g.parity_test(s)
+    scan, signs = np.empty_like(msg_v2c), np.empty_like(msg_v2c)
+    scratch = tuple(np.full((3,) + msg_v2c.shape, 1.0 if sum_product else clamp))
+    # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
+    ones, want = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes()
     # max_iterations >= 1, so the loop binds every name it returns
     for iterations in range(1, cfg.max_iterations + 1):
         if sum_product:
-            np.tanh(msg_v2c / 2.0, out=scan, where=real)
-            extrinsic = _others(scan, np.multiply, 1.0)
-            msg_c2v = sign * np.arctanh(extrinsic, out=extrinsic)
+            np.tanh(np.multiply(msg_v2c, 0.5, out=scan), out=scan)
+            scan.put(pads, 1.0)
+            extrinsic = _others(scan, np.multiply, 1.0, scratch)
+            msg_c2v = np.multiply(sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
         else:
             # |msg| <= clamp, so clamp is min's identity here and stands
             # in for the minimum over no other edge (degree-1 checks)
-            np.abs(msg_v2c, out=scan, where=real)
-            ext_min = _others(scan, np.minimum, clamp)
+            np.abs(msg_v2c, out=scan)
+            scan.put(pads, clamp)
+            ext_min = _others(scan, np.minimum, clamp, scratch)
             # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
             # and -0 and +0 add and subtract alike into the posterior
-            signs = np.ones_like(msg_v2c)
-            np.copysign(1.0, msg_v2c, out=signs, where=real)
-            msg_c2v = sign * signs.prod(axis=1, keepdims=True) * signs
+            np.copysign(1.0, msg_v2c, out=signs)
+            signs.put(pads, 1.0)
+            msg_c2v = np.multiply(sign * np.multiply.reduce(signs, axis=1, keepdims=True),
+                                  signs, out=signs)
             msg_c2v *= ext_min
         _clip(msg_c2v, clamp)
 
         # bincount adds each column's messages one at a time in row-major
         # edge order, so every sum is fixed to the bit by the graph alone
-        posterior = lam + np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
-        _clip(np.subtract(posterior[pad_col], msg_c2v, out=msg_v2c), clamp)
+        posterior = np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
+        posterior += lam
+        posterior[cols] = 0.0  # pads read "no fault" in the gather below
+        gathered = posterior[pad_col]
+        _clip(np.subtract(gathered, msg_c2v, out=msg_v2c), clamp)
 
         # converged must describe the correction we return, so re-test
         # every round: without early stopping a later sweep may undo an
         # intermediate syndrome match
-        converged = solves(posterior[:cols] < 0)
+        converged = ((gathered < 0).view(np.uint8) @ ones & 1).tobytes() == want
         if converged and cfg.early_stop:
             break
 
@@ -330,14 +345,20 @@ def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
         raise CapacityExceeded(
             f"MLD enumeration limited to {MLD_COLUMN_GUARD} columns"
         )
-    base = np.log1p(-problem.prior.p).sum()
-    delta = -problem.prior.llr  # log(p) - log1p(-p), bit for bit
-    delta = np.where(np.isinf(delta), -1e300, delta)
-    class_bits = np.left_shift(1, np.arange(k, dtype=np.int64))
+    blocks = _solution_coset(problem, s, classes=True)
+    if "mld" not in problem.cosets:  # the weights, and span_tables' low table's classes
+        delta = -problem.prior.llr  # log(p) - log1p(-p), bit for bit
+        class_bits = np.left_shift(1, np.arange(k, dtype=np.int64))
+        problem.cosets["mld"] = (np.log1p(-problem.prior.p).sum(),
+                                 np.where(np.isinf(delta), -1e300, delta), class_bits,
+                                 problem.cosets[True][3][0][:, cols:] @ class_bits)
+    base, delta, class_bits, low_classes = problem.cosets["mld"]
     totals = np.zeros(1 << k)
-    for rows in _solution_coset(problem, s, classes=True):
+    for rows in blocks:
         probs = np.exp(base + rows[:, :cols] @ delta)
-        totals += np.bincount(rows[:, cols:] @ class_bits, weights=probs, minlength=totals.size)
+        # each block is the low table (first row zero) XOR its own first row
+        classes = low_classes[:len(rows)] ^ (rows[0, cols:] @ class_bits)
+        totals += np.bincount(classes, weights=probs, minlength=totals.size)
     winner = int(np.argmax(totals))
     return ((winner >> np.arange(k)) & 1).astype(np.uint8)
 
@@ -366,14 +387,20 @@ class SuccessReport:
     success: bool
 
 
+_SUCCEEDED = SuccessReport(valid=True, success=True)
+_WRONG_CLASS = SuccessReport(valid=True, success=False)
+_INVALID = SuccessReport(valid=False, success=False)
+
+
 def success(correction: np.ndarray, error: np.ndarray,
             problem: DecodingProblem) -> SuccessReport:
-    """Validity is H(c+e) = 0; success additionally needs L c = L e."""
+    """Validity is H(c+e) = 0; success additionally needs L c = L e.  The
+    report is one of three shared frozen ones."""
     c = np.asarray(correction, dtype=np.uint8)
     e = np.asarray(error, dtype=np.uint8)
     if c.shape != e.shape or c.shape != (problem.h.cols,):
         raise ValueError("correction/error lengths do not match the problem")
     parity = problem.tanner_hl.parity(c ^ e)  # H(c+e) over L(c+e)
-    valid = not np.count_nonzero(parity[:problem.h.rows])
-    ok = valid and not np.count_nonzero(parity[problem.h.rows:])
-    return SuccessReport(valid=valid, success=ok)
+    if not np.count_nonzero(parity):
+        return _SUCCEEDED
+    return _INVALID if np.count_nonzero(parity[:problem.h.rows]) else _WRONG_CLASS

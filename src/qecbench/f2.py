@@ -269,8 +269,9 @@ class SparseRows:
 
     Edge k is the nonzero at (row[k], col[k]); a row's edges are
     contiguous.  Padded, row i's edges fill the first slots of a row of
-    dmax (the largest degree): real marks those slots, and pad_col holds
-    their columns and the dummy column cols elsewhere.  Read-only.
+    dmax (the largest degree): real marks those slots, pad_col holds
+    their columns and the dummy column cols elsewhere, and pads lists the
+    other slots' flat indices.  Read-only.
     """
 
     def __init__(self, m: F2Matrix):
@@ -280,11 +281,13 @@ class SparseRows:
         self.real = np.arange(degree.max(initial=0)) < degree[:, None]
         self.pad_col = np.full(self.real.shape, m.cols)
         self.pad_col[self.real] = self.col
+        self.pads = np.flatnonzero(~self.real)
         # reduceat returns v[start] for an empty row and rejects a start
         # equal to the edge count, so empty rows are left out of it
         self._rows = np.flatnonzero(degree)
         self._starts = (np.cumsum(degree) - degree)[self._rows]
-        for a in (self.row, self.col, self.real, self.pad_col, self._rows, self._starts):
+        for a in (self.row, self.col, self.real, self.pad_col, self.pads, self._rows,
+                  self._starts):
             a.flags.writeable = False
 
     def parity(self, v: np.ndarray) -> np.ndarray:
@@ -293,9 +296,11 @@ class SparseRows:
         v = np.asarray(v)
         if v.shape[-1:] != (self.shape[1],):
             raise ValueError(f"expected vectors of length {self.shape[1]}, got {v.shape}")
+        bits = np.bitwise_xor.reduceat(v.take(self.col, axis=-1), self._starts, axis=-1) & 1
+        if self._rows.size == self.shape[0]:  # no empty row: reduceat gave every row
+            return bits.astype(np.uint8, copy=False)
         out = np.zeros(v.shape[:-1] + (self.shape[0],), dtype=np.uint8)
-        out[..., self._rows] = np.bitwise_xor.reduceat(v[..., self.col], self._starts,
-                                                       axis=-1) & 1
+        out[..., self._rows] = bits
         return out
 
     def parity_test(self, s: np.ndarray):

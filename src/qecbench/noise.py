@@ -81,7 +81,7 @@ class DecodingProblem:
 
     @cached_property
     def cosets(self) -> dict:
-        """Solution-coset spans by layout, built on first use (decoders._solution_coset)."""
+        """Coset spans by layout and MLD's weights, built on first use (decoders)."""
         return {}
 
     def __repr__(self) -> str:

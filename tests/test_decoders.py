@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -492,6 +493,110 @@ def test_bp_matches_the_scatter_gather_reference(instance):
     assert np.array_equal(got.correction, want.correction)
     assert (got.converged, got.iterations_used) == (want.converged, want.iterations_used)
     assert np.array_equal(got.posterior_llr, want.posterior_llr)
+
+
+def _others_before_scratch(rows, op, fill):
+    """decoders._others before the per-call scratch, kept verbatim."""
+    prefix, suffix = np.empty_like(rows), np.empty_like(rows)
+    prefix[..., 0] = suffix[..., 0] = fill
+    op.accumulate(rows[..., :-1], axis=-1, out=prefix[..., 1:])
+    op.accumulate(rows[..., :0:-1], axis=-1, out=suffix[..., 1:])
+    return op(prefix, suffix[..., ::-1], out=prefix)
+
+
+@np.errstate(divide="ignore")
+def _bp_before_scratch(problem, s, cfg=BpConfig()):
+    """decoders.bp_decode before the per-call scratch, the pad fill and the
+    convergence test on the posterior gather, kept verbatim."""
+    g = problem.tanner
+    rows, cols = g.shape
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (rows,):
+        raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
+    clamp = cfg.llr_clamp
+    lam = np.append(problem.prior.llr.clip(-clamp, clamp), 0.0)
+    if g.col.size == 0:
+        correction = (lam[:cols] < 0).astype(np.uint8)
+        converged = bool(np.array_equal(g.parity(correction), s))
+        return DecodeResult(correction, converged, 1, lam[:cols])
+
+    real, pad_col, flat_col = g.real, g.pad_col, g.pad_col.ravel()
+    sum_product = cfg.variant == "sum-product"
+    sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    msg_v2c = lam[pad_col]
+    scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
+    solves = g.parity_test(s)
+    for iterations in range(1, cfg.max_iterations + 1):
+        if sum_product:
+            np.tanh(msg_v2c / 2.0, out=scan, where=real)
+            extrinsic = _others_before_scratch(scan, np.multiply, 1.0)
+            msg_c2v = sign * np.arctanh(extrinsic, out=extrinsic)
+        else:
+            np.abs(msg_v2c, out=scan, where=real)
+            ext_min = _others_before_scratch(scan, np.minimum, clamp)
+            signs = np.ones_like(msg_v2c)
+            np.copysign(1.0, msg_v2c, out=signs, where=real)
+            msg_c2v = sign * signs.prod(axis=1, keepdims=True) * signs
+            msg_c2v *= ext_min
+        _clip(msg_c2v, clamp)
+
+        posterior = lam + np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
+        _clip(np.subtract(posterior[pad_col], msg_c2v, out=msg_v2c), clamp)
+
+        converged = solves(posterior[:cols] < 0)
+        if converged and cfg.early_stop:
+            break
+
+    correction = (posterior[:cols] < 0).astype(np.uint8)
+    return DecodeResult(correction, converged, iterations, posterior[:cols])
+
+
+def _bp_outcome(result):
+    return (result.correction.tobytes(), result.converged, result.iterations_used,
+            result.posterior_llr.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(bp_instances())
+def test_bp_matches_the_version_before_the_scratch(instance):
+    """Empty rows, degree-1 checks, p = 0 and 1/2: the same corrections,
+    convergence, iteration counts and posterior bytes."""
+    problem, s, cfg = instance
+    assert _bp_outcome(bp_decode(problem, s, cfg)) == _bp_outcome(_bp_before_scratch(problem, s, cfg))
+
+
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_matches_the_version_before_the_scratch_on_surface_codes(variant, early_stop):
+    cfg = BpConfig(variant=variant, early_stop=early_stop)
+    seen = set()
+    for d, p in (("5", 0.01), ("5", 0.08), ("9", 0.05)):
+        for problem in depolarizing_problem(build_code(f"surface {d}"), p, "split-xz"):
+            rng = np.random.default_rng(int(d) * 1000 + round(p * 100))
+            for _ in range(15):
+                s = problem.tanner.parity(rng.random(problem.h.cols) < p)
+                new, old = bp_decode(problem, s, cfg), _bp_before_scratch(problem, s, cfg)
+                assert _bp_outcome(new) == _bp_outcome(old)
+                seen.add(new.converged)
+    assert seen == {True, False}
+
+
+def test_success_returns_shared_frozen_reports():
+    """Each outcome is one module-level report, equal to a freshly built one."""
+    problem = depolarizing_problem(build_code("surface 3"), 0.1, "split-xz")[0]
+    zero = np.zeros(problem.h.cols, dtype=np.uint8)
+    kernel = problem.h.kernel_basis().to_dense()
+    logical = kernel[(kernel @ problem.l.to_dense().T % 2).any(axis=1)][0]  # a wrong class
+    flip = zero.copy()
+    flip[0] = 1
+    for (c, e), want in (((zero, zero), SuccessReport(valid=True, success=True)),
+                         ((logical, zero), SuccessReport(valid=True, success=False)),
+                         ((flip, zero), SuccessReport(valid=False, success=False))):
+        report = success(c, e, problem)
+        assert report == want and report is success(e, c, problem)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.valid = not report.valid
+        assert report == want
 
 
 # -- ordered statistics ------------------------------------------------------

@@ -417,6 +417,29 @@ def test_sparse_rows_parity_takes_a_batch_axis(rows, cols, density, empty, batch
             sparse.parity(np.zeros(shape, dtype=np.uint8))
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 9), empty=st.booleans(),
+       dtype=st.sampled_from([bool, np.uint8, np.int64]), batch=st.sampled_from([None, 0, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_rows_parity_paths_agree_with_matvec(rows, cols, empty, dtype, batch, seed):
+    """Without an empty row parity returns reduceat's bits; with one it scatters
+    them.  Both give matvec's bits as uint8, for bool, uint8 and int64 input,
+    as a vector and as a (B, cols) batch."""
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    dense[np.arange(rows), rng.integers(0, cols, rows)] = 1  # every row has an edge
+    if empty:
+        dense[rng.integers(rows)] = 0
+    m = F2Matrix.from_dense(dense)
+    sparse = SparseRows(m)
+    v = rng.integers(0, 2 if dtype is bool else 256, size=(batch or 0, cols)).astype(dtype)
+    for vectors in ((v, v[0]) if batch else (v,)):
+        out = sparse.parity(vectors)
+        assert out.dtype == np.uint8 and out.shape == vectors.shape[:-1] + (rows,)
+        want = [m.matvec(row.astype(np.uint8)) for row in np.atleast_2d(vectors)]
+        assert np.array_equal(np.atleast_2d(out), np.reshape(want, (-1, rows)))
+
+
 def test_stacking():
     a = F2Matrix.from_dense([[1, 0], [0, 1]])
     b = F2Matrix.from_dense([[1, 1], [1, 0]])
