@@ -3,8 +3,8 @@
 Messages live in the LLR domain: positive means "probably no fault".
 The check update is the tanh-product rule (sum-product) or the scaled
 minimum (min-sum) with the syndrome folded in as a sign; both take the
-value over a check's other edges from one prefix/suffix scan, so
-degree-1 checks and saturated messages need no division or sort.  OSD
+value over a check's other edges from an exclusive prefix/suffix scan,
+so degree-1 checks and saturated messages need no division or sort.  OSD
 re-solves the syndrome on the most-reliable independent column set;
 order-w reprocessing extends each prefix (the OSD-0 solution XOR the
 kernel rows of at most w - 1 remaining columns) by every later kernel
@@ -16,9 +16,10 @@ and serve as oracles for everything else.  The kernel's span depends on
 H alone, so each problem builds it once; a syndrome then costs T s and
 one XOR of its particular solution into the span's table (MLD also
 keeps its weights and the table's class indices per problem).  A BP
-call allocates the scan's scratch once; a round writes the scan's
-identity into the pads by one put and reads convergence off its
-posterior gather.
+call builds the scan once as a plan of ufunc steps over the slots of
+its buffers; a round writes the scan's identity into the pads by one
+put, runs the plan, and tests the syndrome on its posterior gather
+only when the hard decisions differ from the last tested round's.
 """
 
 from __future__ import annotations
@@ -74,21 +75,39 @@ class DecodeResult:
     posterior_llr: np.ndarray
 
 
-def _others(rows: np.ndarray, op: np.ufunc, fill: float, scratch=None) -> np.ndarray:
-    """op over every other slot of the same row, for every slot.
+def _scan_plan(x: np.ndarray, fill: float, scratch=None):
+    """(out, steps): running op(a, b, out=o) for the steps (a, b, o) in turn
+    writes op over every other slot of the same row of x into out.
 
-    Exclusive prefix and suffix scans along the last axis, joined with
-    op; fill is op's identity and pads short rows.  Each scan starts
-    from fill in its first slot, which is exact: op(fill, x) == x.  A
-    caller may pass the three arrays, shaped like rows, that hold the
-    prefix, the suffix and the output, the first two starting with fill.
+    The steps work on the slot views x[..., j] of x, out and two
+    temporaries (scratch, if given, holds those and out, shaped like x), so
+    they rerun on new contents of x.  Slot j joins the prefix of the slots
+    before it, built left to right, with the suffix of those after it,
+    built right to left, in the association order of op.accumulate's
+    exclusive scans; an end slot takes its one scan's last step, exact as
+    op(fill, y) == y.  fill, op's identity, stands in for the scans that
+    rows of one or two slots lack.
     """
-    if scratch is None:
-        scratch = np.full((3,) + rows.shape, fill, dtype=rows.dtype)
-    prefix, suffix, out = scratch
-    op.accumulate(rows[..., :-1], axis=-1, out=prefix[..., 1:])
-    op.accumulate(rows[..., :0:-1], axis=-1, out=suffix[..., 1:])
-    return op(prefix, suffix[..., ::-1], out=out)
+    pre, suf, out = (np.empty_like(x) for _ in range(3)) if scratch is None else scratch
+    d = x.shape[-1]
+    if d < 3:  # no scan: a row of two swaps its slots, a row of one holds fill
+        others = [x[..., 1], x[..., 0]] if d == 2 else [fill] * d
+        return out, [(fill, y, out[..., j]) for j, y in enumerate(others)]
+    p, s, steps = [None, x[..., 0]], [None, x[..., d - 1]], []
+    for j in range(2, d):  # p[j] = x0 op ... op x(j-1), s[j] = x(d-1) op ... op x(d-j)
+        p.append(out[..., d - 1] if j == d - 1 else pre[..., j])
+        s.append(out[..., 0] if j == d - 1 else suf[..., j])
+        steps += [(p[j - 1], x[..., j - 1], p[j]), (s[j - 1], x[..., d - j], s[j])]
+    return out, steps + [(p[j], s[d - 1 - j], out[..., j]) for j in range(1, d - 1)]
+
+
+def _others(rows: np.ndarray, op: np.ufunc, fill: float, scratch=None) -> np.ndarray:
+    """op over every other slot of the same row, for every slot: the
+    _scan_plan of rows, run once; fill is op's identity and pads short rows."""
+    out, steps = _scan_plan(rows, fill, scratch)
+    for a, b, o in steps:
+        op(a, b, out=o)
+    return out
 
 
 def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
@@ -110,7 +129,9 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     if s.shape != (rows,):
         raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
     clamp = cfg.llr_clamp
-    lam = np.append(problem.prior.llr.clip(-clamp, clamp), 0.0)  # 0 for the pads' column
+    lam = np.zeros(cols + 1)  # 0 for the pads' column
+    lam[:cols] = problem.prior.llr
+    _clip(lam, clamp)
     if g.col.size == 0:
         correction = (lam[:cols] < 0).astype(np.uint8)
         converged = bool(np.array_equal(g.parity(correction), s))
@@ -122,31 +143,33 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
     # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
     sum_product = cfg.variant == "sum-product"
     sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    # |msg| <= clamp, so clamp is min's identity here and stands in for
+    # the minimum over no other edge (degree-1 checks)
+    op, fill = (np.multiply, 1.0) if sum_product else (np.minimum, clamp)
     msg_v2c = lam[pad_col]
     scan, signs = np.empty_like(msg_v2c), np.empty_like(msg_v2c)
-    scratch = tuple(np.full((3,) + msg_v2c.shape, 1.0 if sum_product else clamp))
+    extrinsic, plan = _scan_plan(scan, fill)
     # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
-    ones, want = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes()
+    ones, want, tested = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes(), None
     # max_iterations >= 1, so the loop binds every name it returns
     for iterations in range(1, cfg.max_iterations + 1):
         if sum_product:
             np.tanh(np.multiply(msg_v2c, 0.5, out=scan), out=scan)
-            scan.put(pads, 1.0)
-            extrinsic = _others(scan, np.multiply, 1.0, scratch)
+        else:
+            np.abs(msg_v2c, out=scan)
+        scan.put(pads, fill)
+        for a, b, o in plan:
+            op(a, b, out=o)
+        if sum_product:
             msg_c2v = np.multiply(sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
         else:
-            # |msg| <= clamp, so clamp is min's identity here and stands
-            # in for the minimum over no other edge (degree-1 checks)
-            np.abs(msg_v2c, out=scan)
-            scan.put(pads, clamp)
-            ext_min = _others(scan, np.minimum, clamp, scratch)
             # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
             # and -0 and +0 add and subtract alike into the posterior
             np.copysign(1.0, msg_v2c, out=signs)
             signs.put(pads, 1.0)
             msg_c2v = np.multiply(sign * np.multiply.reduce(signs, axis=1, keepdims=True),
                                   signs, out=signs)
-            msg_c2v *= ext_min
+            msg_c2v *= extrinsic
         _clip(msg_c2v, clamp)
 
         # bincount adds each column's messages one at a time in row-major
@@ -157,10 +180,13 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
         gathered = posterior[pad_col]
         _clip(np.subtract(gathered, msg_c2v, out=msg_v2c), clamp)
 
-        # converged must describe the correction we return, so re-test
-        # every round: without early stopping a later sweep may undo an
-        # intermediate syndrome match
-        converged = ((gathered < 0).view(np.uint8) @ ones & 1).tobytes() == want
+        # converged must describe the correction we return, so it is kept
+        # for every round: without early stopping a later sweep may undo an
+        # intermediate syndrome match.  It depends on the hard decisions
+        # alone, so they are tested only when they change.
+        hard = gathered < 0
+        if (key := hard.tobytes()) != tested:
+            tested, converged = key, (hard.view(np.uint8) @ ones & 1).tobytes() == want
         if converged and cfg.early_stop:
             break
 

@@ -303,15 +303,6 @@ class SparseRows:
         out[..., self._rows] = bits
         return out
 
-    def parity_test(self, s: np.ndarray):
-        """A predicate for M v == s on bool vectors v; s (0/1) is split over the rows once."""
-        want = s[self._rows].astype(bool)
-        if np.count_nonzero(want) != np.count_nonzero(s):  # a 1 on an empty row
-            return lambda v: False
-        col, starts, want = self.col, self._starts, want.tobytes()
-        # bools are 0/1 bytes, so equal bytes are equal parities
-        return lambda v: np.bitwise_xor.reduceat(v[col], starts).tobytes() == want
-
 
 # -- assembly ------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from qecbench.decoders import (
     _clip,
     _others,
     _patterns,
+    _scan_plan,
 )
 from qecbench.errors import CapacityExceeded, NoSolution, Unsatisfiable
 from qecbench.f2 import F2Matrix, hstack
@@ -504,6 +505,17 @@ def _others_before_scratch(rows, op, fill):
     return op(prefix, suffix[..., ::-1], out=prefix)
 
 
+def _parity_test(g, s):
+    """The former SparseRows.parity_test, kept verbatim: a predicate for
+    M v == s on bool vectors v; s (0/1) is split over the rows once."""
+    want = s[g._rows].astype(bool)
+    if np.count_nonzero(want) != np.count_nonzero(s):  # a 1 on an empty row
+        return lambda v: False
+    col, starts, want = g.col, g._starts, want.tobytes()
+    # bools are 0/1 bytes, so equal bytes are equal parities
+    return lambda v: np.bitwise_xor.reduceat(v[col], starts).tobytes() == want
+
+
 @np.errstate(divide="ignore")
 def _bp_before_scratch(problem, s, cfg=BpConfig()):
     """decoders.bp_decode before the per-call scratch, the pad fill and the
@@ -525,7 +537,7 @@ def _bp_before_scratch(problem, s, cfg=BpConfig()):
     sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
     msg_v2c = lam[pad_col]
     scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
-    solves = g.parity_test(s)
+    solves = _parity_test(g, s)
     for iterations in range(1, cfg.max_iterations + 1):
         if sum_product:
             np.tanh(msg_v2c / 2.0, out=scan, where=real)
@@ -579,6 +591,160 @@ def test_bp_matches_the_version_before_the_scratch_on_surface_codes(variant, ear
                 assert _bp_outcome(new) == _bp_outcome(old)
                 seen.add(new.converged)
     assert seen == {True, False}
+
+
+def _others_before_plan(rows, op, fill, scratch=None):
+    """decoders._others before the scan plan, kept verbatim: op over every
+    other slot of the same row, for every slot.
+
+    Exclusive prefix and suffix scans along the last axis, joined with
+    op; fill is op's identity and pads short rows.  Each scan starts
+    from fill in its first slot, which is exact: op(fill, x) == x.  A
+    caller may pass the three arrays, shaped like rows, that hold the
+    prefix, the suffix and the output, the first two starting with fill.
+    """
+    if scratch is None:
+        scratch = np.full((3,) + rows.shape, fill, dtype=rows.dtype)
+    prefix, suffix, out = scratch
+    op.accumulate(rows[..., :-1], axis=-1, out=prefix[..., 1:])
+    op.accumulate(rows[..., :0:-1], axis=-1, out=suffix[..., 1:])
+    return op(prefix, suffix[..., ::-1], out=out)
+
+
+@np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
+def _bp_before_plan(problem, s, cfg=BpConfig()):
+    """decoders.bp_decode before the scan plan, the parity test only on a
+    change and the set-up clip through _clip, kept verbatim: flooding BP
+    on the Tanner graph of the problem's check matrix.
+
+    Each round runs every check-to-bit update, then every bit-to-check
+    update, hard-decides on the posterior sign (ties decide "no
+    fault"), and tests the syndrome equation.
+    """
+    g = problem.tanner
+    rows, cols = g.shape
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (rows,):
+        raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
+    clamp = cfg.llr_clamp
+    lam = np.append(problem.prior.llr.clip(-clamp, clamp), 0.0)  # 0 for the pads' column
+    if g.col.size == 0:
+        correction = (lam[:cols] < 0).astype(np.uint8)
+        converged = bool(np.array_equal(g.parity(correction), s))
+        return DecodeResult(correction, converged, 1, lam[:cols])
+
+    # messages stay in g's padded (rows, dmax) layout: pads hold the scan's
+    # identity, and their messages only reach the dummy column cols
+    pads, pad_col, flat_col = g.pads, g.pad_col, g.pad_col.ravel()
+    # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
+    sum_product = cfg.variant == "sum-product"
+    sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    msg_v2c = lam[pad_col]
+    scan, signs = np.empty_like(msg_v2c), np.empty_like(msg_v2c)
+    scratch = tuple(np.full((3,) + msg_v2c.shape, 1.0 if sum_product else clamp))
+    # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
+    ones, want = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes()
+    # max_iterations >= 1, so the loop binds every name it returns
+    for iterations in range(1, cfg.max_iterations + 1):
+        if sum_product:
+            np.tanh(np.multiply(msg_v2c, 0.5, out=scan), out=scan)
+            scan.put(pads, 1.0)
+            extrinsic = _others_before_plan(scan, np.multiply, 1.0, scratch)
+            msg_c2v = np.multiply(sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
+        else:
+            # |msg| <= clamp, so clamp is min's identity here and stands
+            # in for the minimum over no other edge (degree-1 checks)
+            np.abs(msg_v2c, out=scan)
+            scan.put(pads, clamp)
+            ext_min = _others_before_plan(scan, np.minimum, clamp, scratch)
+            # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
+            # and -0 and +0 add and subtract alike into the posterior
+            np.copysign(1.0, msg_v2c, out=signs)
+            signs.put(pads, 1.0)
+            msg_c2v = np.multiply(sign * np.multiply.reduce(signs, axis=1, keepdims=True),
+                                  signs, out=signs)
+            msg_c2v *= ext_min
+        _clip(msg_c2v, clamp)
+
+        # bincount adds each column's messages one at a time in row-major
+        # edge order, so every sum is fixed to the bit by the graph alone
+        posterior = np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
+        posterior += lam
+        posterior[cols] = 0.0  # pads read "no fault" in the gather below
+        gathered = posterior[pad_col]
+        _clip(np.subtract(gathered, msg_c2v, out=msg_v2c), clamp)
+
+        # converged must describe the correction we return, so re-test
+        # every round: without early stopping a later sweep may undo an
+        # intermediate syndrome match
+        converged = ((gathered < 0).view(np.uint8) @ ones & 1).tobytes() == want
+        if converged and cfg.early_stop:
+            break
+
+    correction = (posterior[:cols] < 0).astype(np.uint8)
+    return DecodeResult(correction, converged, iterations, posterior[:cols])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bp_instances())
+def test_bp_matches_the_version_before_the_plan(instance):
+    """Empty rows, degree-1 checks, rows of 1 to 10 edges, p = 0 and 1/2:
+    the same corrections, convergence, iteration counts and posterior bytes."""
+    problem, s, cfg = instance
+    assert _bp_outcome(bp_decode(problem, s, cfg)) == _bp_outcome(_bp_before_plan(problem, s, cfg))
+
+
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_matches_the_version_before_the_plan_on_larger_codes(variant, early_stop):
+    """Split-xz surface 5 and 9 syndromes, converging or not, and an hgp code
+    whose checks have more than four edges."""
+    cfg = BpConfig(variant=variant, early_stop=early_stop)
+    seen, dmax = set(), set()
+    for code, p in (("surface 5", 0.08), ("surface 9", 0.05), ("hgp hamming transpose hamming", 0.05)):
+        for problem in depolarizing_problem(build_code(code), p, "split-xz"):
+            dmax.add(problem.tanner.pad_col.shape[1])
+            rng = np.random.default_rng(problem.h.cols)
+            for _ in range(15):
+                s = problem.tanner.parity(rng.random(problem.h.cols) < p)
+                new, old = bp_decode(problem, s, cfg), _bp_before_plan(problem, s, cfg)
+                assert _bp_outcome(new) == _bp_outcome(old)
+                seen.add(new.converged)
+    assert seen == {True, False} and max(dmax) > 4
+
+
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_keeps_the_last_parity_while_the_hard_decision_repeats(variant, early_stop):
+    """A 1 on an empty check never converges, and a zero syndrome converges
+    every round; both hard decisions hold still from the first round on, so
+    later rounds reuse the first round's parity test."""
+    problem = make_problem(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]]), 0.1)
+    for s, converged in (([0, 0, 1], False), ([0, 0, 0], True)):
+        s = np.array(s, dtype=np.uint8)
+        runs = [bp_decode(problem, s, BpConfig(variant=variant, early_stop=False, max_iterations=n))
+                for n in range(1, 6)]
+        assert {r.correction.tobytes() for r in runs} == {bytes(3)}
+        assert [r.converged for r in runs] == [converged] * 5
+        cfg = BpConfig(variant=variant, early_stop=early_stop, max_iterations=5)
+        assert _bp_outcome(bp_decode(problem, s, cfg)) == _bp_outcome(_bp_before_plan(problem, s, cfg))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_scan_plan_reruns_on_its_buffers(d):
+    """Three steps per inner slot (a row of two or one: one per slot), all on
+    views, so rerunning the plan after rows change gives the new answer."""
+    rows = np.arange(1.0, 3 * d + 1).reshape(3, d)  # small integers multiply exactly
+    out, steps = _scan_plan(rows, 1.0)
+    assert len(steps) == (3 * (d - 2) if d > 2 else d)
+    for _ in range(2):
+        for a, b, o in steps:
+            np.multiply(a, b, out=o)
+        assert np.array_equal(out, _brute_others(rows, np.prod, 1.0))
+        rows[:] = rows[::-1, ::-1] - 2.0
+    scratch = tuple(np.empty_like(rows) for _ in range(3))
+    assert _others(rows, np.minimum, np.inf, scratch) is scratch[2]
+    assert np.array_equal(scratch[2], _brute_others(rows, np.min, np.inf))
 
 
 def test_success_returns_shared_frozen_reports():
@@ -841,6 +1007,11 @@ def sweep_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     r, c = draw(st.integers(1, 6)), draw(st.integers(1, 14))
     h = F2Matrix.from_dense(rng.integers(0, 2, (r, c), dtype=np.uint8))
+
+    def huge():  # sums past float64's range; a draw past about 3.6 overflows to inf
+        with np.errstate(over="ignore"):
+            return rng.normal(size=c) * 5e307
+
     soft = {
         "integer": lambda: rng.integers(-3, 4, c).astype(float),
         "zeros": lambda: np.zeros(c),
@@ -848,7 +1019,7 @@ def sweep_instances(draw):
         "some infinite": lambda: np.where(rng.random(c) < 0.3, np.inf, rng.integers(-2, 3, c))
         * rng.choice([-1.0, 1.0], c),
         "all infinite": lambda: rng.choice([-np.inf, np.inf], c),
-        "huge": lambda: rng.normal(size=c) * 5e307,  # sums past float64's range
+        "huge": huge,
     }[draw(st.sampled_from(["integer", "zeros", "normal", "some infinite", "all infinite",
                             "huge"]))]()
     step = draw(st.sampled_from([decoders.OSD_STEP, 1, 2 * c, 5 * c]))
