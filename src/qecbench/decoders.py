@@ -75,20 +75,19 @@ class DecodeResult:
     posterior_llr: np.ndarray
 
 
-def _scan_plan(x: np.ndarray, fill: float, scratch=None):
+def _scan_plan(x: np.ndarray, fill: float):
     """(out, steps): running op(a, b, out=o) for the steps (a, b, o) in turn
     writes op over every other slot of the same row of x into out.
 
     The steps work on the slot views x[..., j] of x, out and two
-    temporaries (scratch, if given, holds those and out, shaped like x), so
-    they rerun on new contents of x.  Slot j joins the prefix of the slots
-    before it, built left to right, with the suffix of those after it,
-    built right to left, in the association order of op.accumulate's
-    exclusive scans; an end slot takes its one scan's last step, exact as
-    op(fill, y) == y.  fill, op's identity, stands in for the scans that
-    rows of one or two slots lack.
+    temporaries shaped like x, so they rerun on new contents of x.  Slot
+    j joins the prefix of the slots before it, built left to right, with
+    the suffix of those after it, built right to left, in the association
+    order of op.accumulate's exclusive scans; an end slot takes its one
+    scan's last step, exact as op(fill, y) == y.  fill, op's identity,
+    stands in for the scans that rows of one or two slots lack.
     """
-    pre, suf, out = (np.empty_like(x) for _ in range(3)) if scratch is None else scratch
+    pre, suf, out = (np.empty_like(x) for _ in range(3))
     d = x.shape[-1]
     if d < 3:  # no scan: a row of two swaps its slots, a row of one holds fill
         others = [x[..., 1], x[..., 0]] if d == 2 else [fill] * d
@@ -101,10 +100,10 @@ def _scan_plan(x: np.ndarray, fill: float, scratch=None):
     return out, steps + [(p[j], s[d - 1 - j], out[..., j]) for j in range(1, d - 1)]
 
 
-def _others(rows: np.ndarray, op: np.ufunc, fill: float, scratch=None) -> np.ndarray:
+def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
     """op over every other slot of the same row, for every slot: the
     _scan_plan of rows, run once; fill is op's identity and pads short rows."""
-    out, steps = _scan_plan(rows, fill, scratch)
+    out, steps = _scan_plan(rows, fill)
     for a, b, o in steps:
         op(a, b, out=o)
     return out

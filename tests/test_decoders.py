@@ -43,6 +43,8 @@ from qecbench.noise import (
 )
 from qecbench.quantum import css_code, four_two_two_checks
 
+from parity_reference import parity_test
+
 
 def make_problem(h_dense, p):
     h = F2Matrix.from_dense(h_dense)
@@ -505,17 +507,6 @@ def _others_before_scratch(rows, op, fill):
     return op(prefix, suffix[..., ::-1], out=prefix)
 
 
-def _parity_test(g, s):
-    """The former SparseRows.parity_test, kept verbatim: a predicate for
-    M v == s on bool vectors v; s (0/1) is split over the rows once."""
-    want = s[g._rows].astype(bool)
-    if np.count_nonzero(want) != np.count_nonzero(s):  # a 1 on an empty row
-        return lambda v: False
-    col, starts, want = g.col, g._starts, want.tobytes()
-    # bools are 0/1 bytes, so equal bytes are equal parities
-    return lambda v: np.bitwise_xor.reduceat(v[col], starts).tobytes() == want
-
-
 @np.errstate(divide="ignore")
 def _bp_before_scratch(problem, s, cfg=BpConfig()):
     """decoders.bp_decode before the per-call scratch, the pad fill and the
@@ -537,7 +528,7 @@ def _bp_before_scratch(problem, s, cfg=BpConfig()):
     sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
     msg_v2c = lam[pad_col]
     scan = np.full(msg_v2c.shape, 1.0 if sum_product else clamp)
-    solves = _parity_test(g, s)
+    solves = parity_test(g, s)
     for iterations in range(1, cfg.max_iterations + 1):
         if sum_product:
             np.tanh(msg_v2c / 2.0, out=scan, where=real)
@@ -742,9 +733,6 @@ def test_scan_plan_reruns_on_its_buffers(d):
             np.multiply(a, b, out=o)
         assert np.array_equal(out, _brute_others(rows, np.prod, 1.0))
         rows[:] = rows[::-1, ::-1] - 2.0
-    scratch = tuple(np.empty_like(rows) for _ in range(3))
-    assert _others(rows, np.minimum, np.inf, scratch) is scratch[2]
-    assert np.array_equal(scratch[2], _brute_others(rows, np.min, np.inf))
 
 
 def test_success_returns_shared_frozen_reports():

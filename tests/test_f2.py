@@ -20,6 +20,8 @@ from qecbench.f2 import (
     vstack,
 )
 
+from parity_reference import parity_test
+
 
 def f2_matrices(max_rows=8, max_cols=12, min_rows=0, min_cols=0):
     shapes = st.tuples(
@@ -362,17 +364,6 @@ def test_products_keep_parity_past_the_uint8_wrap(inner):
     assert np.array_equal(F2Matrix.from_dense(a).matvec(b[:, 0] * 3), ref[:, 0])
 
 
-def _parity_test(sparse, s):
-    """The former SparseRows.parity_test, kept verbatim: a predicate for
-    M v == s on bool vectors v; s (0/1) is split over the rows once."""
-    want = s[sparse._rows].astype(bool)
-    if np.count_nonzero(want) != np.count_nonzero(s):  # a 1 on an empty row
-        return lambda v: False
-    col, starts, want = sparse.col, sparse._starts, want.tobytes()
-    # bools are 0/1 bytes, so equal bytes are equal parities
-    return lambda v: np.bitwise_xor.reduceat(v[col], starts).tobytes() == want
-
-
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(0, 6), cols=st.sampled_from([0, 1, 7, 63, 64, 65, 128, 129]),
        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), empty=st.sets(st.integers(0, 5)),
@@ -397,7 +388,7 @@ def test_sparse_rows_parity_matches_matvec(rows, cols, density, empty, seed):
     out = sparse.parity(v)
     assert out.dtype == np.uint8 and np.array_equal(out, m.matvec(v))
     for s in (out, rng.integers(0, 2, size=rows, dtype=np.uint8)):  # s may set an empty row
-        assert _parity_test(sparse, s)((v & 1).astype(bool)) == np.array_equal(out, s)
+        assert parity_test(sparse, s)((v & 1).astype(bool)) == np.array_equal(out, s)
     with pytest.raises(ValueError):
         sparse.parity(np.zeros(cols + 1, dtype=np.uint8))
 
