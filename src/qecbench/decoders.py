@@ -11,15 +11,16 @@ kernel rows of at most w - 1 remaining columns) by every later kernel
 row, scores a block of extensions by one matrix product against |soft|,
 and builds only those within a rounding bound of the best.  Exhaustive
 MWD/MLD enumerate the whole solution coset (f2.span_blocks doubles it
-from the kernel rows; MLD's class bits L e ride along as extra columns)
-and serve as oracles for everything else.  The kernel's span depends on
-H alone, so each problem builds it once; a syndrome then costs T s and
-one XOR of its particular solution into the span's table (MLD also
-keeps its weights and the table's class indices per problem).  A BP
-call builds the scan once as a plan of ufunc steps over the slots of
-its buffers; a round writes the scan's identity into the pads by one
-put, runs the plan, and tests the syndrome on its posterior gather
-only when the hard decisions differ from the last tested round's.
+from the kernel rows) and serve as oracles for everything else.  Both
+read one coset per problem whose rows carry the class bits L e after
+the errors: its span depends on H and L alone, so it is built once, and
+a syndrome then costs T s and one XOR of its particular solution into
+the span's table (MLD also keeps its weights and the table's class
+indices per problem).  A BP call builds the scan once as a plan of
+ufunc steps over the slots of its buffers; a round writes the scan's
+identity into the pads by one put, runs the plan, and tests the
+syndrome on its posterior gather only when the hard decisions differ
+from the last tested round's.
 """
 
 from __future__ import annotations
@@ -98,15 +99,6 @@ def _scan_plan(x: np.ndarray, fill: float):
         s.append(out[..., 0] if j == d - 1 else suf[..., j])
         steps += [(p[j - 1], x[..., j - 1], p[j]), (s[j - 1], x[..., d - j], s[j])]
     return out, steps + [(p[j], s[d - 1 - j], out[..., j]) for j in range(1, d - 1)]
-
-
-def _others(rows: np.ndarray, op: np.ufunc, fill: float) -> np.ndarray:
-    """op over every other slot of the same row, for every slot: the
-    _scan_plan of rows, run once; fill is op's identity and pads short rows."""
-    out, steps = _scan_plan(rows, fill)
-    for a, b, o in steps:
-        op(a, b, out=o)
-    return out
 
 
 def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
@@ -310,27 +302,24 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
 # -- exhaustive oracles ------------------------------------------------------
 
 
-def _solution_coset(problem: DecodingProblem, s: np.ndarray, classes: bool = False):
-    """Every solution of H e = s in dense blocks, pivots taken in column order;
-    with classes, each row's class bits L e follow its h.cols error bits.  A
-    problem's first call per layout eliminates [H | I] once, T its reduced I
-    block, and keeps for every s: T's rows below the pivots (s is outside the
-    image of H iff they give an odd sum), solve (solve @ s is the solution
-    that is zero off the pivots, T s on them) and span_tables of the kernel."""
+def _solution_coset(problem: DecodingProblem, s: np.ndarray):
+    """Every solution e of H e = s in dense blocks, pivots taken in column
+    order, each row's class bits L e after its h.cols error bits.  A
+    problem's first call eliminates [H | I] once and keeps for every s: the
+    rows of T under the pivots (s is outside the image of H iff they give
+    an odd sum), solve (solve @ s is the solution that is zero off the
+    pivots, with its class bits) and span_tables of the kernel."""
     h = problem.h
     s = np.asarray(s, dtype=np.uint8) & 1
     if s.shape != (h.rows,):
         raise ValueError("syndrome length does not match row count")
-    if classes not in problem.cosets:
-        pivots, _, rows, t = h.coset_transform(np.eye(h.rows, dtype=np.uint8))
-        solve = np.zeros((h.cols, h.rows), dtype=np.uint8)
-        solve[pivots] = t[:pivots.size]
-        if classes:
-            l = problem.l.to_dense()
-            rows, solve = np.hstack([rows, rows @ l.T & 1]), np.vstack([solve, l @ solve & 1])
+    if "span" not in problem.cosets:
+        _, _, rows, solve, outside = h.coset_transform(np.eye(h.rows, dtype=np.uint8))
+        l = problem.l.to_dense()
+        rows, solve = np.hstack([rows, rows @ l.T & 1]), np.vstack([solve, l @ solve & 1])
         kernel = F2Matrix.from_dense(rows[:-1])
-        problem.cosets[classes] = t[pivots.size:], solve, kernel, span_tables(kernel)
-    outside, solve, kernel, tables = problem.cosets[classes]
+        problem.cosets["span"] = outside, solve, kernel, span_tables(kernel)
+    outside, solve, kernel, tables = problem.cosets["span"]
     # uint8 sums wrap at 256, which keeps their low bit; span_blocks reads only it
     if (outside @ s & 1).any():
         raise Unsatisfiable("syndrome lies outside the image of H")
@@ -346,7 +335,8 @@ def exhaustive_mwd(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
     llr = problem.prior.llr
     weights = np.where(np.isinf(llr), 1e18, llr)
     best_key, best = None, None
-    for errors in _solution_coset(problem, s):
+    for rows in _solution_coset(problem, s):
+        errors = rows[:, :problem.h.cols]
         costs = errors @ weights
         idx = int(np.argmin(costs))
         near = np.nonzero(costs == costs[idx])[0]
@@ -370,19 +360,20 @@ def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
         raise CapacityExceeded(
             f"MLD enumeration limited to {MLD_COLUMN_GUARD} columns"
         )
-    blocks = _solution_coset(problem, s, classes=True)
-    if "mld" not in problem.cosets:  # the weights, and span_tables' low table's classes
+    blocks = _solution_coset(problem, s)
+    if "mld" not in problem.cosets:  # the weights, and the classes of span_blocks'
+        # low table: the zero syndrome's first block, each block XOR its first row
+        low = next(_solution_coset(problem, np.zeros(problem.h.rows, dtype=np.uint8)))
         delta = -problem.prior.llr  # log(p) - log1p(-p), bit for bit
         class_bits = np.left_shift(1, np.arange(k, dtype=np.int64))
         problem.cosets["mld"] = (np.log1p(-problem.prior.p).sum(),
                                  np.where(np.isinf(delta), -1e300, delta), class_bits,
-                                 problem.cosets[True][3][0][:, cols:] @ class_bits)
+                                 low[:, cols:] @ class_bits)
     base, delta, class_bits, low_classes = problem.cosets["mld"]
     totals = np.zeros(1 << k)
     for rows in blocks:
         probs = np.exp(base + rows[:, :cols] @ delta)
-        # each block is the low table (first row zero) XOR its own first row
-        classes = low_classes[:len(rows)] ^ (rows[0, cols:] @ class_bits)
+        classes = low_classes ^ (rows[0, cols:] @ class_bits)
         totals += np.bincount(classes, weights=probs, minlength=totals.size)
     winner = int(np.argmax(totals))
     return ((winner >> np.arange(k)) & 1).astype(np.uint8)

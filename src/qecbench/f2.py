@@ -4,7 +4,8 @@ Each matrix holds one read-only (rows, cols) uint8 array of 0s and 1s,
 so stacking, slicing and products are plain numpy: a product is an
 exact float sum on BLAS, reduced to its low bit.  Elimination turns each row
 into one Python int and finds a pivot's rows by their lowest set bit,
-so each pivot XORs only the rows that hold its column.
+so each pivot XORs only the rows that hold its column, and only
+coset_transform reads solutions off it.
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -18,6 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NoRightInverse, NoSolution
+
+SPAN_BLOCK = 1 << 14  # rows per block of span_blocks
 
 
 class F2Matrix:
@@ -191,12 +194,10 @@ class F2Matrix:
 
     def right_inverse(self) -> "F2Matrix":
         """Return R with self @ R = I; raises if rows are dependent."""
-        res = hstack([self, F2Matrix.identity(self.rows)]).eliminate(range(self.cols))
-        if len(res.pivot_columns) < self.rows:
-            raise NoRightInverse(f"rank {len(res.pivot_columns)} < {self.rows} rows")
-        out = np.zeros((self.cols, self.rows), dtype=np.uint8)
-        out[list(res.pivot_columns)] = res.reduced._bits[:, self.cols :]
-        return F2Matrix(self.cols, self.rows, out)
+        pivots, _, _, x, _ = self.coset_transform(np.eye(self.rows, dtype=np.uint8))
+        if pivots.size < self.rows:
+            raise NoRightInverse(f"rank {pivots.size} < {self.rows} rows")
+        return F2Matrix(self.cols, self.rows, x)
 
     def coset(self, s: np.ndarray | None = None, cols: Sequence[int] | None = None):
         """Lay out the solutions of M x = s supported on ``cols``, eliminating once.
@@ -215,18 +216,19 @@ class F2Matrix:
             if cols is not None and self.cols in np.asarray(cols):
                 # the column of s; eliminate checks the rest
                 raise ValueError("columns must be distinct integers in range(cols)")
-        pivots, free, rows, ts = self.coset_transform(None if s is None else s[:, None], cols)
-        if ts[pivots.size:].any():  # T s below the pivot rows; empty for s = None
+        pivots, free, rows, x, below = self.coset_transform(s if s is None else s[:, None], cols)
+        if below.any():  # empty for s = None
             raise NoSolution("syndrome not in the image of the selected columns")
         if s is not None:
-            rows[-1, pivots] = ts[:pivots.size, 0]
+            rows[-1] = x[:, 0]
         return pivots, free, rows
 
     def coset_transform(self, rhs: np.ndarray | None = None,
                         cols: Sequence[int] | None = None):
         """coset's one elimination, of [M | rhs] for 0/1 columns rhs: returns
-        (pivots, free, rows, T rhs), rows laid out as coset's with a zero last
-        row; T rhs[pivots.size:] is zero in exactly the columns that coset solves."""
+        (pivots, free, rows, x, below), rows laid out as coset's with a zero last
+        row.  x is zero off the pivots, and its column j solves M x = rhs[:, j] if
+        column j of below, T rhs under the pivot rows, is zero; else none on cols does."""
         m = self if rhs is None else hstack([self, F2Matrix(*rhs.shape, rhs)])
         res = m.eliminate(range(self.cols) if cols is None and rhs is not None else cols)
         pivots = np.array(res.pivot_columns, dtype=np.intp)
@@ -238,11 +240,14 @@ class F2Matrix:
         rows = np.zeros((free.size + 1, self.cols), dtype=np.uint8)
         rows[np.arange(free.size), free] = 1
         rows[:-1, pivots] = reduced[:pivots.size, free].T
-        return pivots, free, rows, reduced[:, self.cols:]
+        x = np.zeros((self.cols, m.cols - self.cols), dtype=np.uint8)
+        x[pivots] = reduced[:pivots.size, self.cols:]
+        return pivots, free, rows, x, reduced[pivots.size:, self.cols:]
 
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
-        return F2Matrix.from_dense(self.coset()[2][:-1])
+        rows = self.coset_transform()[2]  # its last row is zero
+        return F2Matrix(len(rows) - 1, self.cols, rows[:-1])
 
     def solve_columns(self, cols: Sequence[int], s: np.ndarray) -> np.ndarray:
         """Solve M x = s with x supported on ``cols``, dense; NoSolution if none is."""
@@ -334,34 +339,28 @@ def _doubled(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_tables(basis: F2Matrix, block: int = 1 << 14):
+def span_tables(basis: F2Matrix):
     """span_blocks' tables for a zero offset: the spans of the low m basis rows
-    (2^m >= block, or all rows) and of the high rows, each by doubling."""
+    (2^m = SPAN_BLOCK, or all rows) and of the high rows, each by doubling."""
     dense, zero = basis._bits, np.zeros(basis.cols, dtype=np.uint8)
-    m = min(basis.rows, (block - 1).bit_length())
+    m = min(basis.rows, (SPAN_BLOCK - 1).bit_length())
     return _doubled(dense[:m], zero), _doubled(dense[m:], zero)
 
 
-def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None,
-                block: int = 1 << 14, tables=None):
+def span_blocks(basis: F2Matrix, offset: np.ndarray | None = None, tables=None):
     """Iterate offset + span(basis rows) in dense uint8 blocks; row i
     of the concatenation adds the basis rows picked by the bits of i.
-    Rows [c 2^m, (c+1) 2^m) are span_tables' low table XOR offset XOR
-    high row c, one XOR pass per basis row to build; tables, if given,
-    are span_tables(basis, block), kept for many offsets.  Blocks within
-    the first 2^m rows are read-only views of the low table."""
-    low, high = span_tables(basis, block) if tables is None else tables
+    Block c is span_tables' low table XOR offset XOR high row c: it has
+    SPAN_BLOCK rows unless the whole span has fewer, and it is the low
+    table XOR its own first row.  tables, if given, are
+    span_tables(basis), kept for many offsets.  Building takes one XOR
+    pass per basis row, and block 0 is read-only."""
+    low, high = span_tables(basis) if tables is None else tables
     if offset is not None:
         low = low ^ (np.asarray(offset) & 1).astype(np.uint8, copy=False)
     low.flags.writeable = False
-    size = len(low)
-    for lo in range(0, 1 << basis.rows, block):
-        c, a = divmod(lo, size)
-        b = a + min(block, (1 << basis.rows) - lo)
-        if b <= size:
-            yield low[a:b] if c == 0 else low[a:b] ^ high[c]
-        else:  # only a block that is no power of two runs into the next table
-            yield np.concatenate([low[a:] ^ high[c], low[: b - size] ^ high[c + 1]])
+    for c in range(len(high)):
+        yield low if c == 0 else low ^ high[c]
 
 
 # -- MacKay alist format -------------------------------------------------

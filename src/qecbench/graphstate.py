@@ -411,17 +411,14 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
 def _logical_supports(code, kernel, first_base, n):
     """Kernel elements restricting to each X-logical on the first layer,
     from one elimination of the restricted system with every logical
-    appended; a logical whose column is nonzero below the rank has none."""
+    appended; a logical with a nonzero below the pivot rows has none."""
     if kernel.rows == 0:
         return ()
-    dense, m = kernel.to_dense(), kernel.rows
-    system = np.hstack([dense[:, first_base : first_base + n].T, code.lx.to_dense().T])
-    res = F2Matrix.from_dense(system).eliminate(range(m))
-    rank, reduced = len(res.pivot_columns), res.reduced.to_dense()[:, m:]
-    combos = np.zeros((code.k, m), dtype=np.int64)
-    combos[:, list(res.pivot_columns)] = reduced[:rank].T  # solutions zero off the pivots
-    solved = ~reduced[rank:].any(axis=0)
-    return tuple(frozenset(np.flatnonzero(v).tolist()) for v in combos[solved] @ dense & 1)
+    dense = kernel.to_dense()
+    restricted = F2Matrix.from_dense(dense[:, first_base : first_base + n].T)
+    _, _, _, combos, below = restricted.coset_transform(code.lx.to_dense().T)
+    solved = ~below.any(axis=0)
+    return tuple(frozenset(np.flatnonzero(v).tolist()) for v in combos.T[solved] @ dense & 1)
 
 
 def detectors(state: FoliatedState) -> list[frozenset]:

@@ -81,7 +81,7 @@ class DecodingProblem:
 
     @cached_property
     def cosets(self) -> dict:
-        """Coset spans by layout and MLD's weights, built on first use (decoders)."""
+        """The coset span and MLD's weights, built on first use (decoders)."""
         return {}
 
     def __repr__(self) -> str:

@@ -28,7 +28,6 @@ from qecbench.decoders import (
     _osd_prepare,
     _osd_steps,
     _clip,
-    _others,
     _patterns,
     _scan_plan,
 )
@@ -44,6 +43,7 @@ from qecbench.noise import (
 from qecbench.quantum import css_code, four_two_two_checks
 
 from parity_reference import parity_test
+from span_reference import reference_span_blocks
 
 
 def make_problem(h_dense, p):
@@ -212,6 +212,15 @@ def _brute_others(rows, reduce, fill):
         row = rows[idx]
         for j in range(row.size):
             out[idx + (j,)] = reduce(np.delete(row, j), initial=fill)
+    return out
+
+
+def _others(rows, op, fill):
+    """op over every other slot of the same row, for every slot: the
+    _scan_plan of rows, run once; fill is op's identity and pads short rows."""
+    out, steps = _scan_plan(rows, fill)
+    for a, b, o in steps:
+        op(a, b, out=o)
     return out
 
 
@@ -1210,7 +1219,8 @@ def test_coset_callers_match_the_separate_layouts(instance):
 
 
 def test_each_decode_call_eliminates_once(monkeypatch):
-    problem = depolarizing_problem(build_code("surface 2"), 0.05)
+    code = build_code("surface 2")
+    problem, fresh = (depolarizing_problem(code, 0.05) for _ in range(2))
     e = np.zeros(problem.h.cols, dtype=np.uint8)
     e[[1, 4]] = 1
     s = problem.h.matvec(e)
@@ -1227,7 +1237,7 @@ def test_each_decode_call_eliminates_once(monkeypatch):
         "kernel_basis": lambda: problem.h.kernel_basis(),
         "solve_columns": lambda: problem.h.solve_columns(range(problem.h.cols), s),
         "mld": lambda: exhaustive_mld(problem, s),
-        "mwd": lambda: exhaustive_mwd(problem, s),
+        "mwd": lambda: exhaustive_mwd(fresh, s),  # a coset that mld has not built
         "osd0": lambda: osd0(problem.h, s, soft),
         **{f"osd_w {w}": lambda w=w: osd_w(problem.h, s, soft, w) for w in range(3)},
     }
@@ -1238,6 +1248,26 @@ def test_each_decode_call_eliminates_once(monkeypatch):
     calls.clear()
     exhaustive_mld(problem, s)  # a repeated syndrome is answered from the memo
     assert not calls
+
+
+@pytest.mark.parametrize("first, then", [(exhaustive_mld, exhaustive_mwd),
+                                         (exhaustive_mwd, exhaustive_mld)],
+                         ids=["mwd after mld", "mld after mwd"])
+def test_mwd_and_mld_share_one_elimination_per_problem(monkeypatch, first, then):
+    """Both oracles read one coset per problem, so the second never eliminates."""
+    problem = depolarizing_problem(build_code("surface 2"), 0.05)
+    s = problem.h.matvec(np.eye(problem.h.cols, dtype=np.uint8)[3])
+    calls, eliminate = [], F2Matrix.eliminate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return eliminate(self, *args, **kwargs)
+
+    monkeypatch.setattr(F2Matrix, "eliminate", counted)
+    first(problem, s)
+    assert len(calls) == 1
+    then(problem, s)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],
@@ -1391,20 +1421,9 @@ def test_degeneracy_separates_mld_from_mwd():
     assert seen_difference
 
 
-def _reference_span_blocks(basis, offset):
-    """The picks-product span_blocks that the doubling build replaced, at
-    its default block of 2^14 rows."""
-    kappa, dense = basis.rows, basis.to_dense()
-    shifts = np.arange(kappa, dtype=np.uint64)
-    for lo in range(0, 1 << kappa, 1 << 14):
-        hi = min(lo + (1 << 14), 1 << kappa)
-        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
-        yield (picks.astype(np.uint8) @ dense + offset) & 1
-
-
 def _reference_coset(h, s):
     rows = _osd_prepare(h, s, np.zeros(h.cols))[2]
-    return _reference_span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
+    return reference_span_blocks(F2Matrix.from_dense(rows[:-1]), rows[-1])
 
 
 def _reference_mwd(problem, s):
@@ -1498,7 +1517,7 @@ def test_solution_coset_rows_carry_their_class_bits(rows, cols, k):
                                Prior(rng.uniform(0.01, 0.45, cols)))
     delta = -problem.prior.llr
     s = problem.h.matvec(rng.integers(0, 2, cols))
-    new = list(decoders._solution_coset(problem, s, classes=True))
+    new = list(decoders._solution_coset(problem, s))
     old = list(_reference_coset(problem.h, s))
     assert len(new) == len(old)
     for rows_, errors in zip(new, old):
@@ -1546,9 +1565,9 @@ def _parent_solution_coset(problem, s, classes=False):
         yield low[a:b] if c == 0 else low[a:b] ^ high[c]
 
 
-def _coset_outcome(coset, problem, s, classes):
+def _coset_outcome(coset, problem, s, *classes):
     try:
-        return [(b.dtype, b.shape, b.tobytes()) for b in coset(problem, s, classes)]
+        return [(b.dtype, b.shape, b.tobytes()) for b in coset(problem, s, *classes)]
     except (Unsatisfiable, ValueError) as exc:
         return type(exc)
 
@@ -1556,8 +1575,9 @@ def _coset_outcome(coset, problem, s, classes):
 @pytest.mark.parametrize("kappa", [0, 11, 17])
 def test_solution_coset_matches_the_parent_across_calls(kappa):
     """One problem's kernel span serves a run of syndromes, with unsatisfiable
-    and malformed ones between them, and both layouts: every block equals the
-    per-call build's byte for byte, and each layout eliminates once."""
+    and malformed ones between them: every block equals the per-call build's
+    with class bits byte for byte, its error columns equal the build's
+    without, and the problem eliminates once."""
     rng = np.random.default_rng(kappa)
     if kappa == 11:  # the surface2-xzy-mld problem, with a dependent check row added
         base = depolarizing_problem(build_code("surface 2"), 0.05)
@@ -1582,12 +1602,16 @@ def test_solution_coset_matches_the_parent_across_calls(kappa):
         calls.append(1)
         return eliminate(self, *args, **kwargs)
 
+    def error_columns(problem, s):
+        return (b[:, :problem.h.cols] for b in decoders._solution_coset(problem, s))
+
     with mock.patch.object(F2Matrix, "eliminate", counted):
-        new = [_coset_outcome(decoders._solution_coset, problem, s, classes)
-               for s in syndromes for classes in (True, False)]
-    assert len(calls) == 2
-    for (s, classes), got in zip(itertools.product(syndromes, (True, False)), new):
-        assert got == _coset_outcome(_parent_solution_coset, problem, s, classes)
+        new = [(_coset_outcome(decoders._solution_coset, problem, s),
+                _coset_outcome(error_columns, problem, s)) for s in syndromes]
+    assert len(calls) == 1
+    for s, (got, errors) in zip(syndromes, new):
+        assert got == _coset_outcome(_parent_solution_coset, problem, s, True)
+        assert errors == _coset_outcome(_parent_solution_coset, problem, s, False)
         seen.add(got if isinstance(got, type) else len(got))
     assert seen == {Unsatisfiable, ValueError, max(1, 2**kappa // 2**14)}
 

@@ -10,6 +10,7 @@ from qecbench.bench import BenchmarkConfig, run_benchmark
 from qecbench.errors import NoRightInverse, NoSolution
 from qecbench.f2 import (
     F2Matrix,
+    SPAN_BLOCK,
     SparseRows,
     from_alist,
     hstack,
@@ -21,6 +22,7 @@ from qecbench.f2 import (
 )
 
 from parity_reference import parity_test
+from span_reference import reference_span_blocks
 
 
 def f2_matrices(max_rows=8, max_cols=12, min_rows=0, min_cols=0):
@@ -107,6 +109,38 @@ def test_solve_columns_restricted():
     for cols in ([0.0, 2.0], [2.0], [True], [2, True], np.array([True, False, True])):
         with pytest.raises(ValueError):
             m.solve_columns(cols, np.array([1, 1], dtype=np.uint8))
+
+
+@settings(max_examples=150)
+@given(f2_matrices(max_rows=6, max_cols=9), st.data())
+def test_coset_transform_solves_exactly_where_below_is_zero(m, data):
+    """Against every vector on the listed columns: x solves M x = rhs, zero
+    off the pivots, in the columns where below is zero, and no vector solves
+    the others; rhs mixes random columns with images M v."""
+    dense = m.to_dense().astype(np.int64)
+    k = data.draw(st.integers(0, 4))
+    rhs = data.draw(arrays(np.uint8, (m.rows, k), elements=st.integers(0, 1)))
+    images = data.draw(arrays(np.uint8, (m.cols, data.draw(st.integers(0, 2))),
+                              elements=st.integers(0, 1)))
+    rhs = np.hstack([rhs, dense @ images % 2]).astype(np.uint8)
+    listed = data.draw(st.one_of(st.none(), st.permutations(range(m.cols)).flatmap(
+        lambda order: st.integers(0, m.cols).map(lambda n: order[:n]))))
+    pivots, free, rows, x, below = m.coset_transform(rhs, listed)
+    on = np.arange(m.cols) if listed is None else np.asarray(listed, dtype=np.intp)
+    assert sorted(pivots.tolist() + free.tolist()) == sorted(on.tolist())
+    assert x.shape == (m.cols, rhs.shape[1]) and below.shape == (m.rows - pivots.size,
+                                                                 rhs.shape[1])
+    off = np.ones(m.cols, dtype=bool)
+    off[pivots] = False
+    assert not x[off].any()
+    vectors = np.zeros((1 << on.size, m.cols), dtype=np.int64)
+    vectors[:, on] = (np.arange(1 << on.size)[:, None] >> np.arange(on.size)) & 1
+    reached = {v.tobytes() for v in (vectors @ dense.T % 2).astype(np.uint8)}
+    for j in range(rhs.shape[1]):
+        solved = not below[:, j].any()
+        assert solved == (rhs[:, j].tobytes() in reached)
+        if solved:
+            assert np.array_equal(dense @ x[:, j] % 2, rhs[:, j])
 
 
 def test_eliminate_rejects_malformed_order():
@@ -504,7 +538,7 @@ def test_alist_rejects_bad_row_indices_and_truncation():
 @given(f2_matrices(max_rows=6, max_cols=8), st.integers(0, 255))
 def test_span_blocks_counts_through_offset_plus_span(m, seed):
     offset = np.random.default_rng(seed).integers(0, 2, m.cols).astype(np.uint8)
-    rows = np.concatenate(list(span_blocks(m, offset, block=5)))
+    rows = np.concatenate(list(span_blocks(m, offset)))
     assert rows.shape == (1 << m.rows, m.cols)
     dense = m.to_dense().astype(np.int64)
     for i, row in enumerate(rows):
@@ -514,30 +548,15 @@ def test_span_blocks_counts_through_offset_plus_span(m, seed):
     assert np.array_equal(plain, rows ^ offset)
 
 
-def _reference_span_blocks(basis, offset=None, block=1 << 14):
-    """The picks-product span_blocks that the doubling build replaced, kept
-    verbatim as the reference."""
-    kappa = basis.rows
-    dense = basis.to_dense()
-    if offset is None:
-        offset = np.zeros(basis.cols, dtype=np.uint8)
-    shifts = np.arange(kappa, dtype=np.uint64)
-    for lo in range(0, 1 << kappa, block):
-        hi = min(lo + block, 1 << kappa)
-        picks = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> shifts) & 1
-        yield (picks.astype(np.uint8) @ dense + offset) & 1
-
-
 @pytest.mark.parametrize("kappa", range(17))
 def test_span_blocks_match_the_picks_product_block_by_block(kappa):
     rng = np.random.default_rng(kappa)
     m = F2Matrix.from_dense(rng.integers(0, 2, (kappa, kappa % 7 * 3)))
     offset = rng.integers(0, 2, m.cols).astype(np.uint8)
-    for block in (1, 4, 5, 1 << 14):
-        for off in (None, offset):
-            new = list(span_blocks(m, off, block))
-            old = list(_reference_span_blocks(m, off, block))
-            assert len(new) == len(old)
-            for a, b in zip(new, old):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a, b)
+    for off in (None, offset):
+        new = list(span_blocks(m, off))
+        old = list(reference_span_blocks(m, off))
+        assert len(new) == len(old) == max(1, 2**kappa // SPAN_BLOCK)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
