@@ -10,9 +10,11 @@ run in order on the calling thread.  A block of _BLOCK trials is sampled
 at once: one Philox per thread is reset to each of the block's keys, and
 array operations turn its raw words into a fresh Generator's draws, and
 one [H; L] parity per problem over the block's fault rows gives every
-trial's syndrome and logical class.  A syndrome repeated at a rate point
-is decoded once (decoders.memo), but every trial still calls the decoder
-entry points.
+trial's syndrome and logical class.  For bp and bp+osd, the block's
+distinct nonzero syndromes that its trials will read and that no stored
+answer covers are decoded then, in BP batches (decoders.bp_prefetch).
+Every trial still calls the decoder entry points: bp_decode answers from
+that store, and decoders.memo a syndrome repeated at a rate point.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .decoders import (
     BpConfig,
     bp_decode,
     bp_osd,
+    bp_prefetch,
     exhaustive_mld,
     exhaustive_mwd,
     memo,
@@ -354,14 +357,22 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
     problems, sample = _noise(code, cfg.noise, rate)
     zeros = [np.zeros(p.h.cols, dtype=np.uint8) for p in problems]  # c at s = 0
     block = [None, None, None]  # keys, per problem (parities, s != 0 by row), row -> faults
+    blocks = 0  # blocks so far: run_benchmark runs the trials in order
 
     def trial(stream):
+        nonlocal blocks
         keys, row = stream
         if block[0] is not keys:
             faults, vectors = sample(keys)
             hls = [p.tanner_hl.parity(f) for p, f in zip(problems, faults)]
-            block[:] = keys, [(hl, hl[:, :p.h.rows].any(axis=1).tolist())
-                              for p, hl in zip(problems, hls)], vectors
+            nonzero = [hl[:, :p.h.rows].any(axis=1) for p, hl in zip(problems, hls)]
+            block[:] = keys, [(hl, nz.tolist()) for hl, nz in zip(hls, nonzero)], vectors
+            if kind in ("bp", "bp+osd"):  # BP batches over the rows that trials read
+                end = cfg.trials - _BLOCK * blocks
+                for p, hl, nz in zip(problems, hls, nonzero):
+                    bp_prefetch(p, hl[row:end, :p.h.rows][nz[row:end]], cfg.bp,
+                                (kind, order, cfg.bp))
+            blocks += 1
         # no short cut after a failure: iterations count every problem
         failed, iterations = False, 0
         for problem, (hl, nonzero), e, zero in zip(problems, block[1], block[2](row), zeros):

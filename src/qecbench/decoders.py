@@ -16,11 +16,13 @@ read one coset per problem whose rows carry the class bits L e after
 the errors: its span depends on H and L alone, so it is built once, and
 a syndrome then costs T s and one XOR of its particular solution into
 the span's table (MLD also keeps its weights and the table's class
-indices per problem).  A BP call builds the scan once as a plan of
-ufunc steps over the slots of its buffers; a round writes the scan's
-identity into the pads by one put, runs the plan, and tests the
-syndrome on its posterior gather only when the hard decisions differ
-from the last tested round's.
+indices per problem).  BP runs one loop over a batch of syndromes
+(bp_batch; bp_decode is a batch of one, or an answer bp_prefetch stored
+through memo), their (rows, dmax) message arrays stacked.  A batch builds
+the scan once as a plan of ufunc steps over the slots of its buffers; a
+round writes the scan's identity into the pads by one put, runs the
+plan, sums each column by one bincount, and tests the syndromes on the
+posterior gather only when a hard decision changed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
 OSD_BLOCK = 512  # index patterns per block of _patterns
 OSD_STEP = 1 << 15  # floats per array in one scoring step of osd_w
+BP_BATCH = 32  # syndromes per bp_batch of bp_prefetch: more run no faster per row
 MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
 MEMO_BYTES = 1 << 24  # nor once a problem's stored keys and answers reach this
 
@@ -88,15 +91,15 @@ def _scan_plan(x: np.ndarray, fill: float):
     scan's last step, exact as op(fill, y) == y.  fill, op's identity,
     stands in for the scans that rows of one or two slots lack.
     """
-    pre, suf, out = (np.empty_like(x) for _ in range(3))
-    d = x.shape[-1]
+    out, d = np.empty_like(x), x.shape[-1]
     if d < 3:  # no scan: a row of two swaps its slots, a row of one holds fill
         others = [x[..., 1], x[..., 0]] if d == 2 else [fill] * d
         return out, [(fill, y, out[..., j]) for j, y in enumerate(others)]
+    pre, suf = np.empty((2,) + x.shape[:-1] + (d - 3,), dtype=x.dtype)  # for j in [2, d - 2]
     p, s, steps = [None, x[..., 0]], [None, x[..., d - 1]], []
     for j in range(2, d):  # p[j] = x0 op ... op x(j-1), s[j] = x(d-1) op ... op x(d-j)
-        p.append(out[..., d - 1] if j == d - 1 else pre[..., j])
-        s.append(out[..., 0] if j == d - 1 else suf[..., j])
+        p.append(out[..., d - 1] if j == d - 1 else pre[..., j - 2])
+        s.append(out[..., 0] if j == d - 1 else suf[..., j - 2])
         steps += [(p[j - 1], x[..., j - 1], p[j]), (s[j - 1], x[..., d - j], s[j])]
     return out, steps + [(p[j], s[d - 1 - j], out[..., j]) for j in range(1, d - 1)]
 
@@ -107,82 +110,138 @@ def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
 
 
 @np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
-def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
-    """Flooding BP on the Tanner graph of the problem's check matrix.
+def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()):
+    """Flooding BP on the Tanner graph of the problem's check matrix for each
+    row of the (n, rows) syndromes s: (corrections, converged, iterations,
+    posteriors), row i answering s[i] with the bits a batch of one gives.
 
     Each round runs every check-to-bit update, then every bit-to-check
-    update, hard-decides on the posterior sign (ties decide "no
-    fault"), and tests the syndrome equation.
+    update, hard-decides on the posterior sign (ties decide "no fault"),
+    and tests each row's syndrome equation.  Under early_stop a row that
+    matches keeps that round's answer; the arrays drop such rows once
+    half of theirs are.
     """
     g = problem.tanner
     rows, cols = g.shape
     s = np.asarray(s, dtype=np.uint8) & 1
-    if s.shape != (rows,):
-        raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
-    clamp = cfg.llr_clamp
+    if s.ndim != 2 or s.shape[1] != rows:
+        raise ValueError(f"syndromes of shape {s.shape} do not match {rows} checks")
+    n, clamp = len(s), cfg.llr_clamp
     lam = np.zeros(cols + 1)  # 0 for the pads' column
     lam[:cols] = problem.prior.llr
     _clip(lam, clamp)
-    if g.col.size == 0:
-        correction = (lam[:cols] < 0).astype(np.uint8)
-        converged = bool(np.array_equal(g.parity(correction), s))
-        return DecodeResult(correction, converged, 1, lam[:cols])
+    posteriors, converged = np.empty((n, cols)), np.zeros(n, dtype=bool)
+    iterations = np.full(n, cfg.max_iterations)
+    if g.col.size == 0 or n == 0:
+        posteriors[:], iterations[:] = lam[:cols], 1
+        converged[:] = (g.parity((posteriors < 0).view(np.uint8)) == s).all(axis=1)
+        return (posteriors < 0).view(np.uint8), converged, iterations, posteriors
 
-    # messages stay in g's padded (rows, dmax) layout: pads hold the scan's
-    # identity, and their messages only reach the dummy column cols
-    pads, pad_col, flat_col = g.pads, g.pad_col, g.pad_col.ravel()
+    # each row's messages stay in g's padded (rows, dmax) layout: pads hold
+    # the scan's identity, and their messages only reach the dummy column cols
+    pad_col, dmax = g.pad_col, g.pad_col.shape[1]
     # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
     sum_product = cfg.variant == "sum-product"
-    sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    sign = (1.0 - 2.0 * s)[..., None] * (2.0 if sum_product else cfg.min_sum_scale)
     # |msg| <= clamp, so clamp is min's identity here and stands in for
     # the minimum over no other edge (degree-1 checks)
     op, fill = (np.multiply, 1.0) if sum_product else (np.minimum, clamp)
-    msg_v2c = lam[pad_col]
-    scan, signs = np.empty_like(msg_v2c), np.empty_like(msg_v2c)
-    extrinsic, plan = _scan_plan(scan, fill)
+    msg_v2c = lam[pad_col][None].repeat(n, axis=0)
     # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
-    ones, want, tested = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes(), None
-    # max_iterations >= 1, so the loop binds every name it returns
-    for iterations in range(1, cfg.max_iterations + 1):
+    ones, tested = np.ones(dmax, dtype=np.uint8), None
+    live, done, keep, plan = np.arange(n), np.zeros(n, dtype=bool), slice(None), None
+    for iteration in range(1, cfg.max_iterations + 1):
+        if plan is None:  # the first round, or half the rows are done: drop them
+            live, s, sign, msg_v2c, done = live[keep], s[keep], sign[keep], msg_v2c[keep], done[keep]
+            # a round works on (live rows x rows, dmax) views, whose slot
+            # views are 1-D as for one syndrome
+            v2c, row_sign, b = msg_v2c.reshape(-1, dmax), sign.reshape(-1, 1), live.size
+            scan, signs = np.empty_like(v2c), None if sum_product else np.empty_like(v2c)
+            extrinsic, plan = _scan_plan(scan, fill)
+            # row i's pads, and its bins i (cols + 1) + [0, cols]
+            pads = (g.pads + np.arange(0, v2c.size, pad_col.size)[:, None]).ravel()
+            at = (pad_col + np.arange(0, b * (cols + 1), cols + 1)[:, None, None]).reshape(-1, dmax)
+            flat_at, lam_b = at.ravel(), np.tile(lam, b)
+            weights = (extrinsic if sum_product else signs).ravel()  # msg_c2v's buffer
         if sum_product:
-            np.tanh(np.multiply(msg_v2c, 0.5, out=scan), out=scan)
+            np.tanh(np.multiply(v2c, 0.5, out=scan), out=scan)
         else:
-            np.abs(msg_v2c, out=scan)
+            np.abs(v2c, out=scan)
         scan.put(pads, fill)
-        for a, b, o in plan:
-            op(a, b, out=o)
+        for a, c, o in plan:
+            op(a, c, out=o)
         if sum_product:
-            msg_c2v = np.multiply(sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
+            msg_c2v = np.multiply(row_sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
         else:
             # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
             # and -0 and +0 add and subtract alike into the posterior
-            np.copysign(1.0, msg_v2c, out=signs)
+            np.copysign(1.0, v2c, out=signs)
             signs.put(pads, 1.0)
-            msg_c2v = np.multiply(sign * np.multiply.reduce(signs, axis=1, keepdims=True),
+            msg_c2v = np.multiply(row_sign * np.multiply.reduce(signs, axis=1, keepdims=True),
                                   signs, out=signs)
             msg_c2v *= extrinsic
         _clip(msg_c2v, clamp)
 
         # bincount adds each column's messages one at a time in row-major
         # edge order, so every sum is fixed to the bit by the graph alone
-        posterior = np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
-        posterior += lam
-        posterior[cols] = 0.0  # pads read "no fault" in the gather below
-        gathered = posterior[pad_col]
-        _clip(np.subtract(gathered, msg_c2v, out=msg_v2c), clamp)
+        posterior = np.bincount(flat_at, weights=weights, minlength=lam_b.size)
+        posterior += lam_b
+        posterior[cols::cols + 1] = 0.0  # pads read "no fault" in the gather below
+        # scan is free until the next round; "clip" lets take skip its bounds buffer
+        gathered = posterior.take(at, out=scan, mode="clip")
+        _clip(np.subtract(gathered, msg_c2v, out=v2c), clamp)
 
         # converged must describe the correction we return, so it is kept
         # for every round: without early stopping a later sweep may undo an
         # intermediate syndrome match.  It depends on the hard decisions
-        # alone, so they are tested only when they change.
+        # alone, so they are tested only when one of them changes.
         hard = gathered < 0
-        if (key := hard.tobytes()) != tested:
-            tested, converged = key, (hard.view(np.uint8) @ ones & 1).tobytes() == want
-        if converged and cfg.early_stop:
-            break
+        if (key := hard.tobytes()) == tested:
+            continue
+        parity = (hard.view(np.uint8) @ ones & 1).reshape(b, -1)
+        tested, solved = key, (parity == s).all(axis=1)
+        if cfg.early_stop and solved.any():
+            posteriors[live[solved]] = posterior.reshape(b, -1)[solved, :cols]
+            converged[live[solved]], iterations[live[solved]] = True, iteration
+            # a parity is 0 or 1, so a done row never matches again
+            s[solved], tested, done = 2, None, done | solved
+            if done.all():
+                break
+            if 2 * np.count_nonzero(done) >= b:
+                keep, plan = ~done, None
+    rest = ~done  # the rows that ran every round
+    posteriors[live[rest]] = posterior.reshape(b, -1)[rest, :cols]
+    converged[live[rest]] = solved[rest]
+    return (posteriors < 0).view(np.uint8), converged, iterations, posteriors
 
-    correction = (posterior[:cols] < 0).astype(np.uint8)
-    return DecodeResult(correction, converged, iterations, posterior[:cols])
+
+def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
+    """bp_batch on the one syndrome s, or the answer that bp_prefetch stored
+    for it (its arrays read-only), which this takes out of the store."""
+    s, answers = np.asarray(s, dtype=np.uint8) & 1, problem.answers
+    if stored := answers.pop(("bp", cfg, s.shape, s.tobytes()), None):
+        answers.nbytes -= s.nbytes + stored[0].nbytes + stored[3].nbytes  # as memo counted it
+    c, converged, iterations, posterior = stored or [a[0] for a in bp_batch(problem, s[None], cfg)]
+    return DecodeResult(c, bool(converged), int(iterations), posterior)
+
+
+def bp_prefetch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
+                held: tuple = ()) -> None:
+    """bp_batch over the distinct rows of the (n, rows) uint8 0/1 syndromes
+    s that memo holds under neither ("bp", cfg) nor the key held, BP_BATCH
+    rows at a time; memo stores each row's answer under ("bp", cfg), where
+    bp_decode reads it once and takes it out (held keeps the repeats)."""
+    answers, size = problem.answers, s.shape[1]
+    if len(answers) >= MEMO_LIMIT or answers.nbytes >= MEMO_BYTES:
+        return  # nothing more would be stored
+    ours, shape, data = ("bp", cfg), (size,), s.tobytes()
+    todo = [r for r in dict.fromkeys(data[i:i + size] for i in range(0, len(data), size or 1))
+            if ours + (shape, r) not in answers and held + (shape, r) not in answers]
+    for lo in range(0, len(todo), BP_BATCH):
+        batch = np.frombuffer(b"".join(todo[lo:lo + BP_BATCH]), dtype=np.uint8).reshape(-1, size)
+        c, converged, iterations, posteriors = bp_batch(problem, batch, cfg)
+        for row, answer in zip(batch, zip(c, converged.tolist(), iterations.tolist(), posteriors)):
+            memo(problem, ours, row, lambda _, answer=answer: answer)
 
 
 # -- ordered statistics ------------------------------------------------------
@@ -263,7 +322,9 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     candidate is built and keyed only if cost - slack, with slack (3n + 8)
     2^-53 (cost(x) + cost(k)), is at most the OSD-0 key and every cost +
     slack so far: the exact key-minimum over all sum C(f, <= w) candidates
-    always is.  NaN soft raises ValueError; +-inf is legal.
+    always is.  While that bound is inf, the candidates that touch an
+    infinite |soft| weigh inf too, and of those only the ones of fewest
+    ones so far are built.  NaN soft raises ValueError; +-inf is legal.
     """
     if w < 0:
         raise ValueError("need w >= 0")
@@ -276,15 +337,28 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
             f"{total} reprocessing candidates exceed {OSD_CANDIDATE_GUARD}"
         )
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
-    key = lambda c: (float(reliability[c == 1].sum()), int(c.sum()), c.tobytes())
+    key = lambda c: _osd_key(c, reliability)
     best = flips[-1]
     bound, tolerance = key(best)[0], (3 * h.cols + 8) * 2.0**-53
+    infinite, fewest = np.isinf(reliability).astype(np.float64), float(best.sum())
     for x, k, new, cost, both in _osd_steps(flips, reliability, w):
         slack = both * tolerance  # overflow leaves NaN, which fmin skips and ~> keeps
         bound = np.fmin.reduce((cost + slack)[new], initial=bound)
-        near = np.nonzero(new & ~(cost - slack > bound))
+        near = new & ~(cost - slack > bound)
+        if bound == np.inf:  # the candidates of infinite weight rank by ones, then bytes
+            xf = x.astype(np.float64)
+            tie = near & (_xor_weights(xf, k, infinite)[0] > 0)
+            ones = _xor_weights(xf, k, np.ones(h.cols))[0]  # integer counts, so exact
+            fewest = ones[tie].min(initial=fewest)
+            near &= ~tie | (ones <= fewest)
+        near = np.nonzero(near)
         best = min(itertools.chain([best], (x[b] ^ k[j] for b, j in zip(*near))), key=key)
     return best.copy()  # a view would pin all of flips
+
+
+def _osd_key(c: np.ndarray, reliability: np.ndarray) -> tuple:
+    """osd_w's order on candidates c: soft weight, Hamming weight, bytes."""
+    return float(reliability[c == 1].sum()), int(c.sum()), c.tobytes()
 
 
 def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
@@ -381,19 +455,22 @@ def _mld(problem: DecodingProblem, s: np.ndarray) -> np.ndarray:
 
 def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:
     """compute(s), s as uint8 & 1, kept in problem.answers under key + s;
-    key names every other input.  The answer's first item, an array, is
+    key names every other input.  Every array among the answer's items is
     made read-only.  Past MEMO_LIMIT answers, or once the stored s bytes
     and answer arrays reach MEMO_BYTES, none is added and none is
-    evicted; exceptions are never kept, so each call raises them again."""
+    evicted (bp_decode takes out the BP answers it reads); exceptions are
+    never kept, so each call raises them again."""
     s = np.asarray(s, dtype=np.uint8) & 1
     key += (s.shape, s.tobytes())
     answers = problem.answers
     if (out := answers.get(key)) is None:
         out = compute(s)
-        out[0].flags.writeable = False
+        arrays = [a for a in out if isinstance(a, np.ndarray)]
+        for a in arrays:
+            a.flags.writeable = False
         if len(answers) < MEMO_LIMIT and answers.nbytes < MEMO_BYTES:
             answers[key] = out
-            answers.nbytes += s.nbytes + out[0].nbytes
+            answers.nbytes += s.nbytes + sum(a.nbytes for a in arrays)
     return out
 
 

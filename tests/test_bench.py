@@ -494,6 +494,115 @@ def test_stored_answers_cannot_be_changed_through_a_caller():
     assert np.array_equal(exhaustive_mld(problem, s), kept)
 
 
+def bp_rows(problem, n=24, seed=0):
+    """n distinct nonzero syndromes of random faults on problem."""
+    rng, rows = np.random.default_rng(seed), {}
+    while len(rows) < n:
+        s = problem.tanner.parity((rng.random(problem.h.cols) < 0.1).view(np.uint8))
+        if s.any():
+            rows.setdefault(s.tobytes(), s)
+    return np.array(list(rows.values()))
+
+
+def bp_outcome(result):
+    return (result.correction.tobytes(), result.converged, result.iterations_used,
+            result.posterior_llr.tobytes())
+
+
+@pytest.mark.parametrize("cfg", [BpConfig(), BpConfig(variant="min-sum", max_iterations=3)])
+def test_prefetched_bp_answers_equal_cold_calls(cfg):
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    rows = bp_rows(problem)
+    decoders.bp_prefetch(problem, np.concatenate([rows, rows[::-1]]), cfg)
+    assert len(problem.answers) == len(rows)
+    for s in rows:
+        got = decoders.bp_decode(problem, s, cfg)
+        cold = decoders.bp_decode(depolarizing_problem(surface_code(3), 0.05, "split-xz")[0], s, cfg)
+        assert bp_outcome(got) == bp_outcome(cold)
+        assert not got.correction.flags.writeable and not got.posterior_llr.flags.writeable
+
+
+def test_memo_freezes_and_counts_every_array_of_an_answer(monkeypatch):
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    rows = bp_rows(problem, 6)
+    decoders.bp_prefetch(problem, rows, BpConfig())
+    answers = problem.answers
+    sizes = [len(key[-1]) + c.nbytes + posterior.nbytes
+             for key, (c, _, _, posterior) in answers.items()]
+    assert len(sizes) == 6 and answers.nbytes == sum(sizes)
+    assert sizes[0] == problem.h.rows + problem.h.cols * (1 + 8)  # posteriors are float64
+    for c, _, _, posterior in answers.values():
+        assert not c.flags.writeable and not posterior.flags.writeable
+    # the byte limit counts the posteriors: two answers reach it, so no third is kept
+    monkeypatch.setattr(decoders, "MEMO_BYTES", 2 * sizes[0] - 1)
+    fresh = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    decoders.bp_prefetch(fresh, rows, BpConfig())
+    assert len(fresh.answers) == 2 and fresh.answers.nbytes == 2 * sizes[0]
+
+
+@pytest.mark.parametrize("other", [BpConfig(variant="min-sum"), BpConfig(max_iterations=31),
+                                   BpConfig(llr_clamp=29.0), BpConfig(early_stop=False)])
+def test_bp_answers_are_served_to_their_own_config_only(other):
+    """Stored answers replaced by a marker reach bp_decode under the config
+    they were stored for, and under no other."""
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    rows = bp_rows(problem, 8)
+    decoders.bp_prefetch(problem, rows, BpConfig())
+    marker = (np.ones(problem.h.cols, dtype=np.uint8), False, -1, np.zeros(problem.h.cols))
+    for key in problem.answers:
+        problem.answers[key] = marker
+    for s in rows:
+        assert decoders.bp_decode(problem, s).iterations_used == -1
+        got = decoders.bp_decode(problem, s, other)
+        cold = decoders.bp_decode(depolarizing_problem(surface_code(3), 0.05, "split-xz")[0], s, other)
+        assert bp_outcome(got) == bp_outcome(cold)
+
+
+def test_prefetch_skips_the_rows_that_memo_holds():
+    problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
+    rows, cfg, batched = bp_rows(problem, 10), BpConfig(), []
+    decode(problem, rows[0], "bp+osd", 0, cfg)  # held under decode's key
+    decoders.bp_prefetch(problem, rows[1:2], cfg)  # held under ("bp", cfg)
+    batch = decoders.bp_batch
+
+    def counted(problem, s, cfg):
+        batched.extend(map(bytes, s))
+        return batch(problem, s, cfg)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decoders, "bp_batch", counted)
+        decoders.bp_prefetch(problem, np.concatenate([rows, rows]), cfg, ("bp+osd", 0, cfg))
+    assert batched == [s.tobytes() for s in rows[2:]]
+
+
+@pytest.mark.parametrize("code,noise,decoder,trials", [
+    ("surface 3", "split-xz", "bp", 300),
+    ("surface 3", "split-xz", "bp+osd 1", 100),
+    ("hamming", "bsc", "bp", 200),
+])
+def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatch, code, noise,
+                                                                       decoder, trials):
+    """Each bp_decode call of a run finds its answer stored: the batches
+    decode exactly as many rows as there are calls, so no trial decodes its
+    own syndrome and no batch decodes a row that no trial reads."""
+    batch, decode_bp, rows, calls = decoders.bp_batch, decoders.bp_decode, [], []
+
+    def counted_batch(problem, s, cfg):
+        rows.append(len(s))
+        return batch(problem, s, cfg)
+
+    def counted_decode(*args):
+        calls.append(1)
+        return decode_bp(*args)
+
+    monkeypatch.setattr(decoders, "bp_batch", counted_batch)
+    monkeypatch.setattr(decoders, "bp_decode", counted_decode)
+    monkeypatch.setattr(bench, "bp_decode", counted_decode)
+    run_benchmark(BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05, 0.1),
+                                  trials=trials, seed=2))
+    assert len(calls) > 10 and sum(rows) == len(calls) and max(rows) <= decoders.BP_BATCH
+
+
 @pytest.mark.parametrize("code,noise,decoder,problems", [
     ("surface 2", "xzy", "mld", 1),
     ("hamming", "bsc", "mld", 1),

@@ -744,6 +744,132 @@ def test_scan_plan_reruns_on_its_buffers(d):
         rows[:] = rows[::-1, ::-1] - 2.0
 
 
+@np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
+def _bp_before_batch(problem, s, cfg=BpConfig()):
+    """decoders.bp_decode before the batch, kept verbatim: flooding BP on
+    the Tanner graph of the problem's check matrix, one syndrome per call.
+
+    Each round runs every check-to-bit update, then every bit-to-check
+    update, hard-decides on the posterior sign (ties decide "no
+    fault"), and tests the syndrome equation.
+    """
+    g = problem.tanner
+    rows, cols = g.shape
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.shape != (rows,):
+        raise ValueError(f"syndrome length {s.size} does not match {rows} checks")
+    clamp = cfg.llr_clamp
+    lam = np.zeros(cols + 1)  # 0 for the pads' column
+    lam[:cols] = problem.prior.llr
+    _clip(lam, clamp)
+    if g.col.size == 0:
+        correction = (lam[:cols] < 0).astype(np.uint8)
+        converged = bool(np.array_equal(g.parity(correction), s))
+        return DecodeResult(correction, converged, 1, lam[:cols])
+
+    # messages stay in g's padded (rows, dmax) layout: pads hold the scan's
+    # identity, and their messages only reach the dummy column cols
+    pads, pad_col, flat_col = g.pads, g.pad_col, g.pad_col.ravel()
+    # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
+    sum_product = cfg.variant == "sum-product"
+    sign = (1.0 - 2.0 * s)[:, None] * (2.0 if sum_product else cfg.min_sum_scale)
+    # |msg| <= clamp, so clamp is min's identity here and stands in for
+    # the minimum over no other edge (degree-1 checks)
+    op, fill = (np.multiply, 1.0) if sum_product else (np.minimum, clamp)
+    msg_v2c = lam[pad_col]
+    scan, signs = np.empty_like(msg_v2c), np.empty_like(msg_v2c)
+    extrinsic, plan = _scan_plan(scan, fill)
+    # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
+    ones, want, tested = np.ones(pad_col.shape[1], dtype=np.uint8), s.tobytes(), None
+    # max_iterations >= 1, so the loop binds every name it returns
+    for iterations in range(1, cfg.max_iterations + 1):
+        if sum_product:
+            np.tanh(np.multiply(msg_v2c, 0.5, out=scan), out=scan)
+        else:
+            np.abs(msg_v2c, out=scan)
+        scan.put(pads, fill)
+        for a, b, o in plan:
+            op(a, b, out=o)
+        if sum_product:
+            msg_c2v = np.multiply(sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
+        else:
+            # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
+            # and -0 and +0 add and subtract alike into the posterior
+            np.copysign(1.0, msg_v2c, out=signs)
+            signs.put(pads, 1.0)
+            msg_c2v = np.multiply(sign * np.multiply.reduce(signs, axis=1, keepdims=True),
+                                  signs, out=signs)
+            msg_c2v *= extrinsic
+        _clip(msg_c2v, clamp)
+
+        # bincount adds each column's messages one at a time in row-major
+        # edge order, so every sum is fixed to the bit by the graph alone
+        posterior = np.bincount(flat_col, weights=msg_c2v.ravel(), minlength=cols + 1)
+        posterior += lam
+        posterior[cols] = 0.0  # pads read "no fault" in the gather below
+        gathered = posterior[pad_col]
+        _clip(np.subtract(gathered, msg_c2v, out=msg_v2c), clamp)
+
+        # converged must describe the correction we return, so it is kept
+        # for every round: without early stopping a later sweep may undo an
+        # intermediate syndrome match.  It depends on the hard decisions
+        # alone, so they are tested only when they change.
+        hard = gathered < 0
+        if (key := hard.tobytes()) != tested:
+            tested, converged = key, (hard.view(np.uint8) @ ones & 1).tobytes() == want
+        if converged and cfg.early_stop:
+            break
+
+    correction = (posterior[:cols] < 0).astype(np.uint8)
+    return DecodeResult(correction, converged, iterations, posterior[:cols])
+
+
+@st.composite
+def bp_batches(draw):
+    """A random sparse H with empty rows and columns and checks of degree 1,
+    2 and more (every _scan_plan branch), priors near 0 and 1/2, either
+    variant, early stopping or not, 1, 2 or 32 rounds, and a batch of 1 to
+    40 syndromes that repeats some of its rows."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    for i, degree in enumerate(rng.choice([0, 1, 2, 3, 5], size=rows)):
+        dense[i, rng.choice(cols, size=min(degree, cols), replace=False)] = 1
+    dense[:, rng.random(cols) < 0.15] = 0
+    p = rng.choice([1e-9, 1e-3, 0.05, 0.3, 0.499, 0.5], size=cols)
+    n = draw(st.integers(1, 40))
+    distinct = rng.integers(0, 2, size=(draw(st.integers(1, n)), rows), dtype=np.uint8)
+    s = distinct[rng.integers(0, len(distinct), size=n)]
+    cfg = BpConfig(variant=draw(st.sampled_from(["sum-product", "min-sum"])),
+                   max_iterations=draw(st.sampled_from([1, 2, 32])),
+                   early_stop=draw(st.booleans()))
+    return make_problem(dense, p), s, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(bp_batches())
+def test_bp_batch_matches_the_single_syndrome_loop(instance):
+    """Each row of a batch gets the correction, convergence flag, iteration
+    count and posterior bytes of the loop that decoded one syndrome a call."""
+    problem, s, cfg = instance
+    c, converged, iterations, posteriors = decoders.bp_batch(problem, s, cfg)
+    assert c.shape == posteriors.shape == (len(s), problem.h.cols) and c.dtype == np.uint8
+    for i, row in enumerate(s):
+        got = DecodeResult(c[i], bool(converged[i]), int(iterations[i]), posteriors[i])
+        assert _bp_outcome(got) == _bp_outcome(_bp_before_batch(problem, row, cfg))
+        assert _bp_outcome(bp_decode(problem, row, cfg)) == _bp_outcome(got)
+
+
+def test_bp_batch_takes_a_batch_of_rows():
+    problem = make_problem(np.array([[1, 1, 0], [0, 1, 1]]), 0.1)
+    with pytest.raises(ValueError):
+        decoders.bp_batch(problem, np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        decoders.bp_batch(problem, np.zeros((4, 3), dtype=np.uint8))
+    c, converged, iterations, posteriors = decoders.bp_batch(problem, np.zeros((0, 2), np.uint8))
+    assert c.shape == posteriors.shape == (0, 3) and converged.size == iterations.size == 0
+
+
 def test_success_returns_shared_frozen_reports():
     """Each outcome is one module-level report, equal to a freshly built one."""
     problem = depolarizing_problem(build_code("surface 3"), 0.1, "split-xz")[0]
@@ -898,6 +1024,39 @@ def osd_instances(draw):
 def test_osd_w_matches_the_candidate_loop(instance):
     h, s, soft, w = instance
     assert np.array_equal(osd_w(h, s, soft, w), _osd_w_loop(h, s, soft, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(osd_instances(), st.sampled_from(["all", "most", "huge"]))
+def test_osd_w_matches_the_candidate_loop_where_no_bound_prunes(instance, kind):
+    """Every |soft| infinite, all but every third, or so large that sums
+    overflow: the OSD-0 key and most costs are inf, and the key-minimum is
+    still the candidate loop's."""
+    h, s, soft, w = instance
+    soft = np.where(soft < 0, -1.0, 1.0) * {
+        "all": np.inf,
+        "most": np.where(np.arange(soft.size) % 3, np.inf, np.abs(soft) + 1.0),
+        "huge": np.abs(soft) * 1e307 + 1e308,
+    }[kind]
+    with np.errstate(over="ignore"):  # the loop's sums overflow where soft is huge
+        assert np.array_equal(osd_w(h, s, soft, w), _osd_w_loop(h, s, soft, w))
+
+
+@pytest.mark.parametrize("f", [30, 200])
+def test_osd_w_keys_only_the_fewest_ones_among_infinite_weights(monkeypatch, f):
+    """On the 1 x (f + 1) all-ones H with every |soft| infinite, order 2 has
+    1 + f + f (f - 1) / 2 candidates; only the OSD-0 solution and the f of
+    Hamming weight 1 can win, and about that many are keyed."""
+    h, s = F2Matrix.from_dense(np.ones((1, f + 1), dtype=np.uint8)), np.array([1], np.uint8)
+    keyed, key = [], decoders._osd_key
+    monkeypatch.setattr(decoders, "_osd_key", lambda c, r: keyed.append(1) or key(c, r))
+    for soft in (np.full(f + 1, np.inf), -np.full(f + 1, np.inf)):
+        keyed.clear()
+        got = osd_w(h, s, soft, 2)
+        assert len(keyed) <= 2 * (f + 1) < 1 + f + math.comb(f, 2)
+        if f <= 30:
+            assert np.array_equal(got, _osd_w_loop(h, s, soft, 2))
+        assert got.sum() == 1
 
 
 @settings(max_examples=200, deadline=None)
