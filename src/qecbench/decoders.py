@@ -5,24 +5,27 @@ The check update is the tanh-product rule (sum-product) or the scaled
 minimum (min-sum) with the syndrome folded in as a sign; both take the
 value over a check's other edges from an exclusive prefix/suffix scan,
 so degree-1 checks and saturated messages need no division or sort.  OSD
-re-solves the syndrome on the most-reliable independent column set;
-order-w reprocessing extends each prefix (the OSD-0 solution XOR the
-kernel rows of at most w - 1 remaining columns) by every later kernel
-row, scores a block of extensions by one matrix product against |soft|,
-and builds only those within a rounding bound of the best.  Exhaustive
-MWD/MLD enumerate the whole solution coset (f2.span_blocks doubles it
-from the kernel rows) and serve as oracles for everything else.  Both
-read one coset per problem whose rows carry the class bits L e after
-the errors: its span depends on H and L alone, so it is built once, and
-a syndrome then costs T s and one XOR of its particular solution into
-the span's table (MLD also keeps its weights and the table's class
-indices per problem).  BP runs one loop over a batch of syndromes
-(bp_batch; bp_decode is a batch of one, or an answer bp_prefetch stored
-through memo), their (rows, dmax) message arrays stacked.  A batch builds
-the scan once as a plan of ufunc steps over the slots of its buffers; a
-round writes the scan's identity into the pads by one put, runs the
-plan, sums each column by one bincount, and tests the syndromes on the
-posterior gather only when a hard decision changed.
+re-solves the syndrome on the most-reliable independent column set, in
+one greedy pass of F2Matrix.coset over H's columns in the order of soft,
+so a new order neither permutes nor re-packs H; order-w reprocessing
+extends each prefix (the OSD-0 solution XOR the kernel rows of at most
+w - 1 remaining columns) by every later kernel row, scores a block of
+extensions by one matrix product against |soft|, and builds only those
+within a rounding bound of the best.  Exhaustive MWD/MLD enumerate the
+whole solution coset (f2.span_blocks doubles it from the kernel rows)
+and serve as oracles for everything else.  Both read one coset per
+problem whose rows carry the class bits L e after the errors: its span
+depends on H and L alone, so it is built once, and a syndrome then
+costs two products by fixed matrices (its test and its particular
+solution) and one XOR of that solution into the span's table (MLD also
+keeps its weights and the table's class indices per problem).  BP runs
+one loop over a batch of syndromes (bp_batch; bp_decode is a batch of
+one, or an answer bp_prefetch stored through memo), their (rows, dmax)
+message arrays stacked.  A batch builds the scan once as a plan of ufunc
+steps over the slots of its buffers; a round writes the scan's identity
+into the pads by one put, runs the plan, sums each column by one
+bincount, and tests the syndromes on the posterior gather only when a
+hard decision changed.
 """
 
 from __future__ import annotations
@@ -322,9 +325,14 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     candidate is built and keyed only if cost - slack, with slack (3n + 8)
     2^-53 (cost(x) + cost(k)), is at most the OSD-0 key and every cost +
     slack so far: the exact key-minimum over all sum C(f, <= w) candidates
-    always is.  While that bound is inf, the candidates that touch an
-    infinite |soft| weigh inf too, and of those only the ones of fewest
-    ones so far are built.  NaN soft raises ValueError; +-inf is legal.
+    always is.  A bound past the largest double may belong to a key that
+    overflowed to inf, which ties with every other such key, so it prunes
+    nothing.  While no bound prunes, the candidates that touch an infinite
+    |soft| weigh inf too, and of those only the ones of fewest ones so far
+    are built.  Where sums of the finite |soft| may overflow, the costs
+    are taken on |soft| scaled by a power of two, which is exact unless a
+    weight turns subnormal (then they overflow as they are).  NaN soft
+    raises ValueError; +-inf is legal.
     """
     if w < 0:
         raise ValueError("need w >= 0")
@@ -339,13 +347,21 @@ def osd_w(h: F2Matrix, s: np.ndarray, soft: np.ndarray, w: int) -> np.ndarray:
     reliability = np.abs(np.asarray(soft, dtype=np.float64))
     key = lambda c: _osd_key(c, reliability)
     best = flips[-1]
-    bound, tolerance = key(best)[0], (3 * h.cols + 8) * 2.0**-53
+    finite = reliability[np.isfinite(reliability) & (reliability > 0)]
+    scale = 0  # costs and bounds are 2^-scale times the unscaled ones, bit for bit
+    if np.isinf(4 * finite.sum()):  # a cost's sums reach 2 finite.sum() (1 + slack)
+        scale = np.frexp(finite.max())[1] + h.cols.bit_length() + 2
+        if np.ldexp(finite.min(), -scale) < np.finfo(np.float64).tiny:
+            scale = 0
+    bound, tolerance = np.ldexp(key(best)[0], -scale), (3 * h.cols + 8) * 2.0**-53
+    largest = np.ldexp(np.finfo(np.float64).max, -scale)
     infinite, fewest = np.isinf(reliability).astype(np.float64), float(best.sum())
-    for x, k, new, cost, both in _osd_steps(flips, reliability, w):
+    for x, k, new, cost, both in _osd_steps(flips, np.ldexp(reliability, -scale), w):
         slack = both * tolerance  # overflow leaves NaN, which fmin skips and ~> keeps
         bound = np.fmin.reduce((cost + slack)[new], initial=bound)
-        near = new & ~(cost - slack > bound)
-        if bound == np.inf:  # the candidates of infinite weight rank by ones, then bytes
+        prune = bound if bound <= largest else np.inf
+        near = new & ~(cost - slack > prune)
+        if prune == np.inf:  # the candidates of infinite weight rank by ones, then bytes
             xf = x.astype(np.float64)
             tie = near & (_xor_weights(xf, k, infinite)[0] > 0)
             ones = _xor_weights(xf, k, np.ones(h.cols))[0]  # integer counts, so exact
@@ -379,9 +395,9 @@ def bp_osd(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
 def _solution_coset(problem: DecodingProblem, s: np.ndarray):
     """Every solution e of H e = s in dense blocks, pivots taken in column
     order, each row's class bits L e after its h.cols error bits.  A
-    problem's first call eliminates [H | I] once and keeps for every s: the
-    rows of T under the pivots (s is outside the image of H iff they give
-    an odd sum), solve (solve @ s is the solution that is zero off the
+    problem's first call makes one pass of h.coset_transform over I and keeps
+    for every s: below, linear in s (s is outside the image of H iff it maps s
+    to a nonzero), solve (solve @ s is the solution that is zero off the
     pivots, with its class bits) and span_tables of the kernel."""
     h = problem.h
     s = np.asarray(s, dtype=np.uint8) & 1

@@ -4,8 +4,10 @@ Each matrix holds one read-only (rows, cols) uint8 array of 0s and 1s,
 so stacking, slicing and products are plain numpy: a product is an
 exact float sum on BLAS, reduced to its low bit.  Elimination turns each row
 into one Python int and finds a pivot's rows by their lowest set bit,
-so each pivot XORs only the rows that hold its column, and only
-coset_transform reads solutions off it.
+so each pivot XORs only the rows that hold its column.  Every solve goes
+through coset_transform instead, on a column basis: each column is one
+int (its rows, and one bit for itself), built once per matrix, so a column
+order is just the order of one greedy pass and re-packs nothing.
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -28,7 +30,7 @@ class F2Matrix:
 
     A value: its 0/1 array is read-only, and the views hand out copies."""
 
-    __slots__ = ("rows", "cols", "_bits")
+    __slots__ = ("rows", "cols", "_bits", "_columns")
 
     def __init__(self, rows: int, cols: int, _bits: np.ndarray | None = None):
         if rows < 0 or cols < 0:
@@ -39,6 +41,7 @@ class F2Matrix:
             _bits = np.zeros((rows, cols), dtype=np.uint8)
         _bits.flags.writeable = False
         self._bits = _bits
+        self._columns = None  # one int per column for coset_transform, built on first use
 
     # -- construction -------------------------------------------------
 
@@ -116,14 +119,7 @@ class F2Matrix:
         if column_order is None:
             order = list(range(self.cols))
         else:
-            listed = np.asarray(column_order)  # [] comes out as float64
-            order = listed.tolist()
-            if (listed.size and (listed.dtype.kind not in "iu" or min(order) < 0
-                                 or max(order) >= self.cols)
-                    or len(set(order)) != len(order)
-                    or not isinstance(column_order, np.ndarray)
-                    and {bool, np.bool_} & set(map(type, column_order))):
-                raise ValueError("columns must be distinct integers in range(cols)")
+            listed, order = _column_order(column_order, self.cols)
         # Each row becomes one int: listed column order[i] at bit i and the
         # unlisted columns above them, in their order.  When the order is
         # 0..n-1 (every call that builds a code) no column moves.
@@ -133,10 +129,7 @@ class F2Matrix:
             rest[listed] = False
             perm = np.concatenate([listed.astype(np.intp, copy=False), np.flatnonzero(rest)])
             bits = bits[:, perm]
-        raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        nbytes = (self.cols + 7) // 8
-        rows = [int.from_bytes(raw[q : q + nbytes], "little")
-                for q in range(0, len(raw), nbytes)] if nbytes else [0] * self.rows
+        rows = _ints(bits)
         # Forward elimination keeps the rows from position r clear of the listed
         # bits passed, so low[i] holds the ids of the rows holding bit i; swaps
         # move positions only (at[position] = id, pos[id] = position).
@@ -178,9 +171,7 @@ class F2Matrix:
                 x ^= 1 << j
             above |= 1 << pivots[k]
             row_of[pivots[k]] = k
-        packed = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in rows),
-                               dtype=np.uint8).reshape(self.rows, nbytes)
-        out = np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
+        out = _unpack(rows, self.cols)
         if perm is not None:  # column k of the int rows is column perm[k]
             out, moved = np.empty_like(out), out
             out[:, perm] = moved
@@ -200,7 +191,7 @@ class F2Matrix:
         return F2Matrix(self.cols, self.rows, x)
 
     def coset(self, s: np.ndarray | None = None, cols: Sequence[int] | None = None):
-        """Lay out the solutions of M x = s supported on ``cols``, eliminating once.
+        """Lay out the solutions of M x = s supported on ``cols``, in one pass.
 
         Pivots are tried greedily in ``cols`` (default: every column, left
         to right), and free holds the other listed columns in their order.
@@ -213,9 +204,6 @@ class F2Matrix:
             s = np.asarray(s, dtype=np.uint8) & 1
             if s.shape != (self.rows,):
                 raise ValueError("syndrome length does not match row count")
-            if cols is not None and self.cols in np.asarray(cols):
-                # the column of s; eliminate checks the rest
-                raise ValueError("columns must be distinct integers in range(cols)")
         pivots, free, rows, x, below = self.coset_transform(s if s is None else s[:, None], cols)
         if below.any():  # empty for s = None
             raise NoSolution("syndrome not in the image of the selected columns")
@@ -225,24 +213,48 @@ class F2Matrix:
 
     def coset_transform(self, rhs: np.ndarray | None = None,
                         cols: Sequence[int] | None = None):
-        """coset's one elimination, of [M | rhs] for 0/1 columns rhs: returns
-        (pivots, free, rows, x, below), rows laid out as coset's with a zero last
-        row.  x is zero off the pivots, and its column j solves M x = rhs[:, j] if
-        column j of below, T rhs under the pivot rows, is zero; else none on cols does."""
-        m = self if rhs is None else hstack([self, F2Matrix(*rhs.shape, rhs)])
-        res = m.eliminate(range(self.cols) if cols is None and rhs is not None else cols)
-        pivots = np.array(res.pivot_columns, dtype=np.intp)
-        reduced = res.reduced._bits
-        order = np.arange(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
-        in_pivot = np.zeros(self.cols, dtype=bool)
-        in_pivot[pivots] = True
-        free = order[~in_pivot[order]]
-        rows = np.zeros((free.size + 1, self.cols), dtype=np.uint8)
-        rows[np.arange(free.size), free] = 1
-        rows[:-1, pivots] = reduced[:pivots.size, free].T
-        x = np.zeros((self.cols, m.cols - self.cols), dtype=np.uint8)
-        x[pivots] = reduced[:pivots.size, self.cols:]
-        return pivots, free, rows, x, reduced[pivots.size:, self.cols:]
+        """coset's one pass, for a block of 0/1 columns rhs: (pivots, free,
+        rows, x, below), rows laid out as coset's with a zero last row.
+
+        Each listed column in turn is reduced against the basis so far (keyed
+        by top bit, each entry carrying its combination of columns): one that
+        survives is a pivot, one that reduces to zero gives its kernel row.
+        Each rhs column is reduced over every top bit, linearly: x is its
+        combination, zero off the pivots, and below (rows - rank, k) is what
+        is left on the rows without a top bit.  Column j of x solves M x =
+        rhs[:, j] if column j of below is zero; else none on cols does."""
+        order = range(self.cols) if cols is None else _column_order(cols, self.cols)[1]
+        n, rows = self.cols, self.rows
+        if self._columns is None:
+            self._columns = [v << n | 1 << j for j, v in enumerate(_ints(self._bits.T))]
+        # Column j's int holds its rows above bit n and its combination of
+        # columns, bit j, below, so one XOR reduces a column and tracks its
+        # combination.  basis[i] is the entry that leads at bit i - 1.
+        columns, basis, limit = self._columns, [0] * (n + rows + 1), 1 << n
+        pivots, free, kernel, tops = [], [], [], 0
+        for j in order:
+            e = columns[j]
+            while e >= limit:  # some row bit is left
+                i = e.bit_length()
+                b = basis[i]
+                if not b:
+                    basis[i], tops = e, tops | 1 << (i - 1)
+                    pivots.append(j)
+                    break
+                e ^= b
+            else:
+                free.append(j)
+                kernel.append(e)
+        xs, left = [], []
+        for e in [] if rhs is None else _ints(rhs.T):
+            e <<= n
+            while u := e & tops:
+                e ^= basis[u.bit_length()]
+            xs.append(e & limit - 1)
+            left.append(e >> n)
+        below = _unpack(left, rows)[:, [r for r in range(rows) if not basis[n + r + 1]]].T
+        return (np.array(pivots, dtype=np.intp), np.array(free, dtype=np.intp),
+                _unpack(kernel + [0], n), _unpack(xs, n).T, below)
 
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
@@ -252,6 +264,38 @@ class F2Matrix:
     def solve_columns(self, cols: Sequence[int], s: np.ndarray) -> np.ndarray:
         """Solve M x = s with x supported on ``cols``, dense; NoSolution if none is."""
         return self.coset(s, cols)[2][-1].copy()  # a view would pin all the rows
+
+
+def _column_order(column_order, cols: int):
+    """(array, list) of column_order; ValueError unless it lists distinct
+    int columns in range(cols)."""
+    listed = np.asarray(column_order)  # [] comes out as float64
+    order = listed.tolist()
+    if (listed.size and (listed.dtype.kind not in "iu" or min(order) < 0 or max(order) >= cols)
+            or len(set(order)) != len(order)
+            or not isinstance(column_order, np.ndarray)
+            and {bool, np.bool_} & set(map(type, column_order))):
+        raise ValueError("columns must be distinct integers in range(cols)")
+    return listed, order
+
+
+def _ints(bits: np.ndarray) -> list[int]:
+    """Row i of the 2-D 0/1 array bits as one int, its column j at bit j."""
+    n, m = bits.shape
+    nbytes = (m + 7) // 8
+    if not nbytes:
+        return [0] * n
+    padded = np.zeros((n, 8 * nbytes), dtype=np.uint8)  # one flat packbits beats one per row
+    padded[:, :m] = bits
+    raw = np.packbits(padded, bitorder="little").tobytes()
+    return [int.from_bytes(raw[q:q + nbytes], "little") for q in range(0, len(raw), nbytes)]
+
+
+def _unpack(ints: list[int], m: int) -> np.ndarray:
+    """The (len(ints), m) 0/1 uint8 array of the low m bits of each int."""
+    nbytes = (m + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in ints), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), nbytes), axis=1, count=m, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ tracked logical operators evolving in the Heisenberg picture.  The
 destabilizers pair with the stabilizers symplectically and commute
 with everything else, so a deterministic measurement outcome reduces
 to a destabilizer-indexed product of stabilizers; they are built here,
-by one elimination, because nothing else reads them.  Products and
+by one right_inverse, because nothing else reads them.  Products and
 commutation tests call ``pauli``, except ``_rowsum``, a batched
 two-row product for random measurements.  Foliation
 stacks the Z- and X-Tanner graph states of a CSS code in alternating
@@ -410,8 +410,8 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
 
 def _logical_supports(code, kernel, first_base, n):
     """Kernel elements restricting to each X-logical on the first layer,
-    from one elimination of the restricted system with every logical
-    appended; a logical with a nonzero below the pivot rows has none."""
+    from one coset_transform pass of the restricted system over every
+    logical; a logical whose column of below is nonzero has none."""
     if kernel.rows == 0:
         return ()
     dense = kernel.to_dense()

@@ -42,6 +42,7 @@ from qecbench.noise import (
 )
 from qecbench.quantum import css_code, four_two_two_checks
 
+from coset_reference import reference_coset
 from parity_reference import parity_test
 from span_reference import reference_span_blocks
 
@@ -1059,6 +1060,34 @@ def test_osd_w_keys_only_the_fewest_ones_among_infinite_weights(monkeypatch, f):
         assert got.sum() == 1
 
 
+def test_osd_w_prunes_where_finite_sums_overflow(monkeypatch):
+    """On the 1 x 201 all-ones H every |soft| = 1e308 overflows any sum of two;
+    the costs scaled by a power of two still prune the 19,900 candidates of
+    three ones, whose keys are inf, and the answer is the candidate loop's."""
+    h, s = F2Matrix.from_dense(np.ones((1, 201), dtype=np.uint8)), np.array([1], np.uint8)
+    keyed, key = [], decoders._osd_key
+    monkeypatch.setattr(decoders, "_osd_key", lambda c, r: keyed.append(1) or key(c, r))
+    for soft in (np.full(201, 1e308), -np.full(201, 1e308)):
+        keyed.clear()
+        got = osd_w(h, s, soft, 2)
+        assert len(keyed) <= 2 * 201
+        with np.errstate(over="ignore"):
+            assert np.array_equal(got, _osd_w_loop(h, s, soft, 2))
+
+
+def test_osd_w_keeps_candidates_whose_keys_overflow_alike():
+    """{2, 3} weighs less than {3, 4}, but both sums overflow to inf, so the
+    key ranks them by ones, then bytes: {3, 4} wins, and a bound past the
+    largest double must not prune it."""
+    h = F2Matrix.from_dense([[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+    s = np.array([1, 1, 1], dtype=np.uint8)
+    soft = np.array([0.9e308, 0.9e308, 0.9e308, 1.79e308, 1.79e308])
+    with np.errstate(over="ignore"):
+        expected = _osd_w_loop(h, s, soft, 3)
+    assert np.flatnonzero(expected).tolist() == [3, 4]
+    assert np.array_equal(osd_w(h, s, soft, 3), expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(osd_instances())
 @example((F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]]), np.array([1, 1], dtype=np.uint8),
@@ -1148,10 +1177,17 @@ def surface9_osd_inputs():
     return inputs
 
 
-@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("w", [0, 1, 2, 3])
 def test_osd_w_matches_the_parent_on_surface9_bp_osd_inputs(surface9_osd_inputs, w):
+    """At w = 0, OSD-0's whole coset equals the elimination path's."""
     assert len(surface9_osd_inputs) >= 20
     for h, s, soft in surface9_osd_inputs:
+        if w == 0:
+            expected = reference_coset(h, s, np.argsort(soft, kind="stable"))
+            got = _osd_prepare(h, s, soft)
+            assert ([(a.dtype, a.shape, a.tobytes()) for a in got]
+                    == [(a.dtype, a.shape, a.tobytes()) for a in expected])
+            assert osd0(h, s, soft).tobytes() == expected[2][-1].tobytes()
         _assert_same_as_parent(h, s, soft, w)
 
 
@@ -1377,7 +1413,19 @@ def test_coset_callers_match_the_separate_layouts(instance):
     assert osd is Unsatisfiable or isinstance(osd, list)
 
 
+def _count_solve_passes(monkeypatch, calls):
+    """Append to calls for each F2Matrix.coset_transform (the column-basis
+    pass under every solve) and each F2Matrix.eliminate."""
+    for name in ("coset_transform", "eliminate"):
+        def counted(self, *args, method=getattr(F2Matrix, name), **kwargs):
+            calls.append(method.__name__)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(F2Matrix, name, counted)
+
+
 def test_each_decode_call_eliminates_once(monkeypatch):
+    """Each call makes one column-basis pass and no elimination."""
     code = build_code("surface 2")
     problem, fresh = (depolarizing_problem(code, 0.05) for _ in range(2))
     e = np.zeros(problem.h.cols, dtype=np.uint8)
@@ -1385,13 +1433,7 @@ def test_each_decode_call_eliminates_once(monkeypatch):
     s = problem.h.matvec(e)
     soft = problem.prior.llr - e
     calls = []
-    eliminate = F2Matrix.eliminate
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return eliminate(self, *args, **kwargs)
-
-    monkeypatch.setattr(F2Matrix, "eliminate", counted)
+    _count_solve_passes(monkeypatch, calls)
     decoders = {
         "kernel_basis": lambda: problem.h.kernel_basis(),
         "solve_columns": lambda: problem.h.solve_columns(range(problem.h.cols), s),
@@ -1403,7 +1445,7 @@ def test_each_decode_call_eliminates_once(monkeypatch):
     for name, decode in decoders.items():
         calls.clear()
         decode()
-        assert len(calls) == 1, name
+        assert calls == ["coset_transform"], name
     calls.clear()
     exhaustive_mld(problem, s)  # a repeated syndrome is answered from the memo
     assert not calls
@@ -1413,20 +1455,16 @@ def test_each_decode_call_eliminates_once(monkeypatch):
                                          (exhaustive_mwd, exhaustive_mld)],
                          ids=["mwd after mld", "mld after mwd"])
 def test_mwd_and_mld_share_one_elimination_per_problem(monkeypatch, first, then):
-    """Both oracles read one coset per problem, so the second never eliminates."""
+    """Both oracles read one coset per problem, so the second makes no
+    column-basis pass."""
     problem = depolarizing_problem(build_code("surface 2"), 0.05)
     s = problem.h.matvec(np.eye(problem.h.cols, dtype=np.uint8)[3])
-    calls, eliminate = [], F2Matrix.eliminate
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return eliminate(self, *args, **kwargs)
-
-    monkeypatch.setattr(F2Matrix, "eliminate", counted)
+    calls = []
+    _count_solve_passes(monkeypatch, calls)
     first(problem, s)
-    assert len(calls) == 1
+    assert calls == ["coset_transform"]
     then(problem, s)
-    assert len(calls) == 1
+    assert calls == ["coset_transform"]
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],
@@ -1736,7 +1774,7 @@ def test_solution_coset_matches_the_parent_across_calls(kappa):
     """One problem's kernel span serves a run of syndromes, with unsatisfiable
     and malformed ones between them: every block equals the per-call build's
     with class bits byte for byte, its error columns equal the build's
-    without, and the problem eliminates once."""
+    without, and the problem makes one column-basis pass."""
     rng = np.random.default_rng(kappa)
     if kappa == 11:  # the surface2-xzy-mld problem, with a dependent check row added
         base = depolarizing_problem(build_code("surface 2"), 0.05)
@@ -1755,19 +1793,16 @@ def test_solution_coset_matches_the_parent_across_calls(kappa):
     assert problem.h.cols - problem.h.rank() == kappa
     syndromes = [rng.integers(0, 2, len(h), dtype=np.uint8) for _ in range(8)]
     syndromes[3:3] = [np.zeros(len(h) + 1, dtype=np.uint8), np.zeros(len(h), dtype=np.uint8)]
-    seen, calls, eliminate = set(), [], F2Matrix.eliminate
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return eliminate(self, *args, **kwargs)
+    seen, calls = set(), []
 
     def error_columns(problem, s):
         return (b[:, :problem.h.cols] for b in decoders._solution_coset(problem, s))
 
-    with mock.patch.object(F2Matrix, "eliminate", counted):
+    with pytest.MonkeyPatch.context() as patch:
+        _count_solve_passes(patch, calls)
         new = [(_coset_outcome(decoders._solution_coset, problem, s),
                 _coset_outcome(error_columns, problem, s)) for s in syndromes]
-    assert len(calls) == 1
+    assert calls == ["coset_transform"]
     for s, (got, errors) in zip(syndromes, new):
         assert got == _coset_outcome(_parent_solution_coset, problem, s, True)
         assert errors == _coset_outcome(_parent_solution_coset, problem, s, False)

@@ -21,6 +21,7 @@ from qecbench.f2 import (
     vstack,
 )
 
+from coset_reference import reference_coset, reference_coset_transform
 from parity_reference import parity_test
 from span_reference import reference_span_blocks
 
@@ -560,3 +561,70 @@ def test_span_blocks_match_the_picks_product_block_by_block(kappa):
         for a, b in zip(new, old):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+
+def _coset_outcome(f, *args):
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in f(*args)]
+    except NoSolution:
+        return NoSolution
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.sampled_from([0, 1, 3, 7, 8, 9, 63, 64, 65]),
+       cols=st.sampled_from([0, 1, 4, 7, 8, 9, 63, 64, 65]),
+       density=st.sampled_from([0.05, 0.2, 0.5, 0.9]), rank=st.sampled_from(["full", "half", "one"]),
+       order=st.sampled_from(["none", "permutation", "prefix"]), k=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_coset_transform_matches_the_elimination_path(rows, cols, density, rank, order, k, seed):
+    """The column-basis pass against the eliminate-based coset_transform it
+    replaced: the same pivots, free columns and kernel rows, below of the
+    same shape and zero in the same columns, and there the same solutions x
+    (elsewhere x solves nothing, and each path leaves its own); coset raises
+    NoSolution on exactly the same syndromes."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if rank != "full":  # rows are sums of rows / 2 (or of one) random rows
+        basis = dense[:max(rows // 2, 1) if rank == "half" else 1]
+        dense = ((rng.random((rows, len(basis))) < 0.5).astype(np.int64) @ basis & 1).astype(np.uint8)
+    m = F2Matrix.from_dense(dense)
+    listed = {"none": None, "permutation": rng.permutation(cols),
+              "prefix": list(rng.permutation(cols)[:rng.integers(0, cols + 1)])}[order]
+    images = dense.astype(np.int64) @ (rng.random((cols, k)) < 0.5) % 2
+    rhs = np.where(rng.random(k) < 0.5, images, rng.random((rows, k)) < 0.5).astype(np.uint8)
+    pivots, free, kernel, x, below = m.coset_transform(rhs, listed)
+    ref_pivots, ref_free, ref_kernel, ref_x, ref_below = reference_coset_transform(m, rhs, listed)
+    assert below.shape == ref_below.shape
+    solved = ~below.any(axis=0)
+    assert np.array_equal(solved, ~ref_below.any(axis=0))
+    assert x.shape == ref_x.shape
+    for got, expected in ((pivots, ref_pivots), (free, ref_free), (kernel, ref_kernel),
+                          (x[:, solved], ref_x[:, solved])):
+        assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape,
+                                                         expected.tobytes())
+    # x and below are linear in rhs, so those of I map any rhs to its own
+    _, _, _, x_eye, below_eye = m.coset_transform(np.eye(rows, dtype=np.uint8), listed)
+    assert np.array_equal(x, x_eye.astype(np.int64) @ rhs % 2)
+    assert np.array_equal(below, below_eye.astype(np.int64) @ rhs % 2)
+    assert _coset_outcome(m.coset, None, listed) == _coset_outcome(reference_coset, m, None, listed)
+    for j in range(k):
+        assert (_coset_outcome(m.coset, rhs[:, j], listed)
+                == _coset_outcome(reference_coset, m, rhs[:, j], listed))
+
+
+def test_the_column_cache_is_no_part_of_a_matrix_value():
+    """A solve builds a matrix's column ints; its transpose builds its own,
+    and == and hash read the 0/1 entries alone."""
+    dense = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 0], [1, 1, 0, 1, 1]], dtype=np.uint8)
+    m, twin = F2Matrix.from_dense(dense), F2Matrix.from_dense(dense)
+    assert hash(m) == hash(twin)
+    before = m.kernel_basis()  # builds m's columns, not twin's
+    assert m == twin and twin == m and hash(m) == hash(twin)
+    assert len({m, twin}) == 1
+    assert before == twin.kernel_basis() == m.kernel_basis()
+    fresh_t, s = F2Matrix.from_dense(dense.T), dense[0]
+    for t in (m.T, twin.T):
+        assert t == fresh_t and hash(t) == hash(fresh_t)
+        assert t.kernel_basis() == fresh_t.kernel_basis()
+        assert np.array_equal(t.solve_columns(range(3), s), fresh_t.solve_columns(range(3), s))
+    assert m.T.kernel_basis().rows == 0 and m.kernel_basis().rows == 2

@@ -57,8 +57,9 @@ def test_only_f2_reads_the_storage_of_a_matrix():
 
 
 def test_storage_read_detection():
-    (name,) = STORAGE
-    src = (f"m.{name}.copy()\n"
-           f"x = problem.h.{name}[0]\n"
-           "m.to_dense()\n")
-    assert sorted(storage_reads(src)) == [(1, name), (2, name)]
+    assert STORAGE == {"_bits", "_columns"}
+    for name in sorted(STORAGE):
+        src = (f"m.{name}.copy()\n"
+               f"x = problem.h.{name}[0]\n"
+               "m.to_dense()\n")
+        assert sorted(storage_reads(src)) == [(1, name), (2, name)]
