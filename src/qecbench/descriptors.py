@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical import LinearCode, linear_code
-from .errors import QecError
+from .errors import CapacityExceeded, QecError
 from .f2 import from_alist, read_alist, write_alist
 from .graphstate import FoliatedState, detectors
 from .noise import DecodingProblem, Prior, decoding_problem
@@ -81,7 +81,8 @@ def load(path) -> LinearCode | CssCode | StabilizerCode | DecodingProblem:
     descriptor: ``H``/``L``/``prior`` name a decoding problem,
     ``H_X``/``H_Z`` a CSS code and ``generators`` a stabilizer code.
     Any other file is an alist holding a classical check matrix.
-    Malformed content raises ValueError prefixed with the path.
+    Malformed content raises ValueError prefixed with the path; a matrix
+    above f2.DENSE_BYTES raises CapacityExceeded, so the CLI exits 2.
     """
     path = Path(path)
     try:
@@ -89,6 +90,8 @@ def load(path) -> LinearCode | CssCode | StabilizerCode | DecodingProblem:
         if not text.lstrip().startswith("{"):
             return linear_code(from_alist(text))
         return _from_descriptor(path, json.loads(text))
+    except CapacityExceeded as err:
+        raise CapacityExceeded(f"{path}: {err}") from err
     except (ValueError, QecError) as err:
         raise ValueError(f"{path}: {err}") from err
 

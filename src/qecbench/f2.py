@@ -2,12 +2,12 @@
 
 Each matrix holds one read-only (rows, cols) uint8 array of 0s and 1s,
 so stacking, slicing and products are plain numpy: a product is an
-exact float sum on BLAS, reduced to its low bit.  Elimination turns each row
-into one Python int and finds a pivot's rows by their lowest set bit,
-so each pivot XORs only the rows that hold its column.  Every solve goes
-through coset_transform instead, on a column basis: each column is one
-int (its rows, and one bit for itself), built once per matrix, so a column
-order is just the order of one greedy pass and re-packs nothing.
+exact float sum on BLAS, reduced to its low bit.  One kernel does all
+elimination: coset_transform's greedy pass on a column basis, where each
+column is one int (its rows, and one bit for itself), built once per
+matrix, so a column order is just the order of the pass and re-packs
+nothing.  Solves, kernels, rank, independent_rows and eliminate's
+row-reduced form all read its pivots, kernel rows and solutions.
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -20,9 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoRightInverse, NoSolution
+from .errors import CapacityExceeded, NoRightInverse, NoSolution
 
 SPAN_BLOCK = 1 << 14  # rows per block of span_blocks
+DENSE_BYTES = 1 << 30  # largest dense matrix an input file may ask for
 
 
 class F2Matrix:
@@ -113,75 +114,19 @@ class F2Matrix:
         leaving them out of the order yields T @ s or T itself.  Returns
         the pivot columns (in the order they were chosen) and the reduced
         matrix R = T @ M, reduced row-echelon relative to the order, for
-        an invertible T.  Ties are broken by taking the first eligible
-        nonzero row.
+        an invertible T = [x^T; K] from a second pass over M[:, pivots]^T
+        with rhs I: x^T is a left inverse of the pivot columns and K's rows
+        a basis of their left kernel, so the rows from the rank on are zero
+        on every listed column.
         """
-        if column_order is None:
-            order = list(range(self.cols))
-        else:
-            listed, order = _column_order(column_order, self.cols)
-        # Each row becomes one int: listed column order[i] at bit i and the
-        # unlisted columns above them, in their order.  When the order is
-        # 0..n-1 (every call that builds a code) no column moves.
-        n, perm, bits = len(order), None, self._bits
-        if order != list(range(n)):  # so column_order was given
-            rest = np.ones(self.cols, dtype=bool)
-            rest[listed] = False
-            perm = np.concatenate([listed.astype(np.intp, copy=False), np.flatnonzero(rest)])
-            bits = bits[:, perm]
-        rows = _ints(bits)
-        # Forward elimination keeps the rows from position r clear of the listed
-        # bits passed, so low[i] holds the ids of the rows holding bit i; swaps
-        # move positions only (at[position] = id, pos[id] = position).
-        low: dict[int, list[int]] = {}
-        for q, v in enumerate(rows):
-            i = (v & -v).bit_length() - 1
-            if 0 <= i < n:
-                low.setdefault(i, []).append(q)
-        at, pos = list(range(self.rows)), list(range(self.rows))
-        pivots: list[int] = []
-        r = 0
-        for i in range(n):
-            if not low:
-                break
-            hits = low.pop(i, None)
-            if hits is None:
-                continue
-            q = min(hits, key=pos.__getitem__)  # the first row from r that holds bit i
-            p, other = pos[q], at[r]
-            at[r], at[p], pos[q], pos[other] = q, other, r, p
-            row = rows[q]
-            for t in hits:
-                if t != q:
-                    rows[t] = v = rows[t] ^ row
-                    j = (v & -v).bit_length() - 1
-                    if 0 <= j < n:
-                        low.setdefault(j, []).append(t)
-            pivots.append(i)
-            r += 1
-        # R depends only on the rows chosen, so back substitution is one pass
-        # from the last pivot row up, clearing later pivots with finished rows.
-        rows = [rows[q] for q in at]
-        above, row_of = 0, {}
-        for k in range(r - 1, -1, -1):
-            x = rows[k] & above
-            while x:
-                j = x.bit_length() - 1
-                rows[k] ^= rows[row_of[j]]
-                x ^= 1 << j
-            above |= 1 << pivots[k]
-            row_of[pivots[k]] = k
-        out = _unpack(rows, self.cols)
-        if perm is not None:  # column k of the int rows is column perm[k]
-            out, moved = np.empty_like(out), out
-            out[:, perm] = moved
-        return EliminationResult(
-            pivot_columns=tuple(order[i] for i in pivots),
-            reduced=F2Matrix(self.rows, self.cols, out),
-        )
+        pivots = self.coset_transform(cols=column_order)[0]
+        picked = F2Matrix(pivots.size, self.rows, self._bits[:, pivots].T)
+        _, _, kernel, x, _ = picked.coset_transform(np.eye(pivots.size, dtype=np.uint8))
+        t = F2Matrix(self.rows, self.rows, np.vstack([x.T, kernel[:-1]]))
+        return EliminationResult(pivot_columns=tuple(pivots.tolist()), reduced=t @ self)
 
     def rank(self) -> int:
-        return len(self.eliminate().pivot_columns)
+        return self.coset_transform()[0].size
 
     def right_inverse(self) -> "F2Matrix":
         """Return R with self @ R = I; raises if rows are dependent."""
@@ -223,7 +168,7 @@ class F2Matrix:
         combination, zero off the pivots, and below (rows - rank, k) is what
         is left on the rows without a top bit.  Column j of x solves M x =
         rhs[:, j] if column j of below is zero; else none on cols does."""
-        order = range(self.cols) if cols is None else _column_order(cols, self.cols)[1]
+        order = range(self.cols) if cols is None else _column_order(cols, self.cols)
         n, rows = self.cols, self.rows
         if self._columns is None:
             self._columns = [v << n | 1 << j for j, v in enumerate(_ints(self._bits.T))]
@@ -266,8 +211,8 @@ class F2Matrix:
         return self.coset(s, cols)[2][-1].copy()  # a view would pin all the rows
 
 
-def _column_order(column_order, cols: int):
-    """(array, list) of column_order; ValueError unless it lists distinct
+def _column_order(column_order, cols: int) -> list[int]:
+    """column_order as a list of ints; ValueError unless it lists distinct
     int columns in range(cols)."""
     listed = np.asarray(column_order)  # [] comes out as float64
     order = listed.tolist()
@@ -276,7 +221,7 @@ def _column_order(column_order, cols: int):
             or not isinstance(column_order, np.ndarray)
             and {bool, np.bool_} & set(map(type, column_order))):
         raise ValueError("columns must be distinct integers in range(cols)")
-    return listed, order
+    return order
 
 
 def _ints(bits: np.ndarray) -> list[int]:
@@ -309,8 +254,8 @@ class EliminationResult:
 def independent_rows(base: F2Matrix, candidates: F2Matrix) -> list[int]:
     """Indices of the candidate rows that extend span(base) in turn:
     row i is kept when it lies outside span(base, candidates[:i])."""
-    res = vstack([base, candidates]).T.eliminate()
-    return [p - base.rows for p in res.pivot_columns if p >= base.rows]
+    pivots = vstack([base, candidates]).T.coset_transform()[0]
+    return [p - base.rows for p in pivots.tolist() if p >= base.rows]
 
 
 class SparseRows:
@@ -443,6 +388,9 @@ def from_alist(text: str) -> F2Matrix:
         raise ValueError("alist degree lists do not match header")
     if len(lines) < 4 + cols + rows:
         raise ValueError("truncated alist")
+    if rows * cols > DENSE_BYTES:  # the header alone sizes the array
+        raise CapacityExceeded(f"a {rows}x{cols} alist needs {rows * cols} bytes,"
+                               f" above the {DENSE_BYTES} of f2.DENSE_BYTES")
     dense = np.zeros((rows, cols), dtype=np.uint8)
     for j in range(cols):
         entries = [int(x) for x in lines[4 + j].split() if int(x) != 0]

@@ -156,6 +156,21 @@ def test_out_of_memory_exits_two_without_traceback(monkeypatch, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_oversized_alist_exits_two_before_allocating(monkeypatch, tmp_path, capsys):
+    """The header's rows x cols is checked against f2.DENSE_BYTES before the
+    dense array is made; a small budget keeps a broken guard to 4 MB."""
+    monkeypatch.setattr("qecbench.f2.DENSE_BYTES", 1 << 20)
+    big, small = tmp_path / "big.alist", tmp_path / "small.alist"
+    write_alist(F2Matrix(2000, 2000), big)  # zero degrees: 12 kB of text
+    write_alist(F2Matrix(500, 2000), small)
+    code, _, err = run(capsys, "build-code", "problem", str(big))
+    assert code == 2
+    assert err.startswith("error:") and "DENSE_BYTES" in err and "Traceback" not in err
+    code, out, err = run(capsys, "build-code", "problem", str(small))
+    assert (code, err) == (0, "")
+    assert out == small.read_text()
+
+
 def test_sample_bsc_draws_are_seeded(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

@@ -42,7 +42,7 @@ from qecbench.noise import (
 )
 from qecbench.quantum import css_code, four_two_two_checks
 
-from coset_reference import reference_coset
+from coset_reference import reference_coset, reference_reduce
 from parity_reference import parity_test
 from span_reference import reference_span_blocks
 
@@ -1307,8 +1307,8 @@ def test_osd_prepare_rows_lay_out_the_solution_coset(instance):
 
 
 def _separate_kernel_basis(m):
-    res = m.eliminate()
-    pivots = list(res.pivot_columns)
+    pivots, reduced = reference_reduce(m)
+    pivots = list(pivots)
     is_free = np.ones(m.cols, dtype=bool)
     is_free[pivots] = False
     free = np.nonzero(is_free)[0]
@@ -1316,7 +1316,7 @@ def _separate_kernel_basis(m):
         return F2Matrix(0, m.cols)
     basis = np.zeros((free.size, m.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = res.reduced.to_dense()[: len(pivots), free].T
+    basis[:, pivots] = reduced[: len(pivots), free].T
     return F2Matrix.from_dense(basis)
 
 
@@ -1326,13 +1326,13 @@ def _separate_solve_columns(m, cols, s):
         raise ValueError("syndrome length does not match row count")
     if m.cols in np.asarray(cols):
         raise ValueError("columns must be distinct integers in range(cols)")
-    res = hstack([m, F2Matrix.from_dense(s.reshape(-1, 1))]).eliminate(cols)
-    rhs = res.reduced.to_dense()[:, m.cols]
-    r = len(res.pivot_columns)
+    pivots, reduced = reference_reduce(hstack([m, F2Matrix.from_dense(s.reshape(-1, 1))]), cols)
+    rhs = reduced[:, m.cols]
+    r = len(pivots)
     if np.any(rhs[r:]):
         raise NoSolution("syndrome not in the image of the selected columns")
     x = np.zeros(m.cols, dtype=np.uint8)
-    x[list(res.pivot_columns)] = rhs[:r]
+    x[list(pivots)] = rhs[:r]
     return x
 
 
@@ -1346,10 +1346,9 @@ def _separate_osd_prepare(h, s, soft):
     if np.isnan(soft).any():
         raise ValueError("soft information contains NaN")
     order = np.argsort(soft, kind="stable")
-    elim = hstack([h, F2Matrix.from_dense(s.reshape(-1, 1))]).eliminate(order)
-    pivots = np.array(elim.pivot_columns, dtype=np.int64)
+    pivots, reduced = reference_reduce(hstack([h, F2Matrix.from_dense(s.reshape(-1, 1))]), order)
+    pivots = np.array(pivots, dtype=np.int64)
     rank = pivots.size
-    reduced = elim.reduced.to_dense()
     if reduced[rank:, h.cols].any():
         raise Unsatisfiable("syndrome lies outside the image of H")
     in_pivot = np.zeros(h.cols, dtype=bool)
@@ -1731,9 +1730,9 @@ def _parent_solution_coset(problem, s, classes=False):
     s = np.asarray(s, dtype=np.uint8) & 1
     if s.shape != (h.rows,):
         raise ValueError("syndrome length does not match row count")
-    res = hstack([h, F2Matrix(h.rows, 1, s[:, None])]).eliminate(range(h.cols))
-    pivots = np.array(res.pivot_columns, dtype=np.intp)
-    rank, reduced = pivots.size, res.reduced.to_dense()
+    pivots, reduced = reference_reduce(hstack([h, F2Matrix(h.rows, 1, s[:, None])]), range(h.cols))
+    pivots = np.array(pivots, dtype=np.intp)
+    rank = pivots.size
     if reduced[rank:, h.cols:].any():
         raise Unsatisfiable("syndrome lies outside the image of H")
     in_pivot = np.zeros(h.cols, dtype=bool)

@@ -21,7 +21,8 @@ from qecbench.f2 import (
     vstack,
 )
 
-from coset_reference import reference_coset, reference_coset_transform
+from coset_reference import (_unwords, _words, reference_coset, reference_coset_transform,
+                             reference_reduce)
 from parity_reference import parity_test
 from span_reference import reference_span_blocks
 
@@ -158,55 +159,12 @@ def test_eliminate_rejects_malformed_order():
     assert m.eliminate(np.array([1, 0], dtype=np.uint8)).pivot_columns == (1, 0)
 
 
-def _words(m):
-    """m's rows as little-endian uint64 words, the layout F2Matrix stored
-    when the reference loops below ran (a copy of its packing helper)."""
-    dense = np.atleast_2d(np.asarray(m.to_dense(), dtype=np.uint8) & 1)
-    rows, cols = dense.shape
-    words = (cols + 63) // 64
-    if words == 0:
-        return np.zeros((rows, 0), dtype=np.uint64)
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :cols] = dense
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def _reference_eliminate(self, column_order=None):
-    """The elimination loop that F2Matrix.eliminate replaced, kept verbatim
-    as the reference: (pivot columns, reduced words)."""
-    if column_order is None:
-        order = range(self.cols)
-    else:
-        order = np.asarray(column_order).tolist()
-    m = _words(self)
-    pivots: list[int] = []
-    r = 0
-    for col in order:
-        if r == self.rows:
-            break
-        w, b = divmod(col, 64)
-        mask = np.uint64(1 << b)
-        hits = np.nonzero(m[r:, w] & mask)[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        elim = (m[:, w] & mask).astype(bool)
-        elim[r] = False
-        if elim.any():
-            m[elim] ^= m[r]
-        pivots.append(col)
-        r += 1
-    return tuple(pivots), m
-
-
 @settings(max_examples=400, deadline=None)
 @given(rows=st.integers(0, 12), cols=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
        density=st.sampled_from([0.02, 0.1, 0.5, 0.9, 1.0]), dependent=st.booleans(),
        order=st.sampled_from(["all", "permutation", "prefix"]), seed=st.integers(0, 2**32 - 1))
 def test_eliminate_matches_the_reference_loop(rows, cols, density, dependent, order, seed):
-    """Same pivots and the same reduced words on every row, rank on included."""
+    """Same pivots and the same reduced rows as far as eliminate's contract fixes them."""
     rng = np.random.default_rng(seed)
     dense = (rng.random((rows, cols)) < density).astype(np.uint8)
     if dependent and rows >= 2:  # one row becomes the sum of some others
@@ -216,10 +174,26 @@ def test_eliminate_matches_the_reference_loop(rows, cols, density, dependent, or
     m = F2Matrix.from_dense(dense)
     column_order = {"all": None, "permutation": rng.permutation(cols),
                     "prefix": rng.permutation(cols)[:rng.integers(0, max(cols, 1))]}[order]
+    _assert_same_reduction(m, column_order, reference_reduce(m, column_order))
+
+
+def _assert_same_reduction(m, column_order, reference):
+    """eliminate against a reference loop's (pivots, dense R): the same
+    pivots, the same pivot rows and zero rows under them on the listed
+    columns, and the same R when the rows are independent.  The rest of R
+    (dependent rows, unlisted columns) depends on which invertible T is
+    taken, so only a full-rank R, whose T is unique, is compared whole."""
+    pivots, expected = reference
     res = m.eliminate(column_order)
-    pivots, words = _reference_eliminate(m, column_order)
+    reduced = res.reduced.to_dense()
+    listed = range(m.cols) if column_order is None else column_order
+    listed, rank = np.asarray(listed, dtype=np.intp), len(pivots)
     assert res.pivot_columns == pivots
-    assert np.array_equal(_words(res.reduced), words)
+    assert reduced.shape == expected.shape
+    assert np.array_equal(reduced[:rank, listed], expected[:rank, listed])
+    assert not reduced[rank:, listed].any()
+    if rank == m.rows:
+        assert reduced.tobytes() == expected.tobytes()
 
 
 def _argmax_eliminate(self, column_order=None):
@@ -266,7 +240,8 @@ def _assert_same_as_argmax_loop(m, column_order):
        seed=st.integers(0, 2**32 - 1))
 def test_eliminate_matches_the_argmax_loop_on_dependent_rows(rows, cols, density, order, seed):
     """Rank at most rows/2, so at least half the rows are sums of others:
-    same pivots and the same words on every row, dependent rows included."""
+    same pivots, the same pivot rows and zero dependent rows on the listed
+    columns."""
     rng = np.random.default_rng(seed)
     basis = rng.random((rng.integers(0, rows // 2 + 1), cols)) < density
     mix = rng.random((rows, basis.shape[0])) < 0.5
@@ -274,7 +249,8 @@ def test_eliminate_matches_the_argmax_loop_on_dependent_rows(rows, cols, density
     column_order = {"all": None, "permutation": rng.permutation(cols),
                     "prefix": list(rng.permutation(cols)[:rng.integers(0, cols + 1)]),
                     "leading": range(rng.integers(0, cols + 1)), "empty": []}[order]
-    _assert_same_as_argmax_loop(m, column_order)
+    pivots, words = _argmax_eliminate(m, column_order)
+    _assert_same_reduction(m, column_order, (pivots, _unwords(words, m.cols)))
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +277,23 @@ def test_eliminate_matches_the_argmax_loop_on_surface9_osd_inputs(surface9_osd_e
     assert len(surface9_osd_eliminations) >= 20
     for m, order in surface9_osd_eliminations:
         _assert_same_as_argmax_loop(m, order)
+
+
+def test_rank_and_independent_rows_make_one_column_pass(monkeypatch):
+    """Both read the pivots of one coset_transform, and nothing eliminates."""
+    calls = []
+    for name in ("coset_transform", "eliminate"):
+        def counted(self, *args, name=name, method=getattr(F2Matrix, name), **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(F2Matrix, name, counted)
+    m = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert m.rank() == 2
+    assert calls == ["coset_transform"]
+    calls.clear()
+    assert independent_rows(F2Matrix.from_dense([[1, 1, 0]]), m) == [1]
+    assert calls == ["coset_transform"]
 
 
 def test_eliminate_respects_column_order():

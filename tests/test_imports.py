@@ -63,3 +63,21 @@ def test_storage_read_detection():
                f"x = problem.h.{name}[0]\n"
                "m.to_dense()\n")
         assert sorted(storage_reads(src)) == [(1, name), (2, name)]
+
+
+def eliminate_calls(source: str):
+    """Lines that call a method named eliminate."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eliminate"):
+            yield node.lineno
+
+
+def test_no_module_calls_eliminate():
+    """coset_transform is the one elimination kernel; eliminate is kept for
+    callers outside the package and is built on it."""
+    assert list(eliminate_calls("m.eliminate()\nm.rank()\nvstack([a]).T.eliminate(o)\n")) == [1, 3]
+    found = [f"{path.name}:{line} calls .eliminate("
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in eliminate_calls(path.read_text())]
+    assert found == []
