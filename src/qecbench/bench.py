@@ -12,7 +12,8 @@ array operations turn its raw words into a fresh Generator's draws, and
 one [H; L] parity per problem over the block's fault rows gives every
 trial's syndrome and logical class.  For bp and bp+osd, the block's
 distinct nonzero syndromes that its trials will read and that no stored
-answer covers are decoded then, in BP batches (decoders.bp_prefetch).
+answer covers are decoded then, in one BP batch per problem
+(decoders.bp_prefetch).
 Every trial still calls the decoder entry points: bp_decode answers from
 that store, and decoders.memo a syndrome repeated at a rate point.
 """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded
-from .f2 import F2Matrix, independent_rows, span_blocks, vstack
+from .f2 import F2Matrix, check_dense, independent_rows, span_blocks, vstack
 
 DISTANCE_GUARD = 24  # 2^k codewords get enumerated; refuse beyond this
 
@@ -97,6 +97,7 @@ def repetition(n: int) -> LinearCode:
     """Length-n repetition code; H is the (n-1) x n bidiagonal chain."""
     if n < 1:
         raise ValueError("repetition code needs n >= 1")
+    check_dense(n - 1, n, f"repetition {n}")
     h = np.zeros((n - 1, n), dtype=np.uint8)
     for i in range(n - 1):
         h[i, i] = h[i, i + 1] = 1

@@ -20,12 +20,13 @@ costs two products by fixed matrices (its test and its particular
 solution) and one XOR of that solution into the span's table (MLD also
 keeps its weights and the table's class indices per problem).  BP runs
 one loop over a batch of syndromes (bp_batch; bp_decode is a batch of
-one, or an answer bp_prefetch stored through memo), their (rows, dmax)
-message arrays stacked.  A batch builds the scan once as a plan of ufunc
-steps over the slots of its buffers; a round writes the scan's identity
-into the pads by one put, runs the plan, sums each column by one
-bincount, and tests the syndromes on the posterior gather only when a
-hard decision changed.
+one, or an answer bp_prefetch stored through memo, which runs one batch
+per call), their (rows, dmax) message arrays stacked.  The scan is built
+as a plan of ufunc steps over the slots of the batch's buffers, again
+whenever solved rows leave; a round writes the scan's identity into the
+pads by one put, runs the plan, sums each column by one bincount, and
+tests the syndromes (an XOR over the slots of the posterior gather) only
+when a hard decision changed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
 OSD_BLOCK = 512  # index patterns per block of _patterns
 OSD_STEP = 1 << 15  # floats per array in one scoring step of osd_w
-BP_BATCH = 32  # syndromes per bp_batch of bp_prefetch: more run no faster per row
 MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
 MEMO_BYTES = 1 << 24  # nor once a problem's stored keys and answers reach this
 
@@ -107,11 +107,6 @@ def _scan_plan(x: np.ndarray, fill: float):
     return out, steps + [(p[j], s[d - 1 - j], out[..., j]) for j in range(1, d - 1)]
 
 
-def _clip(a: np.ndarray, clamp: float) -> np.ndarray:
-    """a.clip(-clamp, clamp, out=a), bit for bit, without ndarray.clip's Python wrapper."""
-    return np.minimum(np.maximum(a, -clamp, out=a), clamp, out=a)
-
-
 @np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
 def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()):
     """Flooding BP on the Tanner graph of the problem's check matrix for each
@@ -121,8 +116,8 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
     Each round runs every check-to-bit update, then every bit-to-check
     update, hard-decides on the posterior sign (ties decide "no fault"),
     and tests each row's syndrome equation.  Under early_stop a row that
-    matches keeps that round's answer; the arrays drop such rows once
-    half of theirs are.
+    matches keeps that round's answer and leaves the arrays before the
+    next round, so a round works only on the rows still unsolved.
     """
     g = problem.tanner
     rows, cols = g.shape
@@ -132,7 +127,7 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
     n, clamp = len(s), cfg.llr_clamp
     lam = np.zeros(cols + 1)  # 0 for the pads' column
     lam[:cols] = problem.prior.llr
-    _clip(lam, clamp)
+    lam.clip(-clamp, clamp, out=lam)
     posteriors, converged = np.empty((n, cols)), np.zeros(n, dtype=bool)
     iterations = np.full(n, cfg.max_iterations)
     if g.col.size == 0 or n == 0:
@@ -150,22 +145,21 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
     # the minimum over no other edge (degree-1 checks)
     op, fill = (np.multiply, 1.0) if sum_product else (np.minimum, clamp)
     msg_v2c = lam[pad_col][None].repeat(n, axis=0)
-    # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
-    ones, tested = np.ones(dmax, dtype=np.uint8), None
-    live, done, keep, plan = np.arange(n), np.zeros(n, dtype=bool), slice(None), None
+    # row i's pads, and its bins i (cols + 1) + [0, cols]; b live rows take the first b rows'
+    all_pads = (g.pads + np.arange(0, msg_v2c.size, pad_col.size)[:, None]).ravel()
+    all_at = (pad_col + np.arange(0, n * (cols + 1), cols + 1)[:, None, None]).reshape(-1, dmax)
+    all_lam = np.tile(lam, n)
+    live, keep, tested, b = np.arange(n), None, None, 0
     for iteration in range(1, cfg.max_iterations + 1):
-        if plan is None:  # the first round, or half the rows are done: drop them
-            live, s, sign, msg_v2c, done = live[keep], s[keep], sign[keep], msg_v2c[keep], done[keep]
-            # a round works on (live rows x rows, dmax) views, whose slot
-            # views are 1-D as for one syndrome
+        if keep is not None:  # the rows solved last round leave
+            live, s, sign, msg_v2c, keep = live[keep], s[keep], sign[keep], msg_v2c[keep], None
+        if b != live.size:  # a round works on (live rows x rows, dmax) views,
+            # whose slot views are 1-D as for one syndrome
             v2c, row_sign, b = msg_v2c.reshape(-1, dmax), sign.reshape(-1, 1), live.size
             scan, signs = np.empty_like(v2c), None if sum_product else np.empty_like(v2c)
             extrinsic, plan = _scan_plan(scan, fill)
-            # row i's pads, and its bins i (cols + 1) + [0, cols]
-            pads = (g.pads + np.arange(0, v2c.size, pad_col.size)[:, None]).ravel()
-            at = (pad_col + np.arange(0, b * (cols + 1), cols + 1)[:, None, None]).reshape(-1, dmax)
-            flat_at, lam_b = at.ravel(), np.tile(lam, b)
-            weights = (extrinsic if sum_product else signs).ravel()  # msg_c2v's buffer
+            pads, at, lam_b = all_pads[:b * g.pads.size], all_at[:len(v2c)], all_lam[:b * (cols + 1)]
+            flat_at, weights = at.ravel(), (extrinsic if sum_product else signs).ravel()
         if sum_product:
             np.tanh(np.multiply(v2c, 0.5, out=scan), out=scan)
         else:
@@ -183,7 +177,7 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
             msg_c2v = np.multiply(row_sign * np.multiply.reduce(signs, axis=1, keepdims=True),
                                   signs, out=signs)
             msg_c2v *= extrinsic
-        _clip(msg_c2v, clamp)
+        msg_c2v.clip(-clamp, clamp, out=msg_c2v)
 
         # bincount adds each column's messages one at a time in row-major
         # edge order, so every sum is fixed to the bit by the graph alone
@@ -192,29 +186,27 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
         posterior[cols::cols + 1] = 0.0  # pads read "no fault" in the gather below
         # scan is free until the next round; "clip" lets take skip its bounds buffer
         gathered = posterior.take(at, out=scan, mode="clip")
-        _clip(np.subtract(gathered, msg_c2v, out=v2c), clamp)
+        np.subtract(gathered, msg_c2v, out=v2c).clip(-clamp, clamp, out=v2c)
 
         # converged must describe the correction we return, so it is kept
         # for every round: without early stopping a later sweep may undo an
         # intermediate syndrome match.  It depends on the hard decisions
         # alone, so they are tested only when one of them changes.
-        hard = gathered < 0
+        hard = (gathered < 0).view(np.uint8)
         if (key := hard.tobytes()) == tested:
             continue
-        parity = (hard.view(np.uint8) @ ones & 1).reshape(b, -1)
-        tested, solved = key, (parity == s).all(axis=1)
+        parity = hard[:, 0].copy()  # a pad's hard decision is 0
+        for j in range(1, dmax):
+            parity ^= hard[:, j]
+        tested, solved = key, (parity.reshape(b, -1) == s).all(axis=1)
         if cfg.early_stop and solved.any():
             posteriors[live[solved]] = posterior.reshape(b, -1)[solved, :cols]
             converged[live[solved]], iterations[live[solved]] = True, iteration
-            # a parity is 0 or 1, so a done row never matches again
-            s[solved], tested, done = 2, None, done | solved
-            if done.all():
+            if solved.all():
                 break
-            if 2 * np.count_nonzero(done) >= b:
-                keep, plan = ~done, None
-    rest = ~done  # the rows that ran every round
-    posteriors[live[rest]] = posterior.reshape(b, -1)[rest, :cols]
-    converged[live[rest]] = solved[rest]
+            keep = ~solved
+    posteriors[live] = posterior.reshape(b, -1)[:, :cols]  # the rows of the last round
+    converged[live] = solved
     return (posteriors < 0).view(np.uint8), converged, iterations, posteriors
 
 
@@ -230,18 +222,18 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
 
 def bp_prefetch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
                 held: tuple = ()) -> None:
-    """bp_batch over the distinct rows of the (n, rows) uint8 0/1 syndromes
-    s that memo holds under neither ("bp", cfg) nor the key held, BP_BATCH
-    rows at a time; memo stores each row's answer under ("bp", cfg), where
-    bp_decode reads it once and takes it out (held keeps the repeats)."""
+    """One bp_batch over the distinct rows of the (n, rows) uint8 0/1
+    syndromes s that memo holds under neither ("bp", cfg) nor the key held;
+    memo stores each row's answer under ("bp", cfg), where bp_decode reads
+    it once and takes it out (held keeps the repeats)."""
     answers, size = problem.answers, s.shape[1]
     if len(answers) >= MEMO_LIMIT or answers.nbytes >= MEMO_BYTES:
         return  # nothing more would be stored
     ours, shape, data = ("bp", cfg), (size,), s.tobytes()
     todo = [r for r in dict.fromkeys(data[i:i + size] for i in range(0, len(data), size or 1))
             if ours + (shape, r) not in answers and held + (shape, r) not in answers]
-    for lo in range(0, len(todo), BP_BATCH):
-        batch = np.frombuffer(b"".join(todo[lo:lo + BP_BATCH]), dtype=np.uint8).reshape(-1, size)
+    if todo:
+        batch = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), size)
         c, converged, iterations, posteriors = bp_batch(problem, batch, cfg)
         for row, answer in zip(batch, zip(c, converged.tolist(), iterations.tolist(), posteriors)):
             memo(problem, ours, row, lambda _, answer=answer: answer)
@@ -250,24 +242,25 @@ def bp_prefetch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfi
 # -- ordered statistics ------------------------------------------------------
 
 
-def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray):
-    """h.coset(s) with the columns ranked by soft, most likely in error first;
-    its last row is the OSD-0 solution.  NaN soft information has no rank,
-    so it raises ValueError; +-inf is legal."""
+def _osd_prepare(h: F2Matrix, s: np.ndarray, soft: np.ndarray, full: bool = True):
+    """h.coset(s) with the columns ranked by soft, most likely in error first
+    (without its kernel rows unless full); its last row is the OSD-0
+    solution.  NaN soft information has no rank, so it raises ValueError;
+    +-inf is legal."""
     soft = np.asarray(soft, dtype=np.float64)
     if soft.shape != (h.cols,):
         raise ValueError("soft information length does not match column count")
     if np.isnan(soft).any():
         raise ValueError("soft information contains NaN")
     try:
-        return h.coset(s, np.argsort(soft, kind="stable"))
+        return h._coset(s, np.argsort(soft, kind="stable"), full)
     except NoSolution:
         raise Unsatisfiable("syndrome lies outside the image of H") from None
 
 
 def osd0(h: F2Matrix, s: np.ndarray, soft: np.ndarray) -> np.ndarray:
     """Solve H c = s on the most-reliable independent column set."""
-    return _osd_prepare(h, s, soft)[2][-1].copy()  # a view would pin all the rows
+    return _osd_prepare(h, s, soft, False)[2][0]
 
 
 def _patterns(f: int, w: int, block: int = OSD_BLOCK):

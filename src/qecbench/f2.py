@@ -6,8 +6,9 @@ exact float sum on BLAS, reduced to its low bit.  One kernel does all
 elimination: coset_transform's greedy pass on a column basis, where each
 column is one int (its rows, and one bit for itself), built once per
 matrix, so a column order is just the order of the pass and re-packs
-nothing.  Solves, kernels, rank, independent_rows and eliminate's
-row-reduced form all read its pivots, kernel rows and solutions.
+nothing.  Solves, kernels, rank, independent_rows and eliminate read its
+pivots, kernel rows and solutions; those that read no kernel rows stop
+the pass once its pivots span the rows (_pass, which coset_transform wraps).
 
 Also implements the MacKay ``alist`` sparse text format used to
 exchange parity-check matrices.
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import CapacityExceeded, NoRightInverse, NoSolution
 
 SPAN_BLOCK = 1 << 14  # rows per block of span_blocks
-DENSE_BYTES = 1 << 30  # largest dense matrix an input file may ask for
+DENSE_BYTES = 1 << 30  # largest dense matrix an input file or code size may ask for
 
 
 class F2Matrix:
@@ -119,21 +120,21 @@ class F2Matrix:
         a basis of their left kernel, so the rows from the rank on are zero
         on every listed column.
         """
-        pivots = self.coset_transform(cols=column_order)[0]
+        pivots = self._pass(None, column_order, False)[0]
         picked = F2Matrix(pivots.size, self.rows, self._bits[:, pivots].T)
         _, _, kernel, x, _ = picked.coset_transform(np.eye(pivots.size, dtype=np.uint8))
         t = F2Matrix(self.rows, self.rows, np.vstack([x.T, kernel[:-1]]))
         return EliminationResult(pivot_columns=tuple(pivots.tolist()), reduced=t @ self)
 
     def rank(self) -> int:
-        return self.coset_transform()[0].size
+        return self._pass(None, None, False)[0].size
 
     def right_inverse(self) -> "F2Matrix":
         """Return R with self @ R = I; raises if rows are dependent."""
-        pivots, _, _, x, _ = self.coset_transform(np.eye(self.rows, dtype=np.uint8))
+        pivots, _, _, xs, _ = self._pass(np.eye(self.rows, dtype=np.uint8), None, False)
         if pivots.size < self.rows:
             raise NoRightInverse(f"rank {pivots.size} < {self.rows} rows")
-        return F2Matrix(self.cols, self.rows, x)
+        return F2Matrix(self.cols, self.rows, _unpack(xs, self.cols).T)
 
     def coset(self, s: np.ndarray | None = None, cols: Sequence[int] | None = None):
         """Lay out the solutions of M x = s supported on ``cols``, in one pass.
@@ -145,16 +146,18 @@ class F2Matrix:
         the last row is the solution that is zero off the pivots (zero for
         s = None).  Raises NoSolution if no solution uses only ``cols``.
         """
+        return self._coset(s, cols, True)
+
+    def _coset(self, s, cols, full: bool):
+        """coset, whose rows are only the solution unless full."""
         if s is not None:
             s = np.asarray(s, dtype=np.uint8) & 1
             if s.shape != (self.rows,):
                 raise ValueError("syndrome length does not match row count")
-        pivots, free, rows, x, below = self.coset_transform(s if s is None else s[:, None], cols)
+        pivots, free, kernel, xs, below = self._pass(s if s is None else s[:, None], cols, full)
         if below.any():  # empty for s = None
             raise NoSolution("syndrome not in the image of the selected columns")
-        if s is not None:
-            rows[-1] = x[:, 0]
-        return pivots, free, rows
+        return pivots, free, _unpack(kernel + (xs or [0]), self.cols)
 
     def coset_transform(self, rhs: np.ndarray | None = None,
                         cols: Sequence[int] | None = None):
@@ -168,6 +171,13 @@ class F2Matrix:
         combination, zero off the pivots, and below (rows - rank, k) is what
         is left on the rows without a top bit.  Column j of x solves M x =
         rhs[:, j] if column j of below is zero; else none on cols does."""
+        pivots, free, kernel, xs, below = self._pass(rhs, cols, True)
+        return pivots, free, _unpack(kernel + [0], self.cols), _unpack(xs, self.cols).T, below
+
+    def _pass(self, rhs, cols, full: bool):
+        """coset_transform's pass, its kernel rows and x as lists of ints.
+        Unless full, it stops once the pivots span the rows and returns no
+        kernel rows, so free may be short."""
         order = range(self.cols) if cols is None else _column_order(cols, self.cols)
         n, rows = self.cols, self.rows
         if self._columns is None:
@@ -178,6 +188,8 @@ class F2Matrix:
         columns, basis, limit = self._columns, [0] * (n + rows + 1), 1 << n
         pivots, free, kernel, tops = [], [], [], 0
         for j in order:
+            if not full and len(pivots) == rows:
+                break
             e = columns[j]
             while e >= limit:  # some row bit is left
                 i = e.bit_length()
@@ -199,7 +211,7 @@ class F2Matrix:
             left.append(e >> n)
         below = _unpack(left, rows)[:, [r for r in range(rows) if not basis[n + r + 1]]].T
         return (np.array(pivots, dtype=np.intp), np.array(free, dtype=np.intp),
-                _unpack(kernel + [0], n), _unpack(xs, n).T, below)
+                kernel if full else [], xs, below)
 
     def kernel_basis(self) -> "F2Matrix":
         """Rows form a basis of the null space {v : M v = 0}."""
@@ -208,7 +220,7 @@ class F2Matrix:
 
     def solve_columns(self, cols: Sequence[int], s: np.ndarray) -> np.ndarray:
         """Solve M x = s with x supported on ``cols``, dense; NoSolution if none is."""
-        return self.coset(s, cols)[2][-1].copy()  # a view would pin all the rows
+        return self._coset(s, cols, False)[2][0]
 
 
 def _column_order(column_order, cols: int) -> list[int]:
@@ -254,7 +266,7 @@ class EliminationResult:
 def independent_rows(base: F2Matrix, candidates: F2Matrix) -> list[int]:
     """Indices of the candidate rows that extend span(base) in turn:
     row i is kept when it lies outside span(base, candidates[:i])."""
-    pivots = vstack([base, candidates]).T.coset_transform()[0]
+    pivots = vstack([base, candidates]).T._pass(None, None, False)[0]
     return [p - base.rows for p in pivots.tolist() if p >= base.rows]
 
 
@@ -377,6 +389,13 @@ def to_alist(m: F2Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_dense(rows: int, cols: int, what: str) -> None:
+    """Raise CapacityExceeded if a dense rows x cols uint8 array exceeds DENSE_BYTES."""
+    if rows * cols > DENSE_BYTES:
+        raise CapacityExceeded(f"{what} needs {rows * cols} bytes,"
+                               f" above the {DENSE_BYTES} of f2.DENSE_BYTES")
+
+
 def from_alist(text: str) -> F2Matrix:
     lines = text.splitlines()
     if len(lines) < 4:
@@ -388,9 +407,7 @@ def from_alist(text: str) -> F2Matrix:
         raise ValueError("alist degree lists do not match header")
     if len(lines) < 4 + cols + rows:
         raise ValueError("truncated alist")
-    if rows * cols > DENSE_BYTES:  # the header alone sizes the array
-        raise CapacityExceeded(f"a {rows}x{cols} alist needs {rows * cols} bytes,"
-                               f" above the {DENSE_BYTES} of f2.DENSE_BYTES")
+    check_dense(rows, cols, f"a {rows}x{cols} alist")  # the header alone sizes the array
     dense = np.zeros((rows, cols), dtype=np.uint8)
     for j in range(cols):
         entries = [int(x) for x in lines[4 + j].split() if int(x) != 0]

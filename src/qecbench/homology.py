@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .classical import LinearCode, distance as classical_distance
 from .errors import NotAComplex
-from .f2 import F2Matrix, hstack, kron
+from .f2 import F2Matrix, check_dense, hstack, kron
 from .quantum import CssCode, css_code
 
 
@@ -116,6 +116,7 @@ def hypergraph_product(a: LinearCode, b: LinearCode) -> CssCode:
     ha, hb = a.h, b.h
     na, ma = ha.cols, ha.rows
     nb, mb = hb.cols, hb.rows
+    check_dense(ma * mb + na * nb, na * mb + ma * nb, "the hypergraph product's hx and hz")
     hx = hstack([kron(ha, F2Matrix.identity(mb)), kron(F2Matrix.identity(ma), hb)])
     hz = hstack([kron(F2Matrix.identity(na), hb.T), kron(ha.T, F2Matrix.identity(nb))])
     return css_code(hx, hz)

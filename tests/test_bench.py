@@ -579,15 +579,24 @@ def test_prefetch_skips_the_rows_that_memo_holds():
     ("surface 3", "split-xz", "bp", 300),
     ("surface 3", "split-xz", "bp+osd 1", 100),
     ("hamming", "bsc", "bp", 200),
+    ("surface 5", "split-xz", "bp", 256),  # blocks of more than 32 distinct syndromes
 ])
 def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatch, code, noise,
                                                                        decoder, trials):
     """Each bp_decode call of a run finds its answer stored: the batches
     decode exactly as many rows as there are calls, so no trial decodes its
-    own syndrome and no batch decodes a row that no trial reads."""
-    batch, decode_bp, rows, calls = decoders.bp_batch, decoders.bp_decode, [], []
+    own syndrome and no batch decodes a row that no trial reads.  Each
+    problem runs at most one batch per block of trials, of at most _BLOCK
+    rows."""
+    batch, decode_bp, block_keys = decoders.bp_batch, decoders.bp_decode, bench._block_keys
+    block, batches, rows, calls = [None], [], [], []
+
+    def keyed_block(*args):
+        block[0] = args
+        return block_keys(*args)
 
     def counted_batch(problem, s, cfg):
+        batches.append((id(problem), block[0]))
         rows.append(len(s))
         return batch(problem, s, cfg)
 
@@ -595,12 +604,15 @@ def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatc
         calls.append(1)
         return decode_bp(*args)
 
+    monkeypatch.setattr(bench._streams, "block", None)  # no keys cached from another run
+    monkeypatch.setattr(bench, "_block_keys", keyed_block)
     monkeypatch.setattr(decoders, "bp_batch", counted_batch)
     monkeypatch.setattr(decoders, "bp_decode", counted_decode)
     monkeypatch.setattr(bench, "bp_decode", counted_decode)
     run_benchmark(BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05, 0.1),
                                   trials=trials, seed=2))
-    assert len(calls) > 10 and sum(rows) == len(calls) and max(rows) <= decoders.BP_BATCH
+    assert len(calls) > 10 and sum(rows) == len(calls) and max(rows) <= bench._BLOCK
+    assert None not in batches and len(set(batches)) == len(batches)
 
 
 @pytest.mark.parametrize("code,noise,decoder,problems", [

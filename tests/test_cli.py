@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -169,6 +170,36 @@ def test_oversized_alist_exits_two_before_allocating(monkeypatch, tmp_path, caps
     code, out, err = run(capsys, "build-code", "problem", str(small))
     assert (code, err) == (0, "")
     assert out == small.read_text()
+
+
+@pytest.mark.parametrize("spec", ["surface 100000", "repetition 100000"])
+def test_oversized_codes_exit_two_before_allocating(capsys, spec):
+    """repetition 100000's H alone would take 9.3 GiB; the size is checked
+    against f2.DENSE_BYTES first, so the traced peak stays small."""
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "build-code", *spec.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.startswith("error:") and "DENSE_BYTES" in err and "Traceback" not in err
+    assert peak < 64 << 20
+
+
+def test_oversized_hypergraph_product_exits_two_before_allocating(monkeypatch, tmp_path, capsys):
+    """hx and hz of the product are checked before kron builds them; a small
+    budget keeps a broken guard to about 20 MB, and a product inside it
+    builds as before."""
+    monkeypatch.setattr("qecbench.f2.DENSE_BYTES", 1 << 20)
+    out = tmp_path / "code.json"
+    code, _, err = run(capsys, "build-code", "hgp", "repetition", "40", "repetition", "40",
+                       "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err.startswith("error:") and "hypergraph product" in err and "Traceback" not in err
+    code, _, err = run(capsys, "build-code", "hgp", "repetition", "12", "repetition", "12",
+                       "--out", str(out))
+    assert (code, err) == (0, "") and out.exists()
 
 
 def test_sample_bsc_draws_are_seeded(tmp_path, capsys):

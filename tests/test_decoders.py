@@ -27,7 +27,6 @@ from qecbench.decoders import (
     success,
     _osd_prepare,
     _osd_steps,
-    _clip,
     _patterns,
     _scan_plan,
 )
@@ -246,12 +245,21 @@ def test_others_product_matches_brute_force(rows):
                           _brute_others(rows, np.prod, 1.0))
 
 
+def _clip(a, clamp):
+    """decoders._clip before bp_batch clipped by ndarray.clip, kept verbatim:
+    a.clip(-clamp, clamp, out=a), bit for bit, without ndarray.clip's Python
+    wrapper.  The earlier loops copied below clip through it."""
+    return np.minimum(np.maximum(a, -clamp, out=a), clamp, out=a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, _row_shapes, elements=st.one_of(
            st.sampled_from([np.inf, -np.inf, 0.0, -0.0, np.nan, 30.0, -30.0, 1e300, -1e-300]),
            st.floats(-100.0, 100.0))),
        st.sampled_from([0.5, 20.0, 30.0]))
 def test_clip_matches_ndarray_clip_bit_for_bit(a, clamp):
+    """The maximum and minimum ufuncs of the earlier loops clip as
+    ndarray.clip, which bp_batch calls, does: signed zeros and NaN too."""
     want = a.clip(-clamp, clamp)
     got = a.copy()
     assert _clip(got, clamp) is got
@@ -260,24 +268,17 @@ def test_clip_matches_ndarray_clip_bit_for_bit(a, clamp):
 
 @pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
 @pytest.mark.parametrize("early_stop", [True, False])
-def test_bp_messages_unchanged_by_the_clip_ufuncs(monkeypatch, variant, early_stop):
-    """bp_decode with ndarray.clip in place of _clip returns the same bits."""
+def test_bp_messages_unchanged_by_the_clip_ufuncs(variant, early_stop):
+    """bp_decode, clipping by ndarray.clip, returns the bits of the loop
+    that clipped by the maximum and minimum ufuncs."""
     code = build_code("surface 5")
     problems = [depolarizing_problem(code, p, "split-xz")[0] for p in (0.03, 0.1)]
     cfg = BpConfig(variant=variant, early_stop=early_stop, max_iterations=12)
-
-    def sweep():
-        out = []
-        for seed, problem in itertools.product(range(25), problems):
-            e = (np.random.default_rng(seed).random(problem.h.cols) < 0.08).astype(np.uint8)
-            res = bp_decode(problem, problem.tanner.parity(e), cfg)
-            out.append((res.correction.tobytes(), res.converged, res.iterations_used,
-                        res.posterior_llr.tobytes()))
-        return out
-
-    fast = sweep()
-    monkeypatch.setattr(decoders, "_clip", lambda a, clamp: a.clip(-clamp, clamp, out=a))
-    assert sweep() == fast
+    for seed, problem in itertools.product(range(25), problems):
+        e = (np.random.default_rng(seed).random(problem.h.cols) < 0.08).astype(np.uint8)
+        s = problem.tanner.parity(e)
+        want = [a[0] for a in _bp_batch_before_the_drop(problem, s[None], cfg)]
+        assert _bp_outcome(bp_decode(problem, s, cfg)) == _bp_outcome(DecodeResult(*want))
 
 
 def test_bp_rejects_wrong_syndrome_length():
@@ -871,6 +872,191 @@ def test_bp_batch_takes_a_batch_of_rows():
     assert c.shape == posteriors.shape == (0, 3) and converged.size == iterations.size == 0
 
 
+@np.errstate(divide="ignore")  # arctanh(+-1) is +-inf, which the clamp then bounds
+def _bp_batch_before_the_drop(problem, s, cfg=BpConfig()):
+    """decoders.bp_batch before each solved row left at once, kept
+    verbatim (with _clip and the parity as a uint8 product): flooding BP
+    on the Tanner graph of the problem's check matrix for each row of the
+    (n, rows) syndromes s: (corrections, converged, iterations,
+    posteriors), row i answering s[i] with the bits a batch of one gives.
+
+    Each round runs every check-to-bit update, then every bit-to-check
+    update, hard-decides on the posterior sign (ties decide "no fault"),
+    and tests each row's syndrome equation.  Under early_stop a row that
+    matches keeps that round's answer; the arrays drop such rows once
+    half of theirs are.
+    """
+    g = problem.tanner
+    rows, cols = g.shape
+    s = np.asarray(s, dtype=np.uint8) & 1
+    if s.ndim != 2 or s.shape[1] != rows:
+        raise ValueError(f"syndromes of shape {s.shape} do not match {rows} checks")
+    n, clamp = len(s), cfg.llr_clamp
+    lam = np.zeros(cols + 1)  # 0 for the pads' column
+    lam[:cols] = problem.prior.llr
+    _clip(lam, clamp)
+    posteriors, converged = np.empty((n, cols)), np.zeros(n, dtype=bool)
+    iterations = np.full(n, cfg.max_iterations)
+    if g.col.size == 0 or n == 0:
+        posteriors[:], iterations[:] = lam[:cols], 1
+        converged[:] = (g.parity((posteriors < 0).view(np.uint8)) == s).all(axis=1)
+        return (posteriors < 0).view(np.uint8), converged, iterations, posteriors
+
+    # each row's messages stay in g's padded (rows, dmax) layout: pads hold
+    # the scan's identity, and their messages only reach the dummy column cols
+    pad_col, dmax = g.pad_col, g.pad_col.shape[1]
+    # the syndrome sign, and the factor 2 or the min-sum scale: exact multiplies
+    sum_product = cfg.variant == "sum-product"
+    sign = (1.0 - 2.0 * s)[..., None] * (2.0 if sum_product else cfg.min_sum_scale)
+    # |msg| <= clamp, so clamp is min's identity here and stands in for
+    # the minimum over no other edge (degree-1 checks)
+    op, fill = (np.multiply, 1.0) if sum_product else (np.minimum, clamp)
+    msg_v2c = lam[pad_col][None].repeat(n, axis=0)
+    # uint8 counts of a row's hard decisions keep its parity; an empty row's is 0
+    ones, tested = np.ones(dmax, dtype=np.uint8), None
+    live, done, keep, plan = np.arange(n), np.zeros(n, dtype=bool), slice(None), None
+    for iteration in range(1, cfg.max_iterations + 1):
+        if plan is None:  # the first round, or half the rows are done: drop them
+            live, s, sign, msg_v2c, done = live[keep], s[keep], sign[keep], msg_v2c[keep], done[keep]
+            # a round works on (live rows x rows, dmax) views, whose slot
+            # views are 1-D as for one syndrome
+            v2c, row_sign, b = msg_v2c.reshape(-1, dmax), sign.reshape(-1, 1), live.size
+            scan, signs = np.empty_like(v2c), None if sum_product else np.empty_like(v2c)
+            extrinsic, plan = _scan_plan(scan, fill)
+            # row i's pads, and its bins i (cols + 1) + [0, cols]
+            pads = (g.pads + np.arange(0, v2c.size, pad_col.size)[:, None]).ravel()
+            at = (pad_col + np.arange(0, b * (cols + 1), cols + 1)[:, None, None]).reshape(-1, dmax)
+            flat_at, lam_b = at.ravel(), np.tile(lam, b)
+            weights = (extrinsic if sum_product else signs).ravel()  # msg_c2v's buffer
+        if sum_product:
+            np.tanh(np.multiply(v2c, 0.5, out=scan), out=scan)
+        else:
+            np.abs(v2c, out=scan)
+        scan.put(pads, fill)
+        for a, c, o in plan:
+            op(a, c, out=o)
+        if sum_product:
+            msg_c2v = np.multiply(row_sign, np.arctanh(extrinsic, out=extrinsic), out=extrinsic)
+        else:
+            # copysign(1, -0.0) = -1 only flips the other edges' zero messages,
+            # and -0 and +0 add and subtract alike into the posterior
+            np.copysign(1.0, v2c, out=signs)
+            signs.put(pads, 1.0)
+            msg_c2v = np.multiply(row_sign * np.multiply.reduce(signs, axis=1, keepdims=True),
+                                  signs, out=signs)
+            msg_c2v *= extrinsic
+        _clip(msg_c2v, clamp)
+
+        # bincount adds each column's messages one at a time in row-major
+        # edge order, so every sum is fixed to the bit by the graph alone
+        posterior = np.bincount(flat_at, weights=weights, minlength=lam_b.size)
+        posterior += lam_b
+        posterior[cols::cols + 1] = 0.0  # pads read "no fault" in the gather below
+        # scan is free until the next round; "clip" lets take skip its bounds buffer
+        gathered = posterior.take(at, out=scan, mode="clip")
+        _clip(np.subtract(gathered, msg_c2v, out=v2c), clamp)
+
+        # converged must describe the correction we return, so it is kept
+        # for every round: without early stopping a later sweep may undo an
+        # intermediate syndrome match.  It depends on the hard decisions
+        # alone, so they are tested only when one of them changes.
+        hard = gathered < 0
+        if (key := hard.tobytes()) == tested:
+            continue
+        parity = (hard.view(np.uint8) @ ones & 1).reshape(b, -1)
+        tested, solved = key, (parity == s).all(axis=1)
+        if cfg.early_stop and solved.any():
+            posteriors[live[solved]] = posterior.reshape(b, -1)[solved, :cols]
+            converged[live[solved]], iterations[live[solved]] = True, iteration
+            # a parity is 0 or 1, so a done row never matches again
+            s[solved], tested, done = 2, None, done | solved
+            if done.all():
+                break
+            if 2 * np.count_nonzero(done) >= b:
+                keep, plan = ~done, None
+    rest = ~done  # the rows that ran every round
+    posteriors[live[rest]] = posterior.reshape(b, -1)[rest, :cols]
+    converged[live[rest]] = solved[rest]
+    return (posteriors < 0).view(np.uint8), converged, iterations, posteriors
+
+
+def _bp_batch_outcome(out):
+    """bp_batch's four arrays as bytes, their dtypes and shapes."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in out]
+
+
+def _surface_batch(problem, n, seed):
+    """n syndromes of split-xz errors at rates 0.01 to 0.15, so rows converge
+    in different rounds or never, with repeated and all-zero rows."""
+    rng = np.random.default_rng(seed)
+    p = rng.choice([0.0, 0.01, 0.05, 0.1, 0.15], size=(n, 1))
+    s = problem.tanner.parity((rng.random((n, problem.h.cols)) < p).view(np.uint8))
+    return s[rng.integers(0, n, size=n)] if n > 3 else s  # repeats
+
+
+def _empty_row_problem():
+    """Surface 3's Z side with an empty check appended: a 1 there never converges."""
+    h = depolarizing_problem(build_code("surface 3"), 0.05, "split-xz")[1].h.to_dense()
+    return make_problem(np.vstack([h, np.zeros((1, h.shape[1]), dtype=np.uint8)]), 0.05)
+
+
+@pytest.mark.parametrize("code", ["surface 3", "surface 5", "surface 9", "empty row"])
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("max_iterations", [1, 2, 32])
+def test_bp_batch_matches_the_batch_before_the_drop(code, variant, early_stop, max_iterations):
+    """Batches of 1 to 128 rows: the same corrections, convergence flags,
+    iteration counts and posterior bytes as the loop that kept solved rows
+    until half of them were."""
+    cfg = BpConfig(variant=variant, early_stop=early_stop, max_iterations=max_iterations)
+    problems = ([_empty_row_problem()] if code == "empty row"
+                else depolarizing_problem(build_code(code), 0.05, "split-xz"))
+    for problem, n in itertools.product(problems, (1, 2, 17, 128)):
+        s = _surface_batch(problem, n, n)
+        if code == "empty row":
+            s[::3, -1] = 1
+        got = decoders.bp_batch(problem, s, cfg)
+        assert _bp_batch_outcome(got) == _bp_batch_outcome(_bp_batch_before_the_drop(problem, s, cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bp_batches())
+def test_bp_batch_matches_the_batch_before_the_drop_on_random_graphs(instance):
+    problem, s, cfg = instance
+    want = _bp_batch_before_the_drop(problem, s, cfg)
+    assert _bp_batch_outcome(decoders.bp_batch(problem, s, cfg)) == _bp_batch_outcome(want)
+
+
+@pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_bp_batch_rounds_run_only_the_unsolved_rows(monkeypatch, variant, early_stop):
+    """The rows in each round's scan, summed over the rounds, equal the
+    rows' summed iterations: a row leaves the round after the one that
+    solves it, and a batch of 128 rows runs as one."""
+    problem = depolarizing_problem(build_code("surface 9"), 0.05, "split-xz")[1]
+    plan, live = decoders._scan_plan, []
+
+    def spied(x, fill):
+        out, steps = plan(x, fill)
+
+        class Steps(list):  # iterated once per round
+            def __iter__(self):
+                live.append(len(x) // problem.h.rows)
+                return super().__iter__()
+
+        return out, Steps(steps)
+
+    monkeypatch.setattr(decoders, "_scan_plan", spied)
+    s = _surface_batch(problem, 128, 5)
+    _, converged, iterations, _ = decoders.bp_batch(problem, s, BpConfig(variant=variant,
+                                                                         early_stop=early_stop))
+    assert live[0] == 128 and live == sorted(live, reverse=True)
+    assert sum(live) == iterations.sum()
+    assert converged.any() and not converged.all()
+    if not early_stop:
+        assert live == [128] * 32
+
+
 def test_success_returns_shared_frozen_reports():
     """Each outcome is one module-level report, equal to a freshly built one."""
     problem = depolarizing_problem(build_code("surface 3"), 0.1, "split-xz")[0]
@@ -1413,9 +1599,9 @@ def test_coset_callers_match_the_separate_layouts(instance):
 
 
 def _count_solve_passes(monkeypatch, calls):
-    """Append to calls for each F2Matrix.coset_transform (the column-basis
-    pass under every solve) and each F2Matrix.eliminate."""
-    for name in ("coset_transform", "eliminate"):
+    """Append to calls for each F2Matrix._pass (the column-basis pass under
+    every solve, which coset_transform wraps) and each F2Matrix.eliminate."""
+    for name in ("_pass", "eliminate"):
         def counted(self, *args, method=getattr(F2Matrix, name), **kwargs):
             calls.append(method.__name__)
             return method(self, *args, **kwargs)
@@ -1444,7 +1630,7 @@ def test_each_decode_call_eliminates_once(monkeypatch):
     for name, decode in decoders.items():
         calls.clear()
         decode()
-        assert calls == ["coset_transform"], name
+        assert calls == ["_pass"], name
     calls.clear()
     exhaustive_mld(problem, s)  # a repeated syndrome is answered from the memo
     assert not calls
@@ -1461,9 +1647,9 @@ def test_mwd_and_mld_share_one_elimination_per_problem(monkeypatch, first, then)
     calls = []
     _count_solve_passes(monkeypatch, calls)
     first(problem, s)
-    assert calls == ["coset_transform"]
+    assert calls == ["_pass"]
     then(problem, s)
-    assert calls == ["coset_transform"]
+    assert calls == ["_pass"]
 
 
 @pytest.mark.parametrize("decoder", [osd0, lambda h, s, soft: osd_w(h, s, soft, 2)],
@@ -1801,7 +1987,7 @@ def test_solution_coset_matches_the_parent_across_calls(kappa):
         _count_solve_passes(patch, calls)
         new = [(_coset_outcome(decoders._solution_coset, problem, s),
                 _coset_outcome(error_columns, problem, s)) for s in syndromes]
-    assert calls == ["coset_transform"]
+    assert calls == ["_pass"]
     for s, (got, errors) in zip(syndromes, new):
         assert got == _coset_outcome(_parent_solution_coset, problem, s, True)
         assert errors == _coset_outcome(_parent_solution_coset, problem, s, False)

@@ -12,6 +12,7 @@ from qecbench.f2 import (
     F2Matrix,
     SPAN_BLOCK,
     SparseRows,
+    _unpack,
     from_alist,
     hstack,
     independent_rows,
@@ -261,10 +262,10 @@ def surface9_osd_eliminations():
     inputs = []
     prepare = decoders._osd_prepare
 
-    def recorded(h, s, soft):
+    def recorded(h, s, soft, *full):
         column = F2Matrix.from_dense(np.reshape(s, (-1, 1)))
         inputs.append((hstack([h, column]), np.argsort(soft, kind="stable")))
-        return prepare(h, s, soft)
+        return prepare(h, s, soft, *full)
 
     with mock.patch.object(decoders, "_osd_prepare", recorded):
         for seed in (3, 11):
@@ -280,9 +281,9 @@ def test_eliminate_matches_the_argmax_loop_on_surface9_osd_inputs(surface9_osd_e
 
 
 def test_rank_and_independent_rows_make_one_column_pass(monkeypatch):
-    """Both read the pivots of one coset_transform, and nothing eliminates."""
+    """Both read the pivots of one column-basis pass, and nothing eliminates."""
     calls = []
-    for name in ("coset_transform", "eliminate"):
+    for name in ("_pass", "eliminate"):
         def counted(self, *args, name=name, method=getattr(F2Matrix, name), **kwargs):
             calls.append(name)
             return method(self, *args, **kwargs)
@@ -290,10 +291,10 @@ def test_rank_and_independent_rows_make_one_column_pass(monkeypatch):
         monkeypatch.setattr(F2Matrix, name, counted)
     m = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert m.rank() == 2
-    assert calls == ["coset_transform"]
+    assert calls == ["_pass"]
     calls.clear()
     assert independent_rows(F2Matrix.from_dense([[1, 1, 0]]), m) == [1]
-    assert calls == ["coset_transform"]
+    assert calls == ["_pass"]
 
 
 def test_eliminate_respects_column_order():
@@ -603,6 +604,39 @@ def test_coset_transform_matches_the_elimination_path(rows, cols, density, rank,
     for j in range(k):
         assert (_coset_outcome(m.coset, rhs[:, j], listed)
                 == _coset_outcome(reference_coset, m, rhs[:, j], listed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.sampled_from([0, 1, 3, 8, 9, 64, 65]), cols=st.sampled_from([0, 1, 7, 9, 64, 65]),
+       density=st.sampled_from([0.05, 0.5]), dependent=st.booleans(),
+       order=st.sampled_from(["none", "permutation", "prefix"]), k=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_short_pass_keeps_the_pivots_and_solutions(rows, cols, density, dependent, order, k,
+                                                       seed):
+    """The pass that stops once its pivots span the rows, for callers that
+    read no kernel rows: the pivots, x and below of the full pass, and the
+    rank, right inverse, independent rows and solutions built on it."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if dependent and rows > 1:
+        dense[-1] = dense[0]
+    m = F2Matrix.from_dense(dense)
+    listed = {"none": None, "permutation": rng.permutation(cols),
+              "prefix": list(rng.permutation(cols)[:rng.integers(0, cols + 1)])}[order]
+    rhs = (rng.random((rows, k)) < 0.5).astype(np.uint8)
+    pivots, free, kernel, x, below = m.coset_transform(rhs, listed)
+    short_pivots, _, short_kernel, xs, short_below = m._pass(rhs, listed, False)
+    assert np.array_equal(short_pivots, pivots) and short_kernel == []
+    assert np.array_equal(_unpack(xs, cols).T, x)
+    assert short_below.tobytes() == below.tobytes() and short_below.shape == below.shape
+    assert m.rank() == len(reference_reduce(m)[0])
+    if m.rank() == rows:
+        assert np.array_equal(m.right_inverse().to_dense(),
+                              m.coset_transform(np.eye(rows, dtype=np.uint8))[3])
+    for j in range(k):
+        want = _coset_outcome(lambda: [m.coset(rhs[:, j], listed)[2][-1]])
+        assert _coset_outcome(lambda: [m.solve_columns(range(cols) if listed is None else listed,
+                                                       rhs[:, j])]) == want
 
 
 def test_the_column_cache_is_no_part_of_a_matrix_value():

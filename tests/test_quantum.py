@@ -242,13 +242,13 @@ def test_constructors_and_distances_rerun_no_reduction(monkeypatch):
             return method(self, *args, **kwargs)
         return counted
 
-    for name in ("rank", "eliminate", "coset_transform", "kernel_basis"):
+    for name in ("rank", "eliminate", "_pass", "kernel_basis"):
         monkeypatch.setattr(F2Matrix, name, counting(name, getattr(F2Matrix, name)))
     css = build_code("surface 3")
     # two repetition kernels, then per side a kernel and a quotient, and
     # one right inverse to pair lx with lz: each makes one column-basis
     # pass, and nothing eliminates
-    assert (calls.count("eliminate"), calls.count("coset_transform")) == (0, 7)
+    assert (calls.count("eliminate"), calls.count("_pass")) == (0, 7)
     five = five_qubit_code()
     stabilizer_code(css_stabilizers(css.hx, css.hz))
     assert (five.k, "rank" in calls) == (1, False)
