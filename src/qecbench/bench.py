@@ -11,11 +11,11 @@ at once: one Philox per thread is reset to each of the block's keys, and
 array operations turn its raw words into a fresh Generator's draws, and
 one [H; L] parity per problem over the block's fault rows gives every
 trial's syndrome and logical class.  For bp and bp+osd, the block's
-distinct nonzero syndromes that its trials will read and that no stored
-answer covers are decoded then, in one BP batch per problem
-(decoders.bp_prefetch).
-Every trial still calls the decoder entry points: bp_decode answers from
-that store, and decoders.memo a syndrome repeated at a rate point.
+distinct nonzero syndromes that its trials will read and that memo does
+not hold are decoded then, in one BP batch per problem
+(decoders.bp_prefetch), whose answers the problem keeps until its next
+batch.  Every trial still calls the decoder entry points: bp_decode reads
+those answers, and decoders.memo answers a syndrome repeated at a rate point.
 """
 
 from __future__ import annotations

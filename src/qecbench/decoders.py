@@ -20,8 +20,8 @@ costs two products by fixed matrices (its test and its particular
 solution) and one XOR of that solution into the span's table (MLD also
 keeps its weights and the table's class indices per problem).  BP runs
 one loop over a batch of syndromes (bp_batch; bp_decode is a batch of
-one, or an answer bp_prefetch stored through memo, which runs one batch
-per call), their (rows, dmax) message arrays stacked.  The scan is built
+one, or an answer of the problem's last bp_prefetch call, which runs one
+batch), their (rows, dmax) message arrays stacked.  The scan is built
 as a plan of ufunc steps over the slots of the batch's buffers, again
 whenever solved rows leave; a round writes the scan's identity into the
 pads by one put, runs the plan, sums each column by one bincount, and
@@ -211,32 +211,30 @@ def bp_batch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()
 
 
 def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig()) -> DecodeResult:
-    """bp_batch on the one syndrome s, or the answer that bp_prefetch stored
-    for it (its arrays read-only), which this takes out of the store."""
-    s, answers = np.asarray(s, dtype=np.uint8) & 1, problem.answers
-    if stored := answers.pop(("bp", cfg, s.shape, s.tobytes()), None):
-        answers.nbytes -= s.nbytes + stored[0].nbytes + stored[3].nbytes  # as memo counted it
-    c, converged, iterations, posterior = stored or [a[0] for a in bp_batch(problem, s[None], cfg)]
+    """bp_batch on the one syndrome s, or the answer that the problem's last
+    bp_prefetch call made for it (its arrays read-only)."""
+    s = np.asarray(s, dtype=np.uint8) & 1
+    c, converged, iterations, posterior = (problem.answers.bp.get((cfg, s.shape, s.tobytes()))
+                                           or [a[0] for a in bp_batch(problem, s[None], cfg)])
     return DecodeResult(c, bool(converged), int(iterations), posterior)
 
 
 def bp_prefetch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
                 held: tuple = ()) -> None:
     """One bp_batch over the distinct rows of the (n, rows) uint8 0/1
-    syndromes s that memo holds under neither ("bp", cfg) nor the key held;
-    memo stores each row's answer under ("bp", cfg), where bp_decode reads
-    it once and takes it out (held keeps the repeats)."""
-    answers, size = problem.answers, s.shape[1]
-    if len(answers) >= MEMO_LIMIT or answers.nbytes >= MEMO_BYTES:
-        return  # nothing more would be stored
-    ours, shape, data = ("bp", cfg), (size,), s.tobytes()
+    syndromes s that memo does not hold under the key held; their answers
+    (arrays read-only) replace problem.answers.bp, which bp_decode reads."""
+    size, table = s.shape[1], {}
+    shape, data = (size,), s.tobytes()
     todo = [r for r in dict.fromkeys(data[i:i + size] for i in range(0, len(data), size or 1))
-            if ours + (shape, r) not in answers and held + (shape, r) not in answers]
+            if held + (shape, r) not in problem.answers]
     if todo:
         batch = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), size)
         c, converged, iterations, posteriors = bp_batch(problem, batch, cfg)
-        for row, answer in zip(batch, zip(c, converged.tolist(), iterations.tolist(), posteriors)):
-            memo(problem, ours, row, lambda _, answer=answer: answer)
+        c.flags.writeable = posteriors.flags.writeable = False
+        table = {(cfg, shape, r): answer for r, answer in
+                 zip(todo, zip(c, converged.tolist(), iterations.tolist(), posteriors))}
+    problem.answers.bp = table
 
 
 # -- ordered statistics ------------------------------------------------------
@@ -467,8 +465,7 @@ def memo(problem: DecodingProblem, key: tuple, s: np.ndarray, compute) -> tuple:
     key names every other input.  Every array among the answer's items is
     made read-only.  Past MEMO_LIMIT answers, or once the stored s bytes
     and answer arrays reach MEMO_BYTES, none is added and none is
-    evicted (bp_decode takes out the BP answers it reads); exceptions are
-    never kept, so each call raises them again."""
+    evicted; exceptions are never kept, so each call raises them again."""
     s = np.asarray(s, dtype=np.uint8) & 1
     key += (s.shape, s.tobytes())
     answers = problem.answers

@@ -314,6 +314,7 @@ class SparseRows:
 
 
 def kron(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    check_dense(a.rows * b.rows, a.cols * b.cols, "a Kronecker product")
     return F2Matrix(a.rows * b.rows, a.cols * b.cols, np.kron(a._bits, b._bits))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRightInverse, NotAbelian, StateError
-from .f2 import F2Matrix, independent_rows
+from .f2 import F2Matrix, check_dense, independent_rows
 from .pauli import PauliOperator, product, swap_halves, symplectic_product
 from .quantum import CssCode
 
@@ -366,6 +366,8 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
     if layers < 1:
         raise ValueError("need at least one layer")
     n = code.n
+    total = layers * n + (layers + 1) // 2 * code.hz.rows + layers // 2 * code.hx.rows
+    check_dense(total, total, f"a foliation of {total} vertices")  # its adjacency matrix
     offsets, kinds, layer_ids, parities = [], [], [], []
     for layer in range(layers):
         offsets.append(len(kinds))
@@ -377,7 +379,6 @@ def foliate(code: CssCode, layers: int) -> FoliatedState:
             ["primal" if z_layer else "dual"] * n
             + ["dual" if z_layer else "primal"] * checks.rows
         )
-    total = len(kinds)
     edges = []
     for layer in range(layers):
         base = offsets[layer]

@@ -51,9 +51,11 @@ def uniform_prior(n: int, p: float) -> Prior:
 
 
 class Answers(dict):
-    """Stored decoder answers; nbytes sums their syndrome bytes and answer arrays."""
+    """Decoder answers stored by decoders.memo; nbytes sums their syndrome
+    bytes and answer arrays.  bp holds the BP answers of the problem's last
+    decoders.bp_prefetch call, apart: each call replaces it, none mutates it."""
 
-    nbytes = 0
+    nbytes, bp = 0, {}
 
 
 @dataclass(frozen=True, eq=False)

@@ -400,8 +400,11 @@ def test_memo_leaves_every_row_unchanged(tmp_path, monkeypatch, seed, variant):
         cached = without_seconds(run_benchmark(cfg))
         monkeypatch.setattr(decoders, "MEMO_LIMIT", 0)
         uncached = without_seconds(run_benchmark(cfg))
+        monkeypatch.setattr(bench, "bp_prefetch", lambda *args: None)  # BP as batches of one
+        lone = without_seconds(run_benchmark(cfg))
         monkeypatch.undo()
         assert cached == uncached, (code, noise, decoder)
+        assert lone == uncached, (code, noise, decoder)
 
 
 def test_memo_stops_storing_at_its_limit(monkeypatch):
@@ -514,9 +517,10 @@ def test_prefetched_bp_answers_equal_cold_calls(cfg):
     problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
     rows = bp_rows(problem)
     decoders.bp_prefetch(problem, np.concatenate([rows, rows[::-1]]), cfg)
-    assert len(problem.answers) == len(rows)
+    assert len(problem.answers.bp) == len(rows) and not problem.answers  # memo stores none
     for s in rows:
         got = decoders.bp_decode(problem, s, cfg)
+        assert bp_outcome(decoders.bp_decode(problem, s, cfg)) == bp_outcome(got)  # read, not taken
         cold = decoders.bp_decode(depolarizing_problem(surface_code(3), 0.05, "split-xz")[0], s, cfg)
         assert bp_outcome(got) == bp_outcome(cold)
         assert not got.correction.flags.writeable and not got.posterior_llr.flags.writeable
@@ -525,32 +529,40 @@ def test_prefetched_bp_answers_equal_cold_calls(cfg):
 def test_memo_freezes_and_counts_every_array_of_an_answer(monkeypatch):
     problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
     rows = bp_rows(problem, 6)
-    decoders.bp_prefetch(problem, rows, BpConfig())
+    for s in rows:
+        decode(problem, s, "bp+osd", 0, BpConfig())
     answers = problem.answers
-    sizes = [len(key[-1]) + c.nbytes + posterior.nbytes
-             for key, (c, _, _, posterior) in answers.items()]
+    sizes = [len(key[-1]) + c.nbytes for key, (c, _, _) in answers.items()]
     assert len(sizes) == 6 and answers.nbytes == sum(sizes)
-    assert sizes[0] == problem.h.rows + problem.h.cols * (1 + 8)  # posteriors are float64
-    for c, _, _, posterior in answers.values():
-        assert not c.flags.writeable and not posterior.flags.writeable
-    # the byte limit counts the posteriors: two answers reach it, so no third is kept
+    assert sizes[0] == problem.h.rows + problem.h.cols
+    assert not any(c.flags.writeable for c, _, _ in answers.values())
+    # an answer of two arrays counts and freezes both
+    pair = decoders.memo(problem, ("pair",), rows[0], lambda s: (np.zeros(3), 1, np.ones(5)))
+    assert answers.nbytes == sum(sizes) + problem.h.rows + 8 * (3 + 5)
+    assert not pair[0].flags.writeable and not pair[2].flags.writeable
+    # the byte limit counts the corrections: two answers reach it, so no third is kept
     monkeypatch.setattr(decoders, "MEMO_BYTES", 2 * sizes[0] - 1)
     fresh = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
-    decoders.bp_prefetch(fresh, rows, BpConfig())
+    for s in rows:
+        decode(fresh, s, "bp+osd", 0, BpConfig())
     assert len(fresh.answers) == 2 and fresh.answers.nbytes == 2 * sizes[0]
+    # the BP table stays apart from memo's count, and its arrays are read-only too
+    decoders.bp_prefetch(fresh, rows, BpConfig())
+    assert len(fresh.answers.bp) == 6 and fresh.answers.nbytes == 2 * sizes[0]
+    for c, _, _, posterior in fresh.answers.bp.values():
+        assert not c.flags.writeable and not posterior.flags.writeable
 
 
 @pytest.mark.parametrize("other", [BpConfig(variant="min-sum"), BpConfig(max_iterations=31),
                                    BpConfig(llr_clamp=29.0), BpConfig(early_stop=False)])
 def test_bp_answers_are_served_to_their_own_config_only(other):
-    """Stored answers replaced by a marker reach bp_decode under the config
-    they were stored for, and under no other."""
+    """Prefetched answers replaced by a marker reach bp_decode under the
+    config they were made for, and under no other."""
     problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
     rows = bp_rows(problem, 8)
     decoders.bp_prefetch(problem, rows, BpConfig())
     marker = (np.ones(problem.h.cols, dtype=np.uint8), False, -1, np.zeros(problem.h.cols))
-    for key in problem.answers:
-        problem.answers[key] = marker
+    problem.answers.bp = dict.fromkeys(problem.answers.bp, marker)
     for s in rows:
         assert decoders.bp_decode(problem, s).iterations_used == -1
         got = decoders.bp_decode(problem, s, other)
@@ -559,10 +571,13 @@ def test_bp_answers_are_served_to_their_own_config_only(other):
 
 
 def test_prefetch_skips_the_rows_that_memo_holds():
+    """Rows held under decode's key are not batched; the last call's table
+    is replaced, not consulted, and a call with nothing to do empties it."""
     problem = depolarizing_problem(surface_code(3), 0.05, "split-xz")[0]
     rows, cfg, batched = bp_rows(problem, 10), BpConfig(), []
+    held, shape = ("bp+osd", 0, cfg), (problem.h.rows,)
     decode(problem, rows[0], "bp+osd", 0, cfg)  # held under decode's key
-    decoders.bp_prefetch(problem, rows[1:2], cfg)  # held under ("bp", cfg)
+    decoders.bp_prefetch(problem, rows[1:2], cfg)  # in the table, which the next call replaces
     batch = decoders.bp_batch
 
     def counted(problem, s, cfg):
@@ -571,8 +586,11 @@ def test_prefetch_skips_the_rows_that_memo_holds():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(decoders, "bp_batch", counted)
-        decoders.bp_prefetch(problem, np.concatenate([rows, rows]), cfg, ("bp+osd", 0, cfg))
-    assert batched == [s.tobytes() for s in rows[2:]]
+        decoders.bp_prefetch(problem, np.concatenate([rows, rows]), cfg, held)
+        assert batched == [s.tobytes() for s in rows[1:]]
+        assert list(problem.answers.bp) == [(cfg, shape, s.tobytes()) for s in rows[1:]]
+        decoders.bp_prefetch(problem, rows[:1], cfg, held)
+    assert batched == [s.tobytes() for s in rows[1:]] and problem.answers.bp == {}
 
 
 @pytest.mark.parametrize("code,noise,decoder,trials", [
@@ -613,6 +631,43 @@ def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatc
                                   trials=trials, seed=2))
     assert len(calls) > 10 and sum(rows) == len(calls) and max(rows) <= bench._BLOCK
     assert None not in batches and len(set(batches)) == len(batches)
+
+
+@pytest.mark.parametrize("limit", ["MEMO_LIMIT", "MEMO_BYTES"])
+@pytest.mark.parametrize("decoder", ["bp", "bp+osd 1"])
+def test_a_full_memo_still_gets_one_bp_batch_per_problem_and_block(monkeypatch, limit,
+                                                                   decoder):
+    """Once memo stores nothing more, each problem still runs exactly one
+    bp_batch per block of trials, and bp_decode never runs one of its own."""
+    batch, decode_bp, block_keys = decoders.bp_batch, decoders.bp_decode, bench._block_keys
+    blocks, batches, inside = [], [], [False]
+
+    def keyed_block(*args):
+        blocks.append(args)
+        return block_keys(*args)
+
+    def counted_batch(problem, s, cfg):
+        batches.append((id(problem), blocks[-1], inside[0]))
+        return batch(problem, s, cfg)
+
+    def counted_decode(*args):
+        inside[0] = True
+        try:
+            return decode_bp(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(decoders, limit, 0)
+    monkeypatch.setattr(bench._streams, "block", None)  # no keys cached from another run
+    monkeypatch.setattr(bench, "_block_keys", keyed_block)
+    monkeypatch.setattr(decoders, "bp_batch", counted_batch)
+    monkeypatch.setattr(decoders, "bp_decode", counted_decode)
+    monkeypatch.setattr(bench, "bp_decode", counted_decode)
+    run_benchmark(BenchmarkConfig(code="surface 3", noise="split-xz", decoder=decoder,
+                                  rates=(0.05, 0.1), trials=300, seed=2))
+    assert len(blocks) == 6 and len(set(blocks)) == 6  # three blocks per rate point
+    assert not any(lone for _, _, lone in batches)
+    assert len(batches) == 2 * len(blocks) and len(set(batches)) == len(batches)
 
 
 @pytest.mark.parametrize("code,noise,decoder,problems", [

@@ -187,6 +187,23 @@ def test_oversized_codes_exit_two_before_allocating(capsys, spec):
     assert peak < 64 << 20
 
 
+def test_oversized_foliation_exits_two_before_allocating(tmp_path, capsys):
+    """foliate surface 2 --layers 100000 would need a 456 GiB adjacency
+    matrix; its vertex count is checked against f2.DENSE_BYTES before any
+    per-vertex list is built, so the traced peak stays small."""
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "foliate", "surface", "2", "--layers", "100000",
+                           "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out.exists()
+    assert err.startswith("error:") and "DENSE_BYTES" in err and "Traceback" not in err
+    assert peak < 64 << 20
+
+
 def test_oversized_hypergraph_product_exits_two_before_allocating(monkeypatch, tmp_path, capsys):
     """hx and hz of the product are checked before kron builds them; a small
     budget keeps a broken guard to about 20 MB, and a product inside it

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from qecbench import decoders
 from qecbench.bench import BenchmarkConfig, run_benchmark
-from qecbench.errors import NoRightInverse, NoSolution
+from qecbench.errors import CapacityExceeded, NoRightInverse, NoSolution
 from qecbench.f2 import (
     F2Matrix,
     SPAN_BLOCK,
@@ -68,6 +68,20 @@ def test_rank_transpose_invariant(m):
 @given(f2_matrices(max_rows=4, max_cols=5), f2_matrices(max_rows=4, max_cols=5))
 def test_kron_rank_multiplicative(a, b):
     assert kron(a, b).rank() == a.rank() * b.rank()
+
+
+def test_kron_checks_its_product_against_dense_bytes(monkeypatch):
+    """A product past f2.DENSE_BYTES raises CapacityExceeded before np.kron
+    builds it, and one at the limit builds as before; a broken guard costs
+    about 1 MB."""
+    monkeypatch.setattr("qecbench.f2.DENSE_BYTES", 1 << 20)
+    with pytest.raises(CapacityExceeded, match="Kronecker product.*DENSE_BYTES"):
+        kron(F2Matrix(1025, 1), F2Matrix(1024, 1))
+    with pytest.raises(CapacityExceeded):
+        kron(F2Matrix(1, 1025), F2Matrix(1, 1024))
+    at_limit = kron(F2Matrix.identity(32), F2Matrix.identity(32))
+    assert (at_limit.rows, at_limit.cols) == (1024, 1024)
+    assert np.array_equal(at_limit.to_dense(), np.eye(1024, dtype=np.uint8))
 
 
 @given(f2_matrices())
