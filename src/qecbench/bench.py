@@ -6,16 +6,18 @@ success predicate.  Results carry Wilson 95% intervals so rare-event
 points near zero failures stay honest.  Everything downstream of the
 seed is deterministic: trial t at rate index r always draws from the
 Philox stream keyed by SeedSequence(seed, spawn_key=(r, t)), and trials
-run in order on the calling thread.  A block of _BLOCK trials is sampled
-at once: one Philox per thread is reset to each of the block's keys, and
-array operations turn its raw words into a fresh Generator's draws, and
-one [H; L] parity per problem over the block's fault rows gives every
-trial's syndrome and logical class.  For bp and bp+osd, the block's
-distinct nonzero syndromes that its trials will read and that memo does
-not hold are decoded then, in one BP batch per problem
+run in order on the calling thread.  A block of _BLOCK trials, or of the
+fewer that its rate point has left, is sampled at once: one Philox per
+thread is reset to each of the block's keys, and array operations turn
+its raw words into a fresh Generator's draws, and one [H; L] parity per
+problem over the block's fault rows gives every trial's syndrome and
+logical class.  For bp and bp+osd, the block's distinct nonzero
+syndromes that memo does not hold are decoded then, per problem in BP
+batches of at most decoders.BP_SLOTS message slots
 (decoders.bp_prefetch), whose answers the problem keeps until its next
-batch.  Every trial still calls the decoder entry points: bp_decode reads
-those answers, and decoders.memo answers a syndrome repeated at a rate point.
+block.  Every trial still calls the decoder entry points: bp_decode reads
+those answers, decoders.memo answers a syndrome repeated at a rate point,
+and success scores a correction equal to the error without a parity.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def wilson_interval(failures: int, trials: int, z: float = WILSON_Z):
 # -- trial execution -----------------------------------------------------------
 
 
-_BLOCK = 128  # trials whose Philox keys are hashed and whose faults are drawn together
+_BLOCK = 1024  # trials whose Philox keys are hashed and whose faults are drawn together
 
 
 def _hash(v: np.ndarray, init: int, mult: int, skip: int = 0) -> np.ndarray:
@@ -319,8 +321,9 @@ def decode(problem: DecodingProblem, s: np.ndarray, kind: str, order: int,
 
 
 def _noise(code, noise: str, rate: float):
-    """Returns (problems, keys -> (faults, row -> fault vectors)): a block of
-    trials draws one (B, cols) faults array per problem, and trials read rows."""
+    """Returns (problems, (keys, rows) -> (faults, row -> fault vectors)): a
+    block of trials draws one (rows, cols) faults array per problem from the
+    first rows of its keys, and trials read rows."""
     if noise == "bsc":
         if not isinstance(code, LinearCode):
             raise ValueError("bsc noise expects a classical code")
@@ -332,8 +335,8 @@ def _noise(code, noise: str, rate: float):
     elif not isinstance(code, CssCode):
         raise ValueError("depolarizing noise expects a CSS code")
     else:
-        def pauli(keys):
-            x, z = sample_depolarizing(keys, code.n, rate)
+        def pauli(keys, rows):
+            x, z = sample_depolarizing(keys[:rows], code.n, rate)
             if noise == "split-xz":  # the Z-fault problem comes first
                 return (z, x), lambda row: (z[row], x[row])
             # a call per trial too: mcbench reads each trial's fault vector from
@@ -344,8 +347,8 @@ def _noise(code, noise: str, rate: float):
         problems = depolarizing_problem(code, rate, noise)
         return (problems if noise == "split-xz" else (problems,)), pauli
 
-    def bsc(keys):
-        f = flips(_block_draws(keys, problem.h.cols, False)[0], problem.prior.p)
+    def bsc(keys, rows):
+        f = flips(_block_draws(keys[:rows], problem.h.cols, False)[0], problem.prior.p)
         return (f,), lambda row: (f[row],)
 
     return (problem,), bsc
@@ -363,16 +366,14 @@ def _make_trial(code, cfg: BenchmarkConfig, rate: float):
     def trial(stream):
         nonlocal blocks
         keys, row = stream
-        if block[0] is not keys:
-            faults, vectors = sample(keys)
+        if block[0] is not keys:  # draw the rows that the rate point reads
+            faults, vectors = sample(keys, cfg.trials - _BLOCK * blocks)
             hls = [p.tanner_hl.parity(f) for p, f in zip(problems, faults)]
             nonzero = [hl[:, :p.h.rows].any(axis=1) for p, hl in zip(problems, hls)]
             block[:] = keys, [(hl, nz.tolist()) for hl, nz in zip(hls, nonzero)], vectors
-            if kind in ("bp", "bp+osd"):  # BP batches over the rows that trials read
-                end = cfg.trials - _BLOCK * blocks
+            if kind in ("bp", "bp+osd"):  # BP batches over the block's nonzero syndromes
                 for p, hl, nz in zip(problems, hls, nonzero):
-                    bp_prefetch(p, hl[row:end, :p.h.rows][nz[row:end]], cfg.bp,
-                                (kind, order, cfg.bp))
+                    bp_prefetch(p, hl[:, :p.h.rows][nz], cfg.bp, (kind, order, cfg.bp))
             blocks += 1
         # no short cut after a failure: iterations count every problem
         failed, iterations = False, 0

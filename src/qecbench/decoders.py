@@ -20,13 +20,13 @@ costs two products by fixed matrices (its test and its particular
 solution) and one XOR of that solution into the span's table (MLD also
 keeps its weights and the table's class indices per problem).  BP runs
 one loop over a batch of syndromes (bp_batch; bp_decode is a batch of
-one, or an answer of the problem's last bp_prefetch call, which runs one
-batch), their (rows, dmax) message arrays stacked.  The scan is built
-as a plan of ufunc steps over the slots of the batch's buffers, again
-whenever solved rows leave; a round writes the scan's identity into the
-pads by one put, runs the plan, sums each column by one bincount, and
-tests the syndromes (an XOR over the slots of the posterior gather) only
-when a hard decision changed.
+one, or an answer of the problem's last bp_prefetch call, which runs
+batches of at most BP_SLOTS message slots), their (rows, dmax) message
+arrays stacked.  The scan is built as a plan of ufunc steps over the
+slots of the batch's buffers, again whenever solved rows leave; a round
+writes the scan's identity into the pads by one put, runs the plan, sums
+each column by one bincount, and tests the syndromes (an XOR over the
+slots of the posterior gather) only when a hard decision changed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ MLD_COLUMN_GUARD = 20
 OSD_CANDIDATE_GUARD = 10**7
 OSD_BLOCK = 512  # index patterns per block of _patterns
 OSD_STEP = 1 << 15  # floats per array in one scoring step of osd_w
+BP_SLOTS = 1 << 16  # message slots (syndromes x padded edges) per bp_batch of bp_prefetch
 MEMO_LIMIT = 1 << 16  # answers stored per problem; later ones are not stored
 MEMO_BYTES = 1 << 24  # nor once a problem's stored keys and answers reach this
 
@@ -221,19 +222,22 @@ def bp_decode(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(
 
 def bp_prefetch(problem: DecodingProblem, s: np.ndarray, cfg: BpConfig = BpConfig(),
                 held: tuple = ()) -> None:
-    """One bp_batch over the distinct rows of the (n, rows) uint8 0/1
-    syndromes s that memo does not hold under the key held; their answers
-    (arrays read-only) replace problem.answers.bp, which bp_decode reads."""
+    """bp_batch over the distinct rows of the (n, rows) uint8 0/1 syndromes s
+    that memo does not hold under the key held, at most BP_SLOTS message
+    slots per batch; their answers (arrays read-only) replace
+    problem.answers.bp, which bp_decode reads."""
     size, table = s.shape[1], {}
     shape, data = (size,), s.tobytes()
     todo = [r for r in dict.fromkeys(data[i:i + size] for i in range(0, len(data), size or 1))
             if held + (shape, r) not in problem.answers]
-    if todo:
-        batch = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), size)
+    step = max(1, BP_SLOTS // max(problem.tanner.pad_col.size, 1))
+    for lo in range(0, len(todo), step):
+        rows = todo[lo:lo + step]
+        batch = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), size)
         c, converged, iterations, posteriors = bp_batch(problem, batch, cfg)
         c.flags.writeable = posteriors.flags.writeable = False
-        table = {(cfg, shape, r): answer for r, answer in
-                 zip(todo, zip(c, converged.tolist(), iterations.tolist(), posteriors))}
+        table.update(((cfg, shape, r), answer) for r, answer in
+                     zip(rows, zip(c, converged.tolist(), iterations.tolist(), posteriors)))
     problem.answers.bp = table
 
 
@@ -494,11 +498,14 @@ _INVALID = SuccessReport(valid=False, success=False)
 def success(correction: np.ndarray, error: np.ndarray,
             problem: DecodingProblem) -> SuccessReport:
     """Validity is H(c+e) = 0; success additionally needs L c = L e.  The
-    report is one of three shared frozen ones."""
+    report is one of three shared frozen ones.  A correction equal to the
+    error byte for byte succeeds without a parity."""
     c = np.asarray(correction, dtype=np.uint8)
     e = np.asarray(error, dtype=np.uint8)
     if c.shape != e.shape or c.shape != (problem.h.cols,):
         raise ValueError("correction/error lengths do not match the problem")
+    if c.tobytes() == e.tobytes():  # c + e = 0
+        return _SUCCEEDED
     parity = problem.tanner_hl.parity(c ^ e)  # H(c+e) over L(c+e)
     if not np.count_nonzero(parity):
         return _SUCCEEDED

@@ -298,15 +298,22 @@ class SparseRows:
 
     def parity(self, v: np.ndarray) -> np.ndarray:
         """M v over GF(2) as uint8, from the low bit of each entry of integer v,
-        for each vector along the last axis: (..., cols) -> (..., rows)."""
+        for each vector along the last axis: (..., cols) -> (..., rows).  A
+        vector is one reduceat over its edges; a batch gathers pad_col from a
+        copy with a zero column and XORs each row's dmax slots."""
         v = np.asarray(v)
         if v.shape[-1:] != (self.shape[1],):
             raise ValueError(f"expected vectors of length {self.shape[1]}, got {v.shape}")
-        bits = np.bitwise_xor.reduceat(v.take(self.col, axis=-1), self._starts, axis=-1) & 1
+        if v.ndim > 1:  # the copy holds the vectors last, so each slot XORs whole rows
+            padded = np.zeros((self.shape[1] + 1,) + v.shape[:-1], dtype=v.dtype)
+            padded[:-1] = np.moveaxis(v, -1, 0)
+            bits = np.bitwise_xor.reduce(padded.take(self.pad_col.T, axis=0), axis=0) & 1
+            return np.ascontiguousarray(np.moveaxis(bits, 0, -1), dtype=np.uint8)
+        bits = np.bitwise_xor.reduceat(v.take(self.col), self._starts) & 1
         if self._rows.size == self.shape[0]:  # no empty row: reduceat gave every row
             return bits.astype(np.uint8, copy=False)
-        out = np.zeros(v.shape[:-1] + (self.shape[0],), dtype=np.uint8)
-        out[..., self._rows] = bits
+        out = np.zeros(self.shape[0], dtype=np.uint8)
+        out[self._rows] = bits
         return out
 
 

@@ -593,6 +593,45 @@ def test_prefetch_skips_the_rows_that_memo_holds():
     assert batched == [s.tobytes() for s in rows[1:]] and problem.answers.bp == {}
 
 
+def test_prefetch_splits_its_rows_into_batches_of_bp_slots(monkeypatch):
+    """Past BP_SLOTS message slots a block's rows go to several bp_batch
+    calls of at most BP_SLOTS // (rows x dmax) syndromes each, whose answers
+    are byte for byte those of one batch over all of them."""
+    problem = depolarizing_problem(surface_code(5), 0.01, "split-xz")[0]
+    keys, _ = bench._trial_rng(1, 0, 0)
+    x, z = bench.sample_depolarizing(keys, problem.h.cols, 0.05)
+    s = problem.tanner.parity(z)
+    s = s[s.any(axis=1)]  # a block's nonzero syndromes
+    rows = np.unique(s, axis=0)
+    step = -(-len(rows) // 3)
+    assert len(rows) > 2 * step  # the block needs three batches
+    one = depolarizing_problem(surface_code(5), 0.01, "split-xz")[0]
+    batch, sizes = decoders.bp_batch, []
+
+    def counted(problem, s, cfg):
+        sizes.append(len(s))
+        return batch(problem, s, cfg)
+
+    monkeypatch.setattr(decoders, "bp_batch", counted)
+    decoders.bp_prefetch(one, s, BpConfig())
+    assert sizes == [len(rows)]
+    slots = problem.tanner.pad_col.size
+    monkeypatch.setattr(decoders, "BP_SLOTS", step * slots + slots - 1)
+    sizes.clear()
+    decoders.bp_prefetch(problem, s, BpConfig())
+    assert len(sizes) == -(-len(rows) // step) == 3 and max(sizes) == step
+    assert sum(sizes) == len(rows) and len(problem.answers.bp) == len(rows)
+    for row in rows:
+        assert (bp_outcome(decoders.bp_decode(problem, row))
+                == bp_outcome(decoders.bp_decode(one, row)))
+    # a run of trials gives the rows of one batch per block
+    cfg = BenchmarkConfig(code="surface 5", noise="split-xz", decoder="bp", rates=(0.05,),
+                          trials=bench._BLOCK + 100, seed=1)
+    split = without_seconds(run_benchmark(cfg))
+    monkeypatch.undo()
+    assert split == without_seconds(run_benchmark(cfg))
+
+
 @pytest.mark.parametrize("code,noise,decoder,trials", [
     ("surface 3", "split-xz", "bp", 300),
     ("surface 3", "split-xz", "bp+osd 1", 100),
@@ -664,7 +703,7 @@ def test_a_full_memo_still_gets_one_bp_batch_per_problem_and_block(monkeypatch, 
     monkeypatch.setattr(decoders, "bp_decode", counted_decode)
     monkeypatch.setattr(bench, "bp_decode", counted_decode)
     run_benchmark(BenchmarkConfig(code="surface 3", noise="split-xz", decoder=decoder,
-                                  rates=(0.05, 0.1), trials=300, seed=2))
+                                  rates=(0.05, 0.1), trials=2 * bench._BLOCK + 44, seed=2))
     assert len(blocks) == 6 and len(set(blocks)) == 6  # three blocks per rate point
     assert not any(lone for _, _, lone in batches)
     assert len(batches) == 2 * len(blocks) and len(set(batches)) == len(batches)
@@ -745,7 +784,7 @@ def per_trial_path(monkeypatch):
     def noise(code, kind, rate):
         problems, sample = per_trial_noise(code, kind, rate)
 
-        def block(rng):
+        def block(rng, rows):  # rng draws the trial's one row
             faults = sample(rng)
             return [e[None] for e in faults], lambda row: faults
 
@@ -838,6 +877,25 @@ def test_a_short_rate_point_hashes_one_block(monkeypatch):
     run_benchmark(BenchmarkConfig(code="surface 3", noise="split-xz", decoder="bp",
                                   rates=(0.05,), trials=100, seed=1))
     assert calls == [(1, 0, 0)]
+
+
+@pytest.mark.parametrize("code,noise", [("surface 3", "split-xz"), ("surface 2", "xzy"),
+                                        ("hamming", "bsc")])
+def test_a_rate_point_draws_only_the_rows_it_reads(monkeypatch, code, noise):
+    """A block draws the rows of the trials left in its rate point, at most
+    _BLOCK: a short rate point draws its own trials' rows and no more."""
+    draws, block_draws = [], bench._block_draws
+
+    def counted(keys, n, kinds):
+        draws.append(len(keys))
+        return block_draws(keys, n, kinds)
+
+    monkeypatch.setattr(bench, "_block_draws", counted)
+    for trials, want in ((100, [100]), (2 * B + 44, [B, B, 44])):
+        draws.clear()
+        run_benchmark(BenchmarkConfig(code=code, noise=noise, decoder="bp", rates=(0.05,),
+                                      trials=trials, seed=1))
+        assert draws == want
 
 
 @pytest.mark.parametrize("seed", [3, 11])

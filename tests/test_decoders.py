@@ -31,7 +31,7 @@ from qecbench.decoders import (
     _scan_plan,
 )
 from qecbench.errors import CapacityExceeded, NoSolution, Unsatisfiable
-from qecbench.f2 import F2Matrix, hstack
+from qecbench.f2 import F2Matrix, SparseRows, hstack
 from qecbench.noise import (
     Prior,
     classical_problem,
@@ -2043,6 +2043,37 @@ def test_success_reports_match_dense_products():
             assert report == want and type(report.valid) is type(report.success) is bool
             seen.add((want.valid, want.success))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_success_scores_an_exact_correction_without_a_parity(monkeypatch):
+    """Equal bytes succeed with no SparseRows.parity call.  Bytes that differ,
+    also only above the low bit, take one parity and give the dense report."""
+    problem, _ = depolarizing_problem(build_code("surface 3"), 0.1, mode="split-xz")
+    h, l = problem.h.to_dense(), problem.l.to_dense()
+    logical = l[0]
+    parity, calls = SparseRows.parity, []
+
+    def counted(self, v):
+        calls.append(1)
+        return parity(self, v)
+
+    monkeypatch.setattr(SparseRows, "parity", counted)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        e = (rng.random(problem.h.cols) < 0.2).astype(np.uint8)
+        assert success(e.copy(), e, problem) == SuccessReport(valid=True, success=True)
+        assert not calls
+        residual = (rng.random(problem.h.cols) < 0.1).astype(np.uint8)
+        residual[rng.integers(problem.h.cols)] = 1
+        plus = [e.copy(), e.copy()]
+        plus[0][residual.argmax()] += 2  # the low bit is unchanged
+        plus[1][residual.argmax()] += 3
+        for c in plus + [e ^ logical, e ^ residual]:
+            r = (c ^ e).astype(np.int64) & 1
+            valid = not (h @ r % 2).any()
+            want = SuccessReport(valid=valid, success=valid and not (l @ r % 2).any())
+            assert success(c, e, problem) == want and len(calls) == 1
+            calls.clear()
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,8 @@ from qecbench.bench import BenchmarkConfig, run_benchmark
 
 MCBENCH = Path(__file__).resolve().parents[1] / "mcbench"
 
-# shaped like mcbench's four workloads, with fewer trials (each crosses a block)
+# shaped like mcbench's four workloads, with fewer trials (a run that crosses
+# a block is rescored in test_each_depolarizing_block_draw_is_a_noise_sample_span)
 WORKLOADS = [
     ("surface 9", "split-xz", "bp+osd 0", 0.05, 130),
     ("surface 9", "split-xz", "bp+osd 2", 0.05, 130),
@@ -63,18 +64,20 @@ def test_xzy_draws_one_fault_vector_per_trial(mcbench):
     """MLD rescoring reads each trial's fault vector from its own call."""
     _, spans = mcbench
     cfg = BenchmarkConfig(code="surface 2", noise="xzy", decoder="mld", rates=(0.05,),
-                          trials=300, seed=1)
+                          trials=bench._BLOCK + 2, seed=1)
     tracer = spans.Tracer()
     tracer.run(cfg)
     calls = tracer.captures["noise.fault_vector"]
-    assert [trial for trial, _, _ in calls] == list(range(300))
+    assert [trial for trial, _, _ in calls] == list(range(cfg.trials))
 
 
 def test_each_depolarizing_block_draw_is_a_noise_sample_span(mcbench):
-    """noise.sample times sample_depolarizing, called once per block of trials."""
-    _, spans = mcbench
+    """noise.sample times sample_depolarizing, called once per block of trials,
+    and the trials of both blocks rescore."""
+    checks, spans = mcbench
     cfg = BenchmarkConfig(code="surface 5", noise="split-xz", decoder="bp", rates=(0.01,),
-                          trials=130, seed=1)
+                          trials=bench._BLOCK + 2, seed=1)
     tracer = spans.Tracer()
-    tracer.run(cfg)
+    record, = tracer.run(cfg).records
     assert [name for name, *_ in tracer.spans].count("noise.sample") == 2
+    assert checks.rescored_failures(tracer, cfg.trials) == (record.failures, [])
