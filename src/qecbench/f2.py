@@ -16,6 +16,7 @@ exchange parity-check matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -288,33 +289,23 @@ class SparseRows:
         self.pad_col = np.full(self.real.shape, m.cols)
         self.pad_col[self.real] = self.col
         self.pads = np.flatnonzero(~self.real)
-        # reduceat returns v[start] for an empty row and rejects a start
-        # equal to the edge count, so empty rows are left out of it
-        self._rows = np.flatnonzero(degree)
-        self._starts = (np.cumsum(degree) - degree)[self._rows]
-        for a in (self.row, self.col, self.real, self.pad_col, self.pads, self._rows,
-                  self._starts):
+        for a in (self.row, self.col, self.real, self.pad_col, self.pads):
             a.flags.writeable = False
 
     def parity(self, v: np.ndarray) -> np.ndarray:
         """M v over GF(2) as uint8, from the low bit of each entry of integer v,
-        for each vector along the last axis: (..., cols) -> (..., rows).  A
-        vector is one reduceat over its edges; a batch gathers pad_col from a
-        copy with a zero column and XORs each row's dmax slots."""
+        for each vector along the last axis: (..., cols) -> (..., rows).  It
+        gathers pad_col from a copy with a zero column and XORs each row's
+        dmax slots, so an empty row is 0."""
         v = np.asarray(v)
         if v.shape[-1:] != (self.shape[1],):
             raise ValueError(f"expected vectors of length {self.shape[1]}, got {v.shape}")
-        if v.ndim > 1:  # the copy holds the vectors last, so each slot XORs whole rows
-            padded = np.zeros((self.shape[1] + 1,) + v.shape[:-1], dtype=v.dtype)
-            padded[:-1] = np.moveaxis(v, -1, 0)
-            bits = np.bitwise_xor.reduce(padded.take(self.pad_col.T, axis=0), axis=0) & 1
-            return np.ascontiguousarray(np.moveaxis(bits, 0, -1), dtype=np.uint8)
-        bits = np.bitwise_xor.reduceat(v.take(self.col), self._starts) & 1
-        if self._rows.size == self.shape[0]:  # no empty row: reduceat gave every row
-            return bits.astype(np.uint8, copy=False)
-        out = np.zeros(self.shape[0], dtype=np.uint8)
-        out[self._rows] = bits
-        return out
+        # the copy holds the vectors last, so each slot XORs whole rows
+        flat = v.reshape(math.prod(v.shape[:-1]), self.shape[1])
+        padded = np.zeros((self.shape[1] + 1, len(flat)), dtype=v.dtype)
+        padded[:-1] = flat.T
+        bits = np.bitwise_xor.reduce(padded.take(self.pad_col.T, axis=0), axis=0) & 1
+        return bits.T.astype(np.uint8, order="C").reshape(v.shape[:-1] + (self.shape[0],))
 
 
 # -- assembly ------------------------------------------------------------

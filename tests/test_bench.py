@@ -632,19 +632,20 @@ def test_prefetch_splits_its_rows_into_batches_of_bp_slots(monkeypatch):
     assert split == without_seconds(run_benchmark(cfg))
 
 
-@pytest.mark.parametrize("code,noise,decoder,trials", [
+@pytest.mark.parametrize("code,noise,decoder,past", [  # trials past the first block
     ("surface 3", "split-xz", "bp", 300),
     ("surface 3", "split-xz", "bp+osd 1", 100),
     ("hamming", "bsc", "bp", 200),
     ("surface 5", "split-xz", "bp", 256),  # blocks of more than 32 distinct syndromes
 ])
 def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatch, code, noise,
-                                                                       decoder, trials):
+                                                                       decoder, past):
     """Each bp_decode call of a run finds its answer stored: the batches
     decode exactly as many rows as there are calls, so no trial decodes its
-    own syndrome and no batch decodes a row that no trial reads.  Each
-    problem runs at most one batch per block of trials, of at most _BLOCK
-    rows."""
+    own syndrome and no batch decodes a row that no trial reads, also in
+    the partial last block.  Each problem runs one batch per block of
+    trials here, of at most _BLOCK rows; only a block whose rows need more
+    than BP_SLOTS message slots is split into several."""
     batch, decode_bp, block_keys = decoders.bp_batch, decoders.bp_decode, bench._block_keys
     block, batches, rows, calls = [None], [], [], []
 
@@ -667,7 +668,7 @@ def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatc
     monkeypatch.setattr(decoders, "bp_decode", counted_decode)
     monkeypatch.setattr(bench, "bp_decode", counted_decode)
     run_benchmark(BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(0.05, 0.1),
-                                  trials=trials, seed=2))
+                                  trials=bench._BLOCK + past, seed=2))
     assert len(calls) > 10 and sum(rows) == len(calls) and max(rows) <= bench._BLOCK
     assert None not in batches and len(set(batches)) == len(batches)
 
@@ -677,7 +678,8 @@ def test_run_benchmark_answers_every_bp_call_from_one_batch_per_block(monkeypatc
 def test_a_full_memo_still_gets_one_bp_batch_per_problem_and_block(monkeypatch, limit,
                                                                    decoder):
     """Once memo stores nothing more, each problem still runs exactly one
-    bp_batch per block of trials, and bp_decode never runs one of its own."""
+    bp_batch per block of trials (a surface 3 block fits BP_SLOTS), and
+    bp_decode never runs one of its own."""
     batch, decode_bp, block_keys = decoders.bp_batch, decoders.bp_decode, bench._block_keys
     blocks, batches, inside = [], [], [False]
 

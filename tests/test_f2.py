@@ -467,9 +467,8 @@ def test_sparse_rows_parity_takes_a_batch_axis(rows, cols, density, empty, batch
        dtype=st.sampled_from([bool, np.uint8, np.int64]), batch=st.sampled_from([None, 0, 3]),
        seed=st.integers(0, 2**32 - 1))
 def test_sparse_rows_parity_paths_agree_with_matvec(rows, cols, empty, dtype, batch, seed):
-    """Without an empty row parity returns reduceat's bits; with one it scatters
-    them.  Both give matvec's bits as uint8, for bool, uint8 and int64 input,
-    as a vector and as a (B, cols) batch."""
+    """With and without an empty row, parity gives matvec's bits as uint8, for
+    bool, uint8 and int64 input, as a vector and as a (B, cols) batch."""
     rng = np.random.default_rng(seed)
     dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     dense[np.arange(rows), rng.integers(0, cols, rows)] = 1  # every row has an edge

@@ -12,8 +12,8 @@ from qecbench.bench import BenchmarkConfig, run_benchmark
 
 MCBENCH = Path(__file__).resolve().parents[1] / "mcbench"
 
-# shaped like mcbench's four workloads, with fewer trials (a run that crosses
-# a block is rescored in test_each_depolarizing_block_draw_is_a_noise_sample_span)
+# shaped like mcbench's four workloads, with fewer trials: each runs one
+# block of trials and then this many more, so its rescoring crosses a block
 WORKLOADS = [
     ("surface 9", "split-xz", "bp+osd 0", 0.05, 130),
     ("surface 9", "split-xz", "bp+osd 2", 0.05, 130),
@@ -49,14 +49,14 @@ def test_bench_binds_every_wrapped_name(mcbench):
         pass
 
 
-@pytest.mark.parametrize("code,noise,decoder,rate,trials", WORKLOADS)
-def test_traced_runs_rescore_every_trial(mcbench, code, noise, decoder, rate, trials):
+@pytest.mark.parametrize("code,noise,decoder,rate,past", WORKLOADS)
+def test_traced_runs_rescore_every_trial(mcbench, code, noise, decoder, rate, past):
     checks, spans = mcbench
     cfg = BenchmarkConfig(code=code, noise=noise, decoder=decoder, rates=(rate,),
-                          trials=trials, seed=1000)
+                          trials=bench._BLOCK + past, seed=1000)
     tracer = spans.Tracer()
     record, = tracer.run(cfg).records
-    assert checks.rescored_failures(tracer, trials) == (record.failures, [])
+    assert checks.rescored_failures(tracer, cfg.trials) == (record.failures, [])
     assert run_benchmark(cfg).records[0].failures == record.failures
 
 
@@ -72,12 +72,10 @@ def test_xzy_draws_one_fault_vector_per_trial(mcbench):
 
 
 def test_each_depolarizing_block_draw_is_a_noise_sample_span(mcbench):
-    """noise.sample times sample_depolarizing, called once per block of trials,
-    and the trials of both blocks rescore."""
-    checks, spans = mcbench
+    """noise.sample times sample_depolarizing, called once per block of trials."""
+    _, spans = mcbench
     cfg = BenchmarkConfig(code="surface 5", noise="split-xz", decoder="bp", rates=(0.01,),
                           trials=bench._BLOCK + 2, seed=1)
     tracer = spans.Tracer()
-    record, = tracer.run(cfg).records
+    tracer.run(cfg)
     assert [name for name, *_ in tracer.spans].count("noise.sample") == 2
-    assert checks.rescored_failures(tracer, cfg.trials) == (record.failures, [])
